@@ -22,7 +22,7 @@ print()
 print("== a nested example on 5 strands ==")
 north = HalfDiagram(5, ((1, 4, 1), (2, 3, 0)))
 south = HalfDiagram(5, ((1, 2, 1), (3, 4, 0)))
-d = Diagram.from_dyadic(north, south)
+d = Diagram(north, south)
 word = factorize(d)
 print(f"{d} = {' '.join(word)}")
 print(f"round trip: {evaluate_word(word, 5) == AlgebraElement.from_diagram(d)}")

@@ -121,7 +121,7 @@ class AlgebraElement:
 
     @classmethod
     def one(cls, m: int) -> "AlgebraElement":
-        return cls.from_diagram(Diagram(DecoratedTangle.identity(m)))
+        return cls.from_diagram(Diagram.from_tangle(DecoratedTangle.identity(m)))
 
     @classmethod
     def from_diagram(cls, d: Diagram, coeff=1) -> "AlgebraElement":
@@ -237,7 +237,7 @@ def reduce_tangle(t: DecoratedTangle) -> AlgebraElement:
     terms: dict[Diagram, LaurentPoly] = {}
     for tang, coeff in normal_form(t):
         try:
-            d = Diagram(tang)
+            d = Diagram.from_tangle(tang)
         except ValueError as exc:
             raise ClosureViolation(f"reduction left a non-basis tangle {tang}: {exc}") from exc
         terms[d] = terms.get(d, LaurentPoly.zero()) + coeff

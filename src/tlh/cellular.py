@@ -35,6 +35,9 @@ from tlh.ring import G_ONE, G_ZERO, GAMMA1, GAMMA2, GoldenScalar, LaurentPoly
 #: 1 / (gamma2 - gamma1): the only scalar the cell basis change needs to invert.
 INV_GAMMA_GAP = GoldenScalar(Fraction(1, 5), Fraction(-2, 5))
 
+#: Frame pairs gram_matrix re-checks above rank 4, where checking all is slow.
+FRAME_CHECKS = 12
+
 #: Expected constant term of a rescaled diagonal form entry, by layer kind.
 _DIAG_CONSTANT = {
     "plain": G_ONE - GAMMA1 - GAMMA1,
@@ -118,15 +121,15 @@ def cell_element(label: CellLabel, d1: HalfDiagram, d2: HalfDiagram) -> AlgebraE
     if label.kind in ("zero", "middle"):
         if label.kind == "middle" and 2 * label.k != d1.m:
             raise ValueError(f"middle label needs {2 * label.k} strands, got {d1.m}")
-        return AlgebraElement.from_diagram(Diagram.from_dyadic(d1, d2))
+        return AlgebraElement.from_diagram(Diagram(d1, d2))
     if 2 * label.k >= d1.m:
         raise ValueError(f"label {label} needs a propagating edge on {d1.m} strands")
     gamma = GAMMA1 if label.kind == "plain" else GAMMA2
     return AlgebraElement(
         d1.m,
         {
-            Diagram.from_dyadic(d1, d2, bullet=True): G_ONE,
-            Diagram.from_dyadic(d1, d2, bullet=False): -gamma,
+            Diagram(d1, d2, bullet=True): G_ONE,
+            Diagram(d1, d2, bullet=False): -gamma,
         },
     )
 
@@ -148,17 +151,16 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
             out[key] = cur
 
     for d, coeff in x.items():
-        form = d.dyadic()
         if d.k == 0:
-            add((CellLabel("zero"), form.north, form.south), coeff)
+            add((CellLabel("zero"), d.north, d.south), coeff)
         elif d.prop_count == 0:
-            add((CellLabel("middle", d.k), form.north, form.south), coeff)
-        elif form.bullet:
-            add((CellLabel("plain", d.k), form.north, form.south), coeff * (GAMMA2 * INV_GAMMA_GAP))
-            add((CellLabel("bullet", d.k), form.north, form.south), coeff * (-GAMMA1 * INV_GAMMA_GAP))
+            add((CellLabel("middle", d.k), d.north, d.south), coeff)
+        elif d.bullet:
+            add((CellLabel("plain", d.k), d.north, d.south), coeff * (GAMMA2 * INV_GAMMA_GAP))
+            add((CellLabel("bullet", d.k), d.north, d.south), coeff * (-GAMMA1 * INV_GAMMA_GAP))
         else:
-            add((CellLabel("plain", d.k), form.north, form.south), coeff * INV_GAMMA_GAP)
-            add((CellLabel("bullet", d.k), form.north, form.south), coeff * (-INV_GAMMA_GAP))
+            add((CellLabel("plain", d.k), d.north, d.south), coeff * INV_GAMMA_GAP)
+            add((CellLabel("bullet", d.k), d.north, d.south), coeff * (-INV_GAMMA_GAP))
     return out
 
 
@@ -300,13 +302,13 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
     return RingMatrix(tuple(tuple(base[j][i] for j in range(size)) for i in range(size)))
 
 
-def gram_matrix(label: CellLabel, n: int, *, choice_checks: int | None = None) -> RingMatrix:
+def gram_matrix(label: CellLabel, n: int) -> RingMatrix:
     """The bilinear form on a cell layer.
 
     Entry (d1, d2) is the coefficient of C(e1, e2) in C(e1, d1) * C(d2, e2)
     modulo lower layers, for a fixed frame pair (e1, e2).  The matrix is
-    recomputed against other frame pairs -- all of them, or choice_checks
-    evenly spaced ones -- to confirm the frame does not matter.
+    recomputed against other frame pairs -- all of them for n <= 4, else
+    FRAME_CHECKS evenly spaced ones -- to confirm the frame does not matter.
     """
     tabs = tableaux(label, n)
 
@@ -335,39 +337,14 @@ def gram_matrix(label: CellLabel, n: int, *, choice_checks: int | None = None) -
     pairs = [(e1, e2) for e1 in tabs for e2 in tabs]
     base = entries(*pairs[0])
     others = pairs[1:]
-    if choice_checks is not None and len(others) > choice_checks:
-        stride = max(1, len(others) // choice_checks)
-        others = others[::stride][:choice_checks]
+    if n > 4 and len(others) > FRAME_CHECKS:
+        others = others[:: len(others) // FRAME_CHECKS][:FRAME_CHECKS]
     for e1, e2 in others:
         if entries(e1, e2) != base:
             raise IndependenceViolation(
                 f"form entries on layer {label} depend on the frame pair"
             )
     return RingMatrix(base)
-
-
-@dataclasses.dataclass(frozen=True)
-class CellDatum:
-    """The cell structure at a fixed rank: the poset plus its basis maps."""
-
-    n: int
-    labels: tuple
-
-    def tableaux(self, label: CellLabel) -> tuple:
-        return tableaux(label, self.n)
-
-    def cell(self, label: CellLabel, d1: HalfDiagram, d2: HalfDiagram) -> AlgebraElement:
-        return cell_element(label, d1, d2)
-
-    def action(self, a: AlgebraElement, label: CellLabel, **kwargs) -> RingMatrix:
-        return cell_action_matrix(a, label, **kwargs)
-
-    def gram(self, label: CellLabel, **kwargs) -> RingMatrix:
-        return gram_matrix(label, self.n, **kwargs)
-
-
-def cell_datum(n: int) -> CellDatum:
-    return CellDatum(n, lambda_poset(n))
 
 
 def verify_cellular_axioms(n: int) -> list:
@@ -431,7 +408,7 @@ def semisimplicity_check(n: int) -> list:
     for label in lambda_poset(n):
         tabs = tableaux(label, n)
         try:
-            form = gram_matrix(label, n, choice_checks=None if n <= 4 else 12)
+            form = gram_matrix(label, n)
         except IndependenceViolation as exc:
             problems.append(f"layer {label}: {exc}")
             continue

@@ -4,7 +4,8 @@ Subcommands: dims, enumerate, multiply, factorize, gram, verify.  Output is
 human-readable text by default; --format structured prints line-delimited
 JSON records with sorted keys, so identical inputs give byte-identical
 output.  Exit status: 0 when every check passes, 1 when a mathematical
-property is violated, 2 on usage or parse errors.
+property is violated (a library failure such as a FactorizationError is
+reported as a {"kind": "failure"} record), 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from math import comb
 
 from tlh.algebra import (
     AlgebraElement,
+    ClosureViolation,
     evaluate_word,
     normal_form,
     normal_form_random,
@@ -226,11 +228,10 @@ def cmd_gram(args, report: Report) -> int:
     n = _require_n(args)
     _check_cap(args, "gram", n)
     labels = (CellLabel.parse(args.selector, n),) if args.selector else lambda_poset(n)
-    checks = None if n <= 4 else 12
     code = 0
     for label in labels:
         try:
-            form = gram_matrix(label, n, choice_checks=checks)
+            form = gram_matrix(label, n)
         except IndependenceViolation as exc:
             report.emit(
                 {"kind": "gram", "label": str(label), "verdict": "fail", "detail": str(exc)},
@@ -366,6 +367,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ClosureViolation, IndependenceViolation, FactorizationError) as exc:
+        name = type(exc).__name__
+        report.emit({"kind": "failure", "error": name, "detail": str(exc)}, f"FAIL {name}: {exc}")
+        code = 1
     except (ValueError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,12 +6,13 @@ conditions: an all-propagating diagram carries no decorations, and a face
 that contains caps must contain either a decorated cap on nodes {1, 2} or an
 undecorated cap on some {i, i+1} with i > 1.
 
-Such a diagram splits into dyadic form: a half-diagram of caps for the north
-face, one for the south face, and an optional single decoration ("bullet")
-on the westmost propagating edge, the only propagating edge that can reach
-the west wall.  Conversely any compatible triple assembles into a diagram,
-which gives the enumeration of the diagram basis.
-"""
+Such a diagram is stored in dyadic form, ``Diagram(north, south, bullet)``:
+a half-diagram of caps for the north face, one for the south face, and an
+optional single decoration ("bullet") on the westmost propagating edge, the
+only propagating edge that can reach the west wall.  Every compatible triple
+is a diagram, which gives the enumeration of the diagram basis.
+``Diagram.from_tangle`` reads a tangle back into dyadic form, rejecting any
+tangle that is not a basis diagram."""
 
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import dataclasses
 import functools
 import itertools
 from math import comb
-from typing import NamedTuple
 
 from tlh.tangle import DecoratedTangle, NodeRef
 
@@ -116,60 +116,85 @@ class HalfDiagram:
         return cls(obj["m"], tuple(tuple(p) for p in obj.get("caps", ())))
 
 
-class DyadicForm(NamedTuple):
-    """A diagram as (north caps, south caps, westmost-propagating decoration)."""
+@dataclasses.dataclass(frozen=True)
+class Diagram:
+    """A basis diagram in dyadic form: north caps, south caps, bullet.
+
+    The halves check their own planarity and west-exposure; this adds only
+    what ties them together.  ``tangle`` is the diagram as a decorated
+    tangle, built on first use.
+    """
 
     north: HalfDiagram
     south: HalfDiagram
-    bullet: bool
-
-
-def is_h_admissible(t: DecoratedTangle) -> tuple[bool, str]:
-    """Whether a tangle is a basis diagram; if not, the first reason why."""
-    if not t.is_square:
-        return False, f"not square: {t.n_top} north, {t.n_bottom} south nodes"
-    if t.loops:
-        return False, "contains closed loops"
-    problems = t.validate()
-    if problems:
-        return False, problems[0]
-    caps = [a for a in t.arcs if a[0].face == a[1].face]
-    if any(dec > 1 for _, _, dec in t.arcs):
-        return False, "an edge carries more than one decoration"
-    if not caps:
-        if any(dec for _, _, dec in t.arcs):
-            return False, "decorated edge in an all-propagating diagram"
-        return True, ""
-    for face in "NS":
-        face_caps = [(min(a.index, b.index), max(a.index, b.index), dec)
-                     for a, b, dec in caps if a.face == face]
-        ok = any(c == (1, 2, 1) for c in face_caps) or any(
-            dec == 0 and b == a + 1 and a > 1 for a, b, dec in face_caps
-        )
-        if not ok:
-            return False, f"face {face} has caps but no decorated 1-2 cap and no plain adjacent cap east of node 1"
-    return True, ""
-
-
-@dataclasses.dataclass(frozen=True)
-class Diagram:
-    """A basis diagram: an admissible square loop-free decorated tangle."""
-
-    tangle: DecoratedTangle
+    bullet: bool = False
 
     def __post_init__(self):
-        ok, reason = is_h_admissible(self.tangle)
-        if not ok:
-            raise ValueError(f"not a basis diagram: {reason}")
+        north, south = self.north, self.south
+        if north.m != south.m:
+            raise ValueError(f"half-diagrams disagree on strands: {north.m} vs {south.m}")
+        if north.k != south.k:
+            raise ValueError(f"half-diagrams disagree on cap count: {north.k} vs {south.k}")
+        if self.bullet and not 0 < 2 * north.k < north.m:
+            raise ValueError("a bullet needs at least one cap and a propagating edge")
+        for face, half in (("N", north), ("S", south)):
+            if not half.admissible():
+                raise ValueError(
+                    f"face {face} has caps but no decorated 1-2 cap and no plain adjacent cap east of node 1"
+                )
+
+    @classmethod
+    def from_tangle(cls, t: DecoratedTangle) -> "Diagram":
+        """The basis diagram a square, loop-free tangle draws; ValueError if none."""
+        try:
+            if not t.is_square:
+                raise ValueError(f"not square: {t.n_top} north, {t.n_bottom} south nodes")
+            if t.loops:
+                raise ValueError("contains closed loops")
+            caps = {"N": [], "S": []}
+            props = []
+            for a, b, dec in t.arcs:
+                if dec > 1:
+                    raise ValueError("an edge carries more than one decoration")
+                if a.face != b.face:
+                    props.append((a.index, b.index, dec))
+                else:
+                    caps[a.face].append((min(a.index, b.index), max(a.index, b.index), dec))
+            north = HalfDiagram(t.n_top, tuple(caps["N"]))
+            south = HalfDiagram(t.n_top, tuple(caps["S"]))
+            props.sort()
+            if (
+                tuple(x for x, _, _ in props) != north.free_points
+                or tuple(y for _, y, _ in props) != south.free_points
+            ):
+                raise ValueError("propagating edges do not join the free nodes in order")
+            if any(dec for _, _, dec in props[1:]):
+                raise ValueError("a propagating edge east of the westmost one is decorated")
+            d = cls(north, south, bool(props) and props[0][2] == 1)
+        except ValueError as exc:
+            raise ValueError(f"not a basis diagram: {exc}") from None
+        d.__dict__["tangle"] = t  # the tangle just checked is the one this draws
+        return d
+
+    @functools.cached_property
+    def tangle(self) -> DecoratedTangle:
+        north, south = self.north, self.south
+        arcs = {(NodeRef("N", a), NodeRef("N", b), dec) for a, b, dec in north.pairs}
+        arcs |= {(NodeRef("S", a), NodeRef("S", b), dec) for a, b, dec in south.pairs}
+        arcs |= {
+            (NodeRef("N", x), NodeRef("S", y), 1 if self.bullet and i == 0 else 0)
+            for i, (x, y) in enumerate(zip(north.free_points, south.free_points))
+        }
+        return DecoratedTangle(self.m, self.m, frozenset(arcs))
 
     @property
     def m(self) -> int:
-        return self.tangle.n_top
+        return self.north.m
 
     @property
     def k(self) -> int:
         """Number of caps on each face."""
-        return sum(1 for a, b, _ in self.tangle.arcs if a.face == b.face == "N")
+        return self.north.k
 
     @property
     def prop_count(self) -> int:
@@ -180,55 +205,22 @@ class Diagram:
         return self.k == 0
 
     def star(self) -> "Diagram":
-        return Diagram(self.tangle.flip())
-
-    def half(self, face: str) -> HalfDiagram:
-        pairs = tuple(
-            (min(a.index, b.index), max(a.index, b.index), dec)
-            for a, b, dec in self.tangle.arcs
-            if a.face == b.face == face
-        )
-        return HalfDiagram(self.m, pairs)
-
-    def dyadic(self) -> DyadicForm:
-        bullet = any(
-            dec for a, b, dec in self.tangle.arcs if a.face != b.face
-        )
-        return DyadicForm(self.half("N"), self.half("S"), bullet)
-
-    @classmethod
-    def from_dyadic(cls, north: HalfDiagram, south: HalfDiagram, bullet: bool = False) -> "Diagram":
-        if north.m != south.m:
-            raise ValueError(f"half-diagrams disagree on strands: {north.m} vs {south.m}")
-        nf, sf = north.free_points, south.free_points
-        if len(nf) != len(sf):
-            raise ValueError(f"half-diagrams disagree on cap count: {north.k} vs {south.k}")
-        if bullet and not nf:
-            raise ValueError("no propagating edge to decorate")
-        arcs = {(NodeRef("N", a), NodeRef("N", b), dec) for a, b, dec in north.pairs}
-        arcs |= {(NodeRef("S", a), NodeRef("S", b), dec) for a, b, dec in south.pairs}
-        arcs |= {
-            (NodeRef("N", x), NodeRef("S", y), 1 if bullet and i == 0 else 0)
-            for i, (x, y) in enumerate(zip(nf, sf))
-        }
-        return cls(DecoratedTangle(north.m, north.m, frozenset(arcs)))
+        return Diagram(self.south, self.north, self.bullet)
 
     def sort_key(self):
-        d = self.dyadic()
-        return (self.k, d.north.pairs, d.south.pairs, d.bullet)
+        return (self.k, self.north.pairs, self.south.pairs, self.bullet)
 
     def __str__(self) -> str:
         if self.is_identity:
             return f"id{self.m}"
-        d = self.dyadic()
-        return f"|{d.north}><{d.south}|" + ("*" if d.bullet else "")
+        return f"|{self.north}><{self.south}|" + ("*" if self.bullet else "")
 
     def to_json(self) -> dict:
         return self.tangle.to_json()
 
     @classmethod
     def from_json(cls, obj: dict) -> "Diagram":
-        return cls(DecoratedTangle.from_json(obj))
+        return cls.from_tangle(DecoratedTangle.from_json(obj))
 
 
 def generator_U(i: int, m: int) -> Diagram:
@@ -237,7 +229,7 @@ def generator_U(i: int, m: int) -> Diagram:
         raise ValueError(f"generator index {i} out of range for {m} strands")
     dec = 1 if i == 1 else 0
     half = HalfDiagram(m, ((i, i + 1, dec),))
-    return Diagram.from_dyadic(half, half)
+    return Diagram(half, half)
 
 
 def _shapes(points: tuple, k: int):
@@ -272,7 +264,8 @@ def enumerate_generalized_half(m: int, k: int) -> tuple:
             pairs = tuple((a, b, bit) for (a, b), bit in zip(exposed, bits))
             pairs += tuple((a, b, 0) for a, b in hidden)
             out.append(HalfDiagram(m, pairs))
-    assert len(out) == comb(m, k), f"face count {len(out)} != C({m},{k})"
+    if len(out) != comb(m, k):
+        raise RuntimeError(f"face count {len(out)} != C({m},{k})")
     return tuple(sorted(out, key=lambda h: h.pairs))
 
 
@@ -281,7 +274,8 @@ def enumerate_half(m: int, k: int) -> tuple:
     """All admissible k-cap faces; count C(m, k) - 1 for k > 0."""
     out = tuple(h for h in enumerate_generalized_half(m, k) if h.admissible())
     expect = comb(m, k) - (1 if 0 < 2 * k <= m else 0)
-    assert len(out) == expect, f"admissible face count {len(out)} != {expect}"
+    if len(out) != expect:
+        raise RuntimeError(f"admissible face count {len(out)} != {expect}")
     return out
 
 
@@ -295,13 +289,10 @@ def enumerate_diagrams(m: int, max_strands: int = 9) -> list:
         )
     out = []
     for k in range(0, m // 2 + 1):
-        if k == 0:
-            out.append(Diagram(DecoratedTangle.identity(m)))
-            continue
         halves = enumerate_half(m, k)
-        bullets = (False, True) if m - 2 * k > 0 else (False,)
+        bullets = (False, True) if 0 < 2 * k < m else (False,)
         for north in halves:
             for south in halves:
                 for bullet in bullets:
-                    out.append(Diagram.from_dyadic(north, south, bullet))
+                    out.append(Diagram(north, south, bullet))
     return out

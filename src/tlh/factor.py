@@ -134,18 +134,17 @@ def _seed_word(k: int, r: int, north_free: bool, south_free: bool, bullet: bool)
 
 def factorize(d: Diagram) -> list:
     """A generator word evaluating exactly to the given basis diagram."""
-    form = d.dyadic()
     word: list = []
     gen = next((i for i in range(1, d.m) if d == generator_U(i, d.m)), None)
     if gen is not None:
         word = [f"U{gen}"]
     elif d.k > 0:
-        prefix, north_flat = _unnest(form.north)
-        post, south_flat = _unnest(form.south)
+        prefix, north_flat = _unnest(d.north)
+        post, south_flat = _unnest(d.south)
         w_north, north_free = _plan_flat(north_flat)
         w_south, south_free = _plan_flat(south_flat)
         word += prefix + w_north
-        word += _seed_word(d.k, d.prop_count, north_free, south_free, form.bullet)
+        word += _seed_word(d.k, d.prop_count, north_free, south_free, d.bullet)
         word += [_STAR_TOKEN.get(t, t) for t in reversed(w_south)]
         word += [_STAR_TOKEN.get(t, t) for t in reversed(post)]
     check = evaluate_word(word, d.m)

@@ -227,9 +227,8 @@ class DecoratedTangle:
             loops.append(dec_total)
         result = DecoratedTangle(self.n_top, other.n_bottom, frozenset(arcs), tuple(loops))
         for arc in result.arcs:
-            assert arc[2] == 0 or result.west_exposed(arc), (
-                f"gluing produced a trapped decoration on {arc[0]}-{arc[1]}"
-            )
+            if arc[2] and not result.west_exposed(arc):
+                raise ValueError(f"gluing produced a trapped decoration on {arc[0]}-{arc[1]}")
         return result
 
     # -- presentation ------------------------------------------------------

@@ -32,7 +32,7 @@ H_PLAIN = HalfDiagram(3, ((2, 3, 0),))
 
 
 def D3(north, south, bullet=False) -> Diagram:
-    return Diagram.from_dyadic(north, south, bullet)
+    return Diagram(north, south, bullet)
 
 
 def as_dict(pairs):
@@ -108,7 +108,7 @@ def test_special_elements_frozen():
         (D3(H_STAR, H_STAR), -LaurentPoly.one()),
         (D3(H_STAR, H_STAR, True), LaurentPoly.one()),
     ]
-    assert s["alpha"].support() == [Diagram(DecoratedTangle.identity(3)), D3(H_STAR, H_PLAIN, True)]
+    assert s["alpha"].support() == [Diagram.from_tangle(DecoratedTangle.identity(3)), D3(H_STAR, H_PLAIN, True)]
     assert s["epsilon"].star() == s["epsilon"]
     assert s["zeta"].star() == s["zeta"]
     assert s["alpha"].star() == s["beta"]
@@ -203,7 +203,7 @@ def test_element_api():
     assert u1.scale(2) - u1 == u1
     assert 2 * u1 == u1 * 2 == u1 + u1
     assert (u1 + u2).coefficient(generator_U(1, 3)) == LaurentPoly.one()
-    assert (u1 + u2).coefficient(Diagram(DecoratedTangle.identity(3))).is_zero()
+    assert (u1 + u2).coefficient(Diagram.from_tangle(DecoratedTangle.identity(3))).is_zero()
     assert len((u1 + u2).support()) == 2
     with pytest.raises(ValueError, match="mixed strand counts"):
         u1 + evaluate_word(["U1"], 4)

@@ -1,12 +1,15 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
 import json
+import pathlib
 
 import pytest
 
-from tlh.algebra import AlgebraElement, evaluate_word
+from tlh.algebra import AlgebraElement, ClosureViolation, evaluate_word
+from tlh.cellular import IndependenceViolation
 from tlh.cli import main
 from tlh.diagram import Diagram, generator_U
+from tlh.factor import FactorizationError
 from tlh.ring import GoldenScalar, LaurentPoly
 
 
@@ -167,6 +170,41 @@ def test_verify_fault_injection_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "presentation", "--n", "2")
     assert code == 1
     assert "FAIL U1^2 = [2]U1: injected" in out
+
+
+@pytest.mark.parametrize("error", [ClosureViolation, IndependenceViolation, FactorizationError])
+def test_library_failures_exit_one(capsys, monkeypatch, error):
+    import tlh.cli
+
+    def fail(d):
+        raise error("injected")
+
+    monkeypatch.setattr(tlh.cli, "factorize", fail)
+    code, out, err = run(capsys, "factorize", "U1 U2", "--n", "2", "--format", "structured")
+    assert code == 1 and err == ""
+    assert records(out) == [{"kind": "failure", "error": error.__name__, "detail": "injected"}]
+    code, out, err = run(capsys, "factorize", "U1 U2", "--n", "2")
+    assert code == 1 and err == ""
+    assert out == f"FAIL {error.__name__}: injected\n"
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("dims_n3", ["dims", "--n", "3"]),
+        ("multiply_epsilon_beta_n2", ["multiply", "epsilon", "beta", "--n", "2"]),
+        ("factorize_u1_u2_n2", ["factorize", "U1 U2", "--n", "2"]),
+        ("gram_n2_lambda1", ["gram", "--n", "2", "--lambda", "1"]),
+        ("enumerate_n3", ["enumerate", "--n", "3"]),
+    ],
+)
+def test_structured_output_matches_golden(capsys, name, argv):
+    code, out, _ = run(capsys, *argv, "--format", "structured")
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.jsonl").read_text()
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,4 +1,4 @@
-"""Basis-diagram admissibility, dyadic form, and enumeration."""
+"""Basis-diagram admissibility, dyadic form, reading tangles, and enumeration."""
 
 from __future__ import annotations
 
@@ -9,13 +9,11 @@ import pytest
 
 from tlh.diagram import (
     Diagram,
-    DyadicForm,
     HalfDiagram,
     enumerate_diagrams,
     enumerate_generalized_half,
     enumerate_half,
     generator_U,
-    is_h_admissible,
 )
 from tlh.tangle import DecoratedTangle, NodeRef
 
@@ -47,26 +45,41 @@ def brute_half_diagrams(m: int, k: int) -> set:
     return found
 
 
+def all_square_tangles(m: int):
+    """Every perfect matching of the 2m boundary nodes, with every 0/1/2 decoration pattern."""
+    refs = tuple([N(i) for i in range(1, m + 1)] + [S(i) for i in range(1, m + 1)])
+    for pairing in all_pairings(refs):
+        for decs in itertools.product((0, 1, 2), repeat=m):
+            yield DecoratedTangle(m, m, frozenset((a, b, d) for (a, b), d in zip(pairing, decs)))
+
+
+def oracle_accepts(t: DecoratedTangle) -> bool:
+    """Independent oracle: the general geometry check plus the basis rules, written out."""
+    if t.validate() or any(dec > 1 for _, _, dec in t.arcs):
+        return False
+    caps = [arc for arc in t.arcs if arc[0].face == arc[1].face]
+    if not caps:
+        return not any(dec for _, _, dec in t.arcs)
+    for face in "NS":
+        face_caps = {
+            (min(a.index, b.index), max(a.index, b.index), dec) for a, b, dec in caps if a.face == face
+        }
+        if (1, 2, 1) not in face_caps and not any(
+            dec == 0 and b == a + 1 and a > 1 for a, b, dec in face_caps
+        ):
+            return False
+    return True
+
+
 def brute_diagrams(m: int) -> set:
-    """Independent oracle: every admissible tangle, built point by point."""
-    frame = DecoratedTangle(m, m)
-    refs = sorted(
-        [N(i) for i in range(1, m + 1)] + [S(i) for i in range(1, m + 1)],
-        key=frame.position,
-    )
-    found = set()
-    for pairing in all_pairings(tuple(refs)):
-        plain = DecoratedTangle(m, m, frozenset((a, b, 0) for a, b in pairing))
-        if plain.validate():
-            continue
-        exposed = [arc for arc in plain.arcs if plain.west_exposed(arc)]
-        rest = [arc for arc in plain.arcs if not plain.west_exposed(arc)]
-        for bits in itertools.product((0, 1), repeat=len(exposed)):
-            arcs = frozenset((a, b, bit) for (a, b, _), bit in zip(exposed, bits)) | frozenset(rest)
-            t = DecoratedTangle(m, m, arcs)
-            if is_h_admissible(t)[0]:
-                found.add(Diagram(t))
-    return found
+    """Every tangle the oracle accepts, as a diagram."""
+    return {Diagram.from_tangle(t) for t in all_square_tangles(m) if oracle_accepts(t)}
+
+
+def rejection(t: DecoratedTangle) -> str:
+    with pytest.raises(ValueError) as info:
+        Diagram.from_tangle(t)
+    return str(info.value)
 
 
 def test_half_constructor_rejects():
@@ -146,58 +159,86 @@ def test_generator_shapes():
         generator_U(0, 3)
 
 
-def test_is_h_admissible_reasons():
-    ok, _ = is_h_admissible(DecoratedTangle.identity(4))
-    assert ok
+def test_from_tangle_reasons():
+    assert Diagram.from_tangle(DecoratedTangle.identity(4)) == enumerate_diagrams(4)[0]
     bad = DecoratedTangle(2, 4, frozenset({(N(1), N(2), 0), (S(1), S(2), 0), (S(3), S(4), 0)}))
-    assert is_h_admissible(bad) == (False, "not square: 2 north, 4 south nodes")
+    assert rejection(bad) == "not a basis diagram: not square: 2 north, 4 south nodes"
     looped = DecoratedTangle(1, 1, frozenset({(N(1), S(1), 0)}), loops=(0,))
-    assert is_h_admissible(looped) == (False, "contains closed loops")
+    assert rejection(looped) == "not a basis diagram: contains closed loops"
     dec_id = DecoratedTangle(2, 2, frozenset({(N(1), S(1), 1), (N(2), S(2), 0)}))
-    assert is_h_admissible(dec_id) == (False, "decorated edge in an all-propagating diagram")
+    assert rejection(dec_id) == "not a basis diagram: a bullet needs at least one cap and a propagating edge"
     heavy = DecoratedTangle(2, 2, frozenset({(N(1), N(2), 2), (S(1), S(2), 1)}))
-    assert is_h_admissible(heavy) == (False, "an edge carries more than one decoration")
+    assert rejection(heavy) == "not a basis diagram: an edge carries more than one decoration"
     fig4 = DecoratedTangle(
         4, 4,
         frozenset({(N(1), N(2), 0), (N(3), N(4), 1), (S(1), S(2), 1), (S(3), S(4), 0)}),
     )
-    ok, reason = is_h_admissible(fig4)
-    assert not ok and reason.startswith("face N")
+    assert rejection(fig4).startswith("not a basis diagram: face N")
+
+
+def test_from_tangle_rejects_bad_propagating_edges():
+    crossed = DecoratedTangle(2, 2, frozenset({(N(1), S(2), 0), (N(2), S(1), 0)}))
+    assert "do not join the free nodes in order" in rejection(crossed)
+    missing = DecoratedTangle(2, 2, frozenset({(N(1), S(1), 0)}))
+    assert "do not join the free nodes in order" in rejection(missing)
+    caps = {(N(3), N(4), 0), (S(3), S(4), 0)}
+    east = DecoratedTangle(4, 4, frozenset(caps | {(N(1), S(1), 0), (N(2), S(2), 1)}))
+    assert "east of the westmost one is decorated" in rejection(east)
+    west = DecoratedTangle(4, 4, frozenset(caps | {(N(1), S(1), 1), (N(2), S(2), 0)}))
+    assert Diagram.from_tangle(west).bullet
+    hidden = DecoratedTangle(3, 3, frozenset({(N(2), N(3), 1), (S(2), S(3), 0), (N(1), S(1), 0)}))
+    assert "not west-exposed" in rejection(hidden)
+
+
+def test_from_tangle_matches_the_oracle():
+    for m in range(1, 5):
+        accepted = set()
+        for t in all_square_tangles(m):
+            try:
+                d = Diagram.from_tangle(t)
+            except ValueError:
+                assert not oracle_accepts(t), t
+                continue
+            assert oracle_accepts(t), t
+            assert d.tangle == t
+            assert Diagram(d.north, d.south, d.bullet).tangle == t
+            accepted.add(d)
+        assert accepted == set(enumerate_diagrams(m))
 
 
 def test_diagram_constructor_rejects():
+    with pytest.raises(ValueError, match="strands"):
+        Diagram(HalfDiagram(3), HalfDiagram(4))
+    with pytest.raises(ValueError, match="cap count"):
+        Diagram(HalfDiagram(4, ((2, 3, 0),)), HalfDiagram(4))
+    h = HalfDiagram(4, ((1, 2, 1), (3, 4, 0)))
+    with pytest.raises(ValueError, match="bullet needs"):
+        Diagram(h, h, True)
+    with pytest.raises(ValueError, match="bullet needs"):
+        Diagram(HalfDiagram(3), HalfDiagram(3), True)
+    with pytest.raises(ValueError, match="face N"):
+        Diagram(HalfDiagram.figure_four(4, 2), enumerate_half(4, 2)[0])
+    with pytest.raises(ValueError, match="face S"):
+        Diagram(enumerate_half(4, 2)[0], HalfDiagram.figure_four(4, 2))
     with pytest.raises(ValueError, match="not a basis diagram"):
-        Diagram(DecoratedTangle(2, 2, frozenset({(N(1), N(2), 0), (S(1), S(2), 0)})))
+        Diagram.from_tangle(DecoratedTangle(2, 2, frozenset({(N(1), N(2), 0), (S(1), S(2), 0)})))
 
 
 def test_dyadic_round_trip():
     for m in (3, 4, 5):
         for d in enumerate_diagrams(m):
-            form = d.dyadic()
-            assert Diagram.from_dyadic(*form) == d
-            if not d.is_identity:
-                assert form.north.k == form.south.k == d.k
+            assert Diagram.from_tangle(d.tangle) == d
+            assert d.north.k == d.south.k == d.k
     h1, h2 = enumerate_half(4, 1)[0], enumerate_half(4, 1)[2]
-    d = Diagram.from_dyadic(h1, h2, True)
-    assert d.dyadic() == DyadicForm(h1, h2, True)
-
-
-def test_from_dyadic_rejects():
-    with pytest.raises(ValueError, match="strands"):
-        Diagram.from_dyadic(HalfDiagram(3), HalfDiagram(4))
-    with pytest.raises(ValueError, match="cap count"):
-        Diagram.from_dyadic(HalfDiagram(4, ((2, 3, 0),)), HalfDiagram(4))
-    with pytest.raises(ValueError, match="no propagating edge"):
-        h = HalfDiagram(4, ((1, 2, 1), (3, 4, 0)))
-        Diagram.from_dyadic(h, h, True)
-    with pytest.raises(ValueError, match="not a basis diagram"):
-        Diagram.from_dyadic(HalfDiagram.figure_four(4, 2), enumerate_half(4, 2)[0])
+    d = Diagram(h1, h2, True)
+    assert (d.north, d.south, d.bullet) == (h1, h2, True)
+    assert Diagram.from_tangle(d.tangle) == d
 
 
 def test_star_swaps_faces():
     for d in enumerate_diagrams(4):
-        form = d.dyadic()
-        assert d.star().dyadic() == DyadicForm(form.south, form.north, form.bullet)
+        assert d.star() == Diagram(d.south, d.north, d.bullet)
+        assert d.star().tangle == d.tangle.flip()
         assert d.star().star() == d
     assert generator_U(1, 5).star() == generator_U(1, 5)
 
@@ -227,7 +268,7 @@ def test_strings():
     assert str(u1) == "|1-2*><1-2*|"
     h1 = HalfDiagram(3, ((1, 2, 1),))
     h2 = HalfDiagram(3, ((2, 3, 0),))
-    assert str(Diagram.from_dyadic(h1, h2, True)) == "|1-2*><2-3|*"
+    assert str(Diagram(h1, h2, True)) == "|1-2*><2-3|*"
 
 
 def test_json_round_trips():

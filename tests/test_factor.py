@@ -43,11 +43,11 @@ def test_frozen_words_on_three_strands():
         (h_plain, h_star, False): ["U2", "epsilon"],
     }
     for (north, south, bullet), expected in cases.items():
-        assert factorize(Diagram.from_dyadic(north, south, bullet)) == expected
+        assert factorize(Diagram(north, south, bullet)) == expected
 
 
 def test_frozen_word_with_nested_cap():
-    d = Diagram.from_dyadic(
+    d = Diagram(
         HalfDiagram(4, ((1, 4, 1), (2, 3, 0))),
         HalfDiagram(4, ((1, 2, 1), (3, 4, 0))),
     )

@@ -99,6 +99,14 @@ def test_glue_requires_perfect_matching():
         t.concat(bad)
 
 
+def test_glue_rejects_trapped_decoration():
+    # N2-S2 sits inside N1-S1, so its decoration cannot reach the west wall
+    trapped = DecoratedTangle(2, 2, frozenset({(N(1), S(1), 0), (N(2), S(2), 1)}))
+    for top, bottom in ((trapped, DecoratedTangle.identity(2)), (DecoratedTangle.identity(2), trapped)):
+        with pytest.raises(ValueError, match="trapped decoration on N2-S2"):
+            top.concat(bottom)
+
+
 def test_glue_square_of_decorated_cap():
     # caps {1,2} decorated on both faces; squaring closes a doubly decorated loop
     u1 = U(1, 3)
