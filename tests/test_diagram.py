@@ -207,6 +207,11 @@ def test_from_tangle_matches_the_oracle():
 
 
 def test_diagram_constructor_rejects():
+    with pytest.raises(ValueError, match="not a basis diagram"):
+        Diagram.from_tangle(DecoratedTangle(2, 2, frozenset({(N(1), N(2), 0), (S(1), S(2), 0)})))
+
+
+def test_from_dyadic_rejects():
     with pytest.raises(ValueError, match="strands"):
         Diagram(HalfDiagram(3), HalfDiagram(4))
     with pytest.raises(ValueError, match="cap count"):
@@ -220,8 +225,6 @@ def test_diagram_constructor_rejects():
         Diagram(HalfDiagram.figure_four(4, 2), enumerate_half(4, 2)[0])
     with pytest.raises(ValueError, match="face S"):
         Diagram(enumerate_half(4, 2)[0], HalfDiagram.figure_four(4, 2))
-    with pytest.raises(ValueError, match="not a basis diagram"):
-        Diagram.from_tangle(DecoratedTangle(2, 2, frozenset({(N(1), N(2), 0), (S(1), S(2), 0)})))
 
 
 def test_dyadic_round_trip():
