@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 
 from tlh.diagram import Diagram, enumerate_diagrams, generator_U
-from tlh.ring import G_ZERO, LaurentPoly, fib_pair
+from tlh.ring import LaurentPoly, fib_pair
 from tlh.tangle import DecoratedTangle
 
 
@@ -41,7 +41,6 @@ def normal_form(t: DecoratedTangle) -> list:
         if weight == 0:
             return []
         coeff = coeff * LaurentPoly({1: weight, -1: weight})
-    plain = [a for a in t.sorted_arcs() if a[2] <= 1]
     heavy = [a for a in t.sorted_arcs() if a[2] >= 2]
     out = []
     choices = [(t, coeff)]
@@ -328,7 +327,7 @@ def positivity_check(m: int) -> list:
     diagrams = enumerate_diagrams(m)
     for d1 in diagrams:
         for d2 in diagrams:
-            product = reduce_tangle(d1.tangle.concat(d2.tangle))
+            product = AlgebraElement.from_diagram(d1) * AlgebraElement.from_diagram(d2)
             for d, full in product._terms.items():
                 c, power = full, 0
                 while (q := c.exact_div(delta)) is not None:

@@ -30,7 +30,7 @@ from math import comb
 
 from tlh.algebra import AlgebraElement
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, enumerate_half, generator_U
-from tlh.ring import G_ONE, G_ZERO, GAMMA1, GAMMA2, GoldenScalar, LaurentPoly
+from tlh.ring import G_ONE, GAMMA1, GAMMA2, GoldenScalar, LaurentPoly
 
 #: 1 / (gamma2 - gamma1): the only scalar the cell basis change needs to invert.
 INV_GAMMA_GAP = GoldenScalar(Fraction(1, 5), Fraction(-2, 5))
@@ -245,7 +245,8 @@ class RingMatrix:
                 for j in range(p + 1, n):
                     num = a[p][p] * a[i][j] - a[i][p] * a[p][j]
                     quot = num.exact_div(prev)
-                    assert quot is not None, "fraction-free elimination left a remainder"
+                    if quot is None:
+                        raise ArithmeticError("fraction-free elimination left a remainder")
                     a[i][j] = quot
                 a[i][p] = LaurentPoly.zero()
             prev = a[p][p]
@@ -262,6 +263,25 @@ class RingMatrix:
         return [[e.to_json() for e in row] for row in self.rows]
 
 
+def _layer_column(product: AlgebraElement, label: CellLabel, index: dict, T, what: str) -> list:
+    """The coefficients of C(S, T), S in index order, in a product modulo lower layers.
+
+    Any other term on this layer or a layer not below it raises
+    IndependenceViolation; ``what`` names the computation in the message.
+    """
+    col = [LaurentPoly.zero()] * len(index)
+    for (mu, sp, tp), c in expand_in_cell_basis(product).items():
+        if mu.is_below(label):
+            continue
+        if mu == label and tp == T:
+            col[index[sp]] = c
+        else:
+            raise IndependenceViolation(
+                f"{what} on layer {label} leaks into layer {mu} at ({sp}, {tp})"
+            )
+    return col
+
+
 def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool = True) -> RingMatrix:
     """The matrix of an element acting on a cell layer.
 
@@ -275,21 +295,7 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
     index = {h: i for i, h in enumerate(tabs)}
 
     def columns(T):
-        cols = []
-        for S in tabs:
-            product = a * cell_element(label, S, T)
-            col = [LaurentPoly.zero()] * len(tabs)
-            for (mu, sp, tp), c in expand_in_cell_basis(product).items():
-                if mu.is_below(label):
-                    continue
-                if mu == label and tp == T:
-                    col[index[sp]] = c
-                else:
-                    raise IndependenceViolation(
-                        f"action on layer {label} leaks into layer {mu} at ({sp}, {tp})"
-                    )
-            cols.append(col)
-        return cols
+        return [_layer_column(a * cell_element(label, S, T), label, index, T, "action") for S in tabs]
 
     base = columns(tabs[0])
     if check_all_T:
@@ -311,6 +317,7 @@ def gram_matrix(label: CellLabel, n: int) -> RingMatrix:
     FRAME_CHECKS evenly spaced ones -- to confirm the frame does not matter.
     """
     tabs = tableaux(label, n)
+    index = {h: i for i, h in enumerate(tabs)}
 
     def entries(e1, e2):
         right = [cell_element(label, d2, e2) for d2 in tabs]
@@ -319,18 +326,13 @@ def gram_matrix(label: CellLabel, n: int) -> RingMatrix:
             left = cell_element(label, e1, d1)
             row = []
             for factor in right:
-                product = left * factor
-                val = LaurentPoly.zero()
-                for (mu, sp, tp), c in expand_in_cell_basis(product).items():
-                    if mu.is_below(label):
-                        continue
-                    if mu == label and sp == e1 and tp == e2:
-                        val = c
-                    else:
-                        raise IndependenceViolation(
-                            f"form on layer {label} leaks into layer {mu} at ({sp}, {tp})"
-                        )
-                row.append(val)
+                col = _layer_column(left * factor, label, index, e2, "form")
+                stray = next((S for S, c in zip(tabs, col) if S != e1 and not c.is_zero()), None)
+                if stray is not None:
+                    raise IndependenceViolation(
+                        f"form on layer {label} leaks into layer {label} at ({stray}, {e2})"
+                    )
+                row.append(col[index[e1]])
             rows.append(row)
         return rows
 
@@ -434,223 +436,167 @@ def label_minus_one(label: CellLabel, n: int) -> CellLabel:
     """The factor label one cap down in the rank-(n-1) poset."""
     if not 0 < 2 * label.k < n + 1:
         raise ValueError(f"no reduced label for {label} at rank {n}")
-    k = label.k
-    if k == 1:
+    if label.k == 1:
         return CellLabel("zero")
-    if label.kind == "bullet" and 2 * (k - 1) != n:
-        return CellLabel("bullet", k - 1)
-    if 2 * (k - 1) == n:
-        return CellLabel("middle", k - 1)
-    return CellLabel("plain", k - 1)
+    return CellLabel(label.kind, label.k - 1)
 
 
-def _restricted_label(label: CellLabel, n: int) -> CellLabel:
-    """The same layer viewed inside the rank-(n-1) poset.
+def _unit(idx: int) -> tuple:
+    """A tableau kept as it is: (vector, dual functional) both the idx-th unit vector."""
+    return {idx: G_ONE}, {idx: G_ONE}
 
-    A layer of size n/2 has no plain/bullet variant one rank down; it becomes
-    the middle label there.
+
+def _east_levels(label: CellLabel, n: int, problems: list) -> list:
+    """Plain and bullet layers: the tableaux ordered by what the east point does.
+
+    East-free tableaux come first, matched to the same layer one rank down;
+    then the east-capped ones whose image without that cap is admissible,
+    matched to label_minus_one; last, for k >= 2, the one whose image is the
+    figure four, spanning a trivial top.
     """
-    if 2 * label.k == n:
-        return CellLabel("middle", label.k)
-    return label
-
-
-def _match_blocks(problems, name, got: RingMatrix, want: RingMatrix):
-    if got != want:
-        problems.append(f"{name}: diagonal block differs from the factor action")
-
-
-def _general_branching(label: CellLabel, n: int) -> dict:
     m = n + 1
-    k = label.k
-    tabs = tableaux(label, n)
-    problems: list = []
-
-    free, capped = [], []
-    for idx, S in enumerate(tabs):
-        (free if m in S.free_points else capped).append(idx)
-
-    sub_label = _restricted_label(label, n)
-    sub_pos = {h: i for i, h in enumerate(tableaux(sub_label, n - 1))}
-    free.sort(key=lambda idx: sub_pos[HalfDiagram(m - 1, tabs[idx].pairs)])
-    if len(free) != len(sub_pos):
-        problems.append(f"east-free count {len(free)} != layer size {len(sub_pos)}")
-
+    # a layer with n/2 caps has no plain/bullet variant one rank down: it is the middle there
+    sub_label = CellLabel("middle", label.k) if 2 * label.k == n else label
     lm1 = label_minus_one(label, n)
-    mid_pos = {h: i for i, h in enumerate(tableaux(lm1, n - 1))}
-    mid, top = [], []
-    for idx in capped:
-        S = tabs[idx]
+    sub_pos = {h: i for i, h in enumerate(tableaux(sub_label, n - 1))}
+    lm1_pos = {h: i for i, h in enumerate(tableaux(lm1, n - 1))}
+    free, capped, top = [], [], []
+    for idx, S in enumerate(tableaux(label, n)):
+        if m in S.free_points:
+            free.append((sub_pos[HalfDiagram(m - 1, S.pairs)], idx))
+            continue
         east = next(p for p in S.pairs if p[1] == m)
-        assert east[2] == 0, "an east cap under propagating edges cannot be decorated"
+        if east[2]:
+            problems.append(f"decorated east cap under propagating edges in {S}")
         image = HalfDiagram(m - 1, tuple(p for p in S.pairs if p[1] != m))
         if image.admissible():
-            mid.append((idx, image))
+            capped.append((lm1_pos[image], idx))
         else:
             top.append(idx)
-            if image != HalfDiagram.figure_four(m - 1, k - 1):
+            if image != HalfDiagram.figure_four(m - 1, label.k - 1):
                 problems.append(f"unexpected inadmissible east-capped image {image}")
-    mid.sort(key=lambda pair: mid_pos[pair[1]])
-    if len(mid) != len(mid_pos):
-        problems.append(f"east-capped count {len(mid)} != layer size {len(mid_pos)}")
-    if len(top) != (1 if k >= 2 else 0):
-        problems.append(f"{len(top)} trivial-top elements instead of {1 if k >= 2 else 0}")
-
-    order = free + [idx for idx, _ in mid] + top
-    nf, nm = len(free), len(mid)
-    size = len(order)
-    for i in range(1, n):
-        u = AlgebraElement.from_diagram(generator_U(i, m))
-        action = cell_action_matrix(u, label, check_all_T=False)
-        R = action.submatrix(order, order)
-        for r in range(size):
-            for c in range(size):
-                lower_left = (r >= nf and c < nf) or (r >= nf + nm and c < nf + nm)
-                if lower_left and not R.entry(r, c).is_zero():
-                    problems.append(f"U{i}: nonzero entry below the diagonal blocks at ({r}, {c})")
-        if top and not R.entry(size - 1, size - 1).is_zero():
-            problems.append(f"U{i}: trivial top is not annihilated")
-        u_small = AlgebraElement.from_diagram(generator_U(i, m - 1))
-        _match_blocks(
-            problems,
-            f"U{i} on layer {sub_label}",
-            R.submatrix(range(nf), range(nf)),
-            cell_action_matrix(u_small, sub_label, check_all_T=False),
-        )
-        _match_blocks(
-            problems,
-            f"U{i} on layer {lm1}",
-            R.submatrix(range(nf, nf + nm), range(nf, nf + nm)),
-            cell_action_matrix(u_small, lm1, check_all_T=False),
-        )
-
-    blocks = [
-        {"factor": str(sub_label), "dim": nf},
-        {"factor": str(lm1), "dim": nm},
+    if len(top) != (1 if label.k >= 2 else 0):
+        problems.append(f"{len(top)} trivial-top elements instead of {1 if label.k >= 2 else 0}")
+    levels = [
+        [(sub_label, [_unit(idx) for _, idx in sorted(free)])],
+        [(lm1, [_unit(idx) for _, idx in sorted(capped)])],
     ]
     if top:
-        blocks.append({"factor": "0", "dim": 1})
-    return {
-        "label": str(label),
-        "dim": len(tabs),
-        "blocks": blocks,
-        "problems": problems,
-        "guard_flag": label.kind == "bullet" and k > 1 and 2 * (k - 1) == n,
-    }
+        levels.append([(CellLabel("zero"), [_unit(idx) for idx in top])])
+    return levels
 
 
-def _middle_branching(label: CellLabel, n: int) -> dict:
+def _middle_levels(label: CellLabel, n: int) -> list:
+    """The middle layer: each plain east cap S and its decorated partner S'.
+
+    The pair (C_S, C_S') changes basis to C_S' - gamma1 C_S (factor plain
+    k-1) and C_S' - gamma2 C_S (factor bullet k-1), both over the image of S
+    without its east cap; the inverse divides by gamma2 - gamma1.  The one
+    tableau d0 without a partner spans a trivial top.
+    """
     m = n + 1
     k = label.k
     tabs = tableaux(label, n)
-    problems: list = []
-
+    index = {h: i for i, h in enumerate(tabs)}
     d0 = HalfDiagram(
         m,
         ((1, 2, 0),) + tuple((2 * j - 1, 2 * j, 1) for j in range(2, k)) + ((m - 1, m, 0),),
     )
-    d0_idx = tabs.index(d0)
-    index = {h: i for i, h in enumerate(tabs)}
-
     small_pos = {h: i for i, h in enumerate(tableaux(CellLabel("plain", k - 1), n - 1))}
     orbits = []
     for idx, S in enumerate(tabs):
-        if idx == d0_idx:
-            continue
         east = next(p for p in S.pairs if p[1] == m)
-        if east[2]:
+        if S == d0 or east[2]:
             continue
-        partner = HalfDiagram(m, tuple(p for p in S.pairs if p[1] != m) + ((east[0], m, 1),))
-        image = HalfDiagram(m - 1, tuple(p for p in S.pairs if p[1] != m))
-        orbits.append((idx, index[partner], image))
-    orbits.sort(key=lambda orbit: small_pos[orbit[2]])
-    q = len(orbits)
-    if q != len(small_pos) or 2 * q + 1 != len(tabs):
-        problems.append(f"orbit count {q} does not match layer sizes")
+        rest = tuple(p for p in S.pairs if p[1] != m)
+        partner = index[HalfDiagram(m, rest + ((east[0], m, 1),))]
+        orbits.append((small_pos[HalfDiagram(m - 1, rest)], idx, partner))
+    orbits.sort()
+    plain = [
+        ({s: -GAMMA1, p: G_ONE}, {s: INV_GAMMA_GAP, p: GAMMA2 * INV_GAMMA_GAP})
+        for _, s, p in orbits
+    ]
+    bullet = [
+        ({s: -GAMMA2, p: G_ONE}, {s: -INV_GAMMA_GAP, p: -GAMMA1 * INV_GAMMA_GAP})
+        for _, s, p in orbits
+    ]
+    return [
+        [(CellLabel("plain", k - 1), plain), (CellLabel("bullet", k - 1), bullet)],
+        [(CellLabel("zero"), [_unit(index[d0])])],
+    ]
+
+
+def _check_restriction(label: CellLabel, n: int, levels: list, problems: list) -> list:
+    """Check a layer's new basis against every U_i, i < n; returns the blocks.
+
+    ``levels`` lists levels of blocks; a block is a factor label one rank
+    down and its (vector, dual functional) pairs, both sparse maps from
+    tableau index to scalar, and there must be one pair per tableau.  For
+    M = dual . R . vectors, with R the action of U_i on the layer, an entry
+    taking a vector of one level to a later level, or to another block of
+    its own level, is a problem, and so is a diagonal block that differs
+    from U_i's action on the factor layer.
+    """
+    m = n + 1
+    tabs = tableaux(label, n)
+    blocks = [(lvl, factor, pairs) for lvl, level in enumerate(levels) for factor, pairs in level]
+    basis = [(lvl, b, pair) for b, (lvl, _, pairs) in enumerate(blocks) for pair in pairs]
+    if len(basis) != len(tabs):
+        problems.append(f"new basis has {len(basis)} vectors for a layer of dimension {len(tabs)}")
+
+    def coordinate(R, dual, vector):
+        terms = (R.entry(r, c) * (x * y) for r, x in dual.items() for c, y in vector.items())
+        return sum(terms, LaurentPoly.zero())
 
     for i in range(1, n):
-        u = AlgebraElement.from_diagram(generator_U(i, m))
-        R = cell_action_matrix(u, label, check_all_T=False)
-
-        def new_coords(w):
-            c1, c2 = [], []
-            for i_plain, i_dec, _ in orbits:
-                x, y = w[i_plain], w[i_dec]
-                c1.append((x + y * GAMMA2) * INV_GAMMA_GAP)
-                c2.append((x + y * GAMMA1) * (-INV_GAMMA_GAP))
-            return c1, c2, w[d0_idx]
-
-        a1_cols, a2_cols = [], []
-        for i_plain, i_dec, _ in orbits:
-            for gamma, own in ((GAMMA1, 1), (GAMMA2, 2)):
-                w = [
-                    R.entry(r, i_dec) - R.entry(r, i_plain) * gamma
-                    for r in range(len(tabs))
-                ]
-                c1, c2, c0 = new_coords(w)
-                stray = c2 if own == 1 else c1
-                if any(not e.is_zero() for e in stray) or not c0.is_zero():
-                    problems.append(f"U{i}: the two decoration layers do not split")
-                (a1_cols if own == 1 else a2_cols).append(c1 if own == 1 else c2)
-        c1, c2, c0 = new_coords([R.entry(r, d0_idx) for r in range(len(tabs))])
-        if not c0.is_zero():
-            problems.append(f"U{i}: trivial top is not annihilated")
-
+        R = cell_action_matrix(AlgebraElement.from_diagram(generator_U(i, m)), label, check_all_T=False)
+        M = RingMatrix([[coordinate(R, dual, vec) for *_, (vec, _) in basis] for *_, (_, dual) in basis])
+        for a, (row_lvl, row_block, _) in enumerate(basis):
+            for b, (col_lvl, col_block, _) in enumerate(basis):
+                outside = row_lvl > col_lvl or (row_lvl == col_lvl and row_block != col_block)
+                if outside and not M.entry(a, b).is_zero():
+                    problems.append(f"U{i}: nonzero entry outside the diagonal blocks at ({a}, {b})")
         u_small = AlgebraElement.from_diagram(generator_U(i, m - 1))
-        for cols, kind in ((a1_cols, "plain"), (a2_cols, "bullet")):
-            got = RingMatrix(tuple(tuple(cols[j][r] for j in range(q)) for r in range(q)))
-            _match_blocks(
-                problems,
-                f"U{i} on layer {CellLabel(kind, k - 1)}",
-                got,
-                cell_action_matrix(u_small, CellLabel(kind, k - 1), check_all_T=False),
-            )
-
-    if comb(n + 1, k) - 1 != 1 + 2 * (comb(n, k - 1) - 1):
-        problems.append("middle dimension identity fails")
-    return {
-        "label": str(label),
-        "dim": len(tabs),
-        "blocks": [
-            {"factor": str(CellLabel("plain", k - 1)), "dim": q},
-            {"factor": str(CellLabel("bullet", k - 1)), "dim": q},
-            {"factor": "0", "dim": 1},
-        ],
-        "problems": problems,
-        "guard_flag": False,
-    }
+        start = 0
+        for _, factor, pairs in blocks:
+            span = range(start, start + len(pairs))
+            if M.submatrix(span, span) != cell_action_matrix(u_small, factor, check_all_T=False):
+                problems.append(f"U{i} on layer {factor}: diagonal block differs from the factor action")
+            start += len(pairs)
+    return [{"factor": str(factor), "dim": len(pairs)} for _, factor, pairs in blocks]
 
 
 def branching_report(label: CellLabel, n: int) -> dict:
     """How a cell layer decomposes when the east strand is dropped.
 
-    Reorders (or, for the middle layer, linearly changes) the layer basis so
-    that every subalgebra generator acts block-triangularly, and checks each
-    diagonal block entrywise against the action on the identified factor
-    layer one rank down.  Returns the factors, block dimensions and any
-    discrepancies.
+    Builds a new basis of the layer as levels of blocks, each block matched
+    to a factor layer one rank down: for plain and bullet layers a
+    reordering of the tableaux (east point free, then capped, then the
+    trivial top), for the middle layer a linear change pairing each plain
+    east cap with its decorated partner, for the layer "0" the single
+    tableau.  Every subalgebra generator must act block-triangularly on it,
+    with no entry into a later level or between blocks of one level, and
+    each diagonal block must equal the action on its factor layer.
+    Returns the factors, block dimensions and any discrepancies.
     """
     if n < 3:
         raise ValueError(f"branching needs rank at least 3, got {n}")
     if label not in lambda_poset(n):
         raise ValueError(f"label {label} is not in the rank-{n} poset")
+    problems: list = []
     if label.kind == "zero":
-        problems = []
-        for i in range(1, n):
-            u = AlgebraElement.from_diagram(generator_U(i, n + 1))
-            R = cell_action_matrix(u, label, check_all_T=False)
-            if not R.entry(0, 0).is_zero():
-                problems.append(f"U{i}: trivial layer is not annihilated")
-        return {
-            "label": "0",
-            "dim": 1,
-            "blocks": [{"factor": "0", "dim": 1}],
-            "problems": problems,
-            "guard_flag": False,
-        }
-    if label.kind == "middle":
-        return _middle_branching(label, n)
-    return _general_branching(label, n)
+        levels = [[(label, [_unit(0)])]]
+    elif label.kind == "middle":
+        levels = _middle_levels(label, n)
+    else:
+        levels = _east_levels(label, n, problems)
+    blocks = _check_restriction(label, n, levels, problems)
+    return {
+        "label": str(label),
+        "dim": len(tableaux(label, n)),
+        "blocks": blocks,
+        "problems": problems,
+    }
 
 
 def verify_branching(n: int) -> list:
@@ -659,12 +605,9 @@ def verify_branching(n: int) -> list:
     for label in lambda_poset(n):
         report = branching_report(label, n)
         problems += [f"layer {label}: {p}" for p in report["problems"]]
-        if report["guard_flag"]:
-            problems.append(f"layer {label}: unreachable reduction guard was triggered")
-        total = sum(b["dim"] for b in report["blocks"])
-        if total != report["dim"]:
-            problems.append(f"layer {label}: block dimensions sum to {total}, not {report['dim']}")
     for k in range(1, n // 2 + 1):
         if comb(n + 1, k) - 1 != 1 + (comb(n, k - 1) - 1) + (comb(n, k) - 1):
             problems.append(f"dimension identity fails at cap count {k}")
+    if n % 2 and comb(n + 1, (n + 1) // 2) - 1 != 1 + 2 * (comb(n, (n - 1) // 2) - 1):
+        problems.append("middle dimension identity fails")
     return problems

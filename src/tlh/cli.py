@@ -4,8 +4,9 @@ Subcommands: dims, enumerate, multiply, factorize, gram, verify.  Output is
 human-readable text by default; --format structured prints line-delimited
 JSON records with sorted keys, so identical inputs give byte-identical
 output.  Exit status: 0 when every check passes, 1 when a mathematical
-property is violated (a library failure such as a FactorizationError is
-reported as a {"kind": "failure"} record), 2 on usage or parse errors.
+property is violated (a library failure such as a FactorizationError or an
+ArithmeticError is reported as a {"kind": "failure"} record), 2 on usage or
+parse errors.
 """
 
 from __future__ import annotations
@@ -59,26 +60,6 @@ DEFAULT_CAPS = {
     "semisimplicity": 5,
     "branching": 6,
 }
-
-SUITES = (
-    "presentation",
-    "associativity",
-    "positivity",
-    "cellular",
-    "semisimplicity",
-    "branching",
-)
-
-#: What passing each suite certifies; printed in the report header.
-PROPERTIES = {
-    "presentation": "defining relations and special-element identities of the generators",
-    "associativity": "product associativity and order-independence of reduction",
-    "positivity": "structure constants are positive integers times powers of [2]",
-    "cellular": "cell-basis axioms: basis, flip symmetry, south-independent action",
-    "semisimplicity": "every cell layer carries a symmetric nondegenerate bilinear form",
-    "branching": "dropping the east strand triangularizes each layer over lower-rank layers",
-}
-
 
 class UsageError(Exception):
     """A malformed invocation; reported on stderr with exit status 2."""
@@ -281,24 +262,39 @@ def _associativity_problems(n: int, seed: int) -> list:
     return problems
 
 
-def _run_suite(suite: str, n: int, seed: int) -> list:
-    if suite == "presentation":
-        return verify_presentation(n + 1)
-    if suite == "associativity":
-        return _associativity_problems(n, seed)
-    if suite == "positivity":
-        return positivity_check(n + 1)
-    if suite == "cellular":
-        return verify_cellular_axioms(n)
-    if suite == "semisimplicity":
-        return semisimplicity_check(n)
-    assert suite == "branching", f"unknown suite {suite!r}"
-    return verify_branching(n)
+#: Each verify suite, in run order: what passing it certifies (printed in the
+#: report header) and its check, called with n and the seed.
+SUITES = {
+    "presentation": (
+        "defining relations and special-element identities of the generators",
+        lambda n, seed: verify_presentation(n + 1),
+    ),
+    "associativity": (
+        "product associativity and order-independence of reduction",
+        _associativity_problems,
+    ),
+    "positivity": (
+        "structure constants are positive integers times powers of [2]",
+        lambda n, seed: positivity_check(n + 1),
+    ),
+    "cellular": (
+        "cell-basis axioms: basis, flip symmetry, south-independent action",
+        lambda n, seed: verify_cellular_axioms(n),
+    ),
+    "semisimplicity": (
+        "every cell layer carries a symmetric nondegenerate bilinear form",
+        lambda n, seed: semisimplicity_check(n),
+    ),
+    "branching": (
+        "dropping the east strand triangularizes each layer over lower-rank layers",
+        lambda n, seed: verify_branching(n),
+    ),
+}
 
 
 def cmd_verify(args, report: Report) -> int:
     n = _require_n(args)
-    suites = SUITES if args.suite == "all" else (args.suite,)
+    suites = tuple(SUITES) if args.suite == "all" else (args.suite,)
     if "branching" in suites and n < 3:
         if args.suite == "branching":
             raise UsageError("the branching suite needs n >= 3")
@@ -308,11 +304,12 @@ def cmd_verify(args, report: Report) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
     failures = 0
     for suite in suites:
+        prop, check = SUITES[suite]
         report.emit(
-            {"kind": "suite", "suite": suite, "n": n, "property": PROPERTIES[suite]},
-            f"== {suite} (n = {n}): {PROPERTIES[suite]}",
+            {"kind": "suite", "suite": suite, "n": n, "property": prop},
+            f"== {suite} (n = {n}): {prop}",
         )
-        problems = _run_suite(suite, n, seed)
+        problems = check(n, seed)
         for p in problems:
             report.emit(
                 {"kind": "check", "suite": suite, "verdict": "fail", "detail": p},
@@ -354,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gram", parents=[common], help="bilinear form matrices and determinants")
     p.set_defaults(func=cmd_gram)
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
-    p.add_argument("suite", choices=SUITES + ("all",))
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -367,7 +364,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ClosureViolation, IndependenceViolation, FactorizationError) as exc:
+    except (ClosureViolation, IndependenceViolation, FactorizationError, ArithmeticError) as exc:
         name = type(exc).__name__
         report.emit({"kind": "failure", "error": name, "detail": str(exc)}, f"FAIL {name}: {exc}")
         code = 1

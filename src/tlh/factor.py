@@ -31,7 +31,7 @@ from tlh.diagram import Diagram, HalfDiagram, generator_U
 
 
 class FactorizationError(Exception):
-    """A produced generator word failed to evaluate back to its diagram."""
+    """A diagram could not be planned, or its word failed to evaluate back to it."""
 
 
 #: seed words keyed by (north starts with a free point, south starts with a
@@ -64,7 +64,8 @@ def _unnest(h: HalfDiagram) -> tuple[list, HalfDiagram]:
             for a, b in nested
             if all(not (a < c and d < b) for c, d in nested if (c, d) != (a, b))
         )
-        assert caps.get((k - 2, k - 1)) == 0, "nested caps must tile and be plain"
+        if caps.get((k - 2, k - 1)) != 0:
+            raise FactorizationError(f"nested caps in {h} must tile and be plain")
         dec = caps.pop((j, k))
         del caps[(k - 2, k - 1)]
         caps[(j, k - 2)] = dec
@@ -83,23 +84,28 @@ def _plan_flat(h: HalfDiagram) -> tuple[list, bool]:
     {3,4}, ..., {2k-1, 2k} when there are no free points) otherwise.
     """
     caps = sorted((a, dec) for a, b, dec in h.pairs)
-    assert all(b == a + 1 for a, b, _ in h.pairs), "face must be flat here"
+    if any(b != a + 1 for a, b, _ in h.pairs):
+        raise FactorizationError(f"face {h} must be flat here")
     k = len(caps)
     r = h.m - 2 * k
     tokens: list = []
     starts_free = caps[0][0] != 1
     if starts_free:
-        assert all(dec == 0 for _, dec in caps), "a face starting free cannot be decorated"
+        if any(dec for _, dec in caps):
+            raise FactorizationError(f"face {h} starts free but has a decorated cap")
         for t, (a, _) in enumerate(caps, start=1):
-            assert a >= 2 * t
+            if a < 2 * t:
+                raise FactorizationError(f"cap {t} of {h} starts west of node {2 * t}")
             tokens += [f"U{q}" for q in range(a, 2 * t, -1)]  # slide west
         return tokens, True
     # pack the caps against the west wall
     decorated = set()
     for t, (a, dec) in enumerate(caps, start=1):
-        assert a >= 2 * t - 1
+        if a < 2 * t - 1:
+            raise FactorizationError(f"cap {t} of {h} starts west of node {2 * t - 1}")
         if dec:
-            assert a == 2 * t - 1, "decorated caps are already packed"
+            if a != 2 * t - 1:
+                raise FactorizationError(f"decorated cap {t} of {h} is not packed")
             decorated.add(t)
         tokens += [f"U{q}" for q in range(a, 2 * t - 1, -1)]
     # normalize decorations to "westmost cap only"
@@ -110,7 +116,8 @@ def _plan_flat(h: HalfDiagram) -> tuple[list, bool]:
                 tokens += [f"U{2 * t + 1}", f"U{2 * t}"]
                 decorated.discard(t)
                 decorated.add(t + 1)
-        assert k >= 2 and 2 not in decorated
+        if k < 2 or 2 in decorated:
+            raise FactorizationError(f"cannot decorate the westmost cap of {h}")
         tokens += ["U3", "zeta"]  # decorate the westmost cap
         decorated.add(1)
     for j in sorted(decorated - {1}):
@@ -125,7 +132,8 @@ def _plan_flat(h: HalfDiagram) -> tuple[list, bool]:
 
 def _seed_word(k: int, r: int, north_free: bool, south_free: bool, bullet: bool) -> list:
     if r == 0:
-        assert not (north_free or south_free or bullet)
+        if north_free or south_free or bullet:
+            raise FactorizationError("a diagram with no propagating edge has a plain seed")
         return ["U1"] + [f"U{2 * j - 1}" for j in range(2, k + 1)]
     word = list(_SEED_TABLE[(north_free, south_free, bullet)])
     word += [f"U{2 * j}" for j in range(2, k + 1)]

@@ -353,7 +353,8 @@ class LaurentPoly:
                     rem.pop(ee, None)
                 else:
                     rem[ee] = val
-            assert top not in rem
+            if top in rem:
+                raise ArithmeticError(f"leading term at degree {top} did not cancel")
         q = LaurentPoly({e + sf - sg: c for e, c in quo.items()})
         r = LaurentPoly({e + sf: c for e, c in rem.items()})
         return q, r

@@ -96,10 +96,6 @@ class DecoratedTangle:
         return self.n_top + self.n_bottom - ref.index
 
     @property
-    def boundary_size(self) -> int:
-        return self.n_top + self.n_bottom
-
-    @property
     def is_square(self) -> bool:
         return self.n_top == self.n_bottom
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import tlh.cellular
 from tlh.algebra import AlgebraElement
 from tlh.cellular import (
     INV_GAMMA_GAP,
@@ -258,7 +259,7 @@ def test_label_minus_one_frozen():
 
 def test_branching_frozen_reports():
     rep = branching_report(CellLabel("plain", 1), 3)
-    assert rep["problems"] == [] and not rep["guard_flag"]
+    assert rep["problems"] == []
     assert rep["dim"] == 3
     assert rep["blocks"] == [{"factor": "1", "dim": 2}, {"factor": "0", "dim": 1}]
 
@@ -285,6 +286,78 @@ def test_branching_frozen_reports():
 
     with pytest.raises(ValueError):
         branching_report(CellLabel("plain", 1), 2)
+
+
+def _perturb_action(monkeypatch, applies, change):
+    """Make cell_action_matrix return change(rows) whenever applies(a, label) holds."""
+    original = tlh.cellular.cell_action_matrix
+
+    def perturbed(a, label, **kwargs):
+        action = original(a, label, **kwargs)
+        if not applies(a, label):
+            return action
+        rows = [list(row) for row in action.rows]
+        change(rows)
+        return RingMatrix(rows)
+
+    monkeypatch.setattr(tlh.cellular, "cell_action_matrix", perturbed)
+
+
+def _bump(r, c, amount=1):
+    def change(rows):
+        rows[r][c] = rows[r][c] + amount
+    return change
+
+
+@pytest.mark.parametrize("text", ["2", "2b"])
+def test_branching_reports_an_entry_below_the_blocks(monkeypatch, text):
+    label = CellLabel.parse(text, 5)
+    tabs = tableaux(label, 5)
+    free = next(i for i, S in enumerate(tabs) if 6 in S.free_points)
+    capped = next(i for i, S in enumerate(tabs) if 6 not in S.free_points)
+    assert branching_report(label, 5)["problems"] == []
+    # the image of an east-free tableau picks up an east-capped component
+    _perturb_action(monkeypatch, lambda a, lab: a.m == 6 and lab == label, _bump(capped, free))
+    assert branching_report(label, 5)["problems"]
+
+
+@pytest.mark.parametrize("into_bullet", [True, False])
+def test_branching_reports_a_middle_corner(monkeypatch, into_bullet):
+    label = CellLabel("middle", 3)
+    tabs = tableaux(label, 5)
+    s, p = next(
+        (tabs.index(S), tabs.index(partner))
+        for S in tabs
+        for a, b, dec in S.pairs
+        if b == 6 and not dec
+        for partner in [HalfDiagram(6, tuple(q for q in S.pairs if q[1] != 6) + ((a, 6, 1),))]
+        if partner in tabs
+    )
+    # v_gamma = C_p - gamma * C_s; f1, f2 are the dual functionals of v_gamma1, v_gamma2
+    v1, v2 = {s: -GAMMA1, p: G_ONE}, {s: -GAMMA2, p: G_ONE}
+    f1 = {s: INV_GAMMA_GAP, p: GAMMA2 * INV_GAMMA_GAP}
+    f2 = {s: -INV_GAMMA_GAP, p: -GAMMA1 * INV_GAMMA_GAP}
+    vector, dual = (v2, f1) if into_bullet else (v1, f2)
+
+    def change(rows):  # add vector (x) dual: one entry between the two blocks
+        for r, x in vector.items():
+            for c, y in dual.items():
+                rows[r][c] = rows[r][c] + x * y
+
+    _perturb_action(monkeypatch, lambda a, lab: a.m == 6 and lab == label, change)
+    assert branching_report(label, 5)["problems"]
+
+
+def test_branching_reports_a_live_zero_layer(monkeypatch):
+    zero = CellLabel("zero")
+    _perturb_action(monkeypatch, lambda a, lab: a.m == 5 and lab == zero, _bump(0, 0))
+    assert branching_report(zero, 4)["problems"]
+
+
+@pytest.mark.parametrize("text", ["2", "2b", "mid"])
+def test_branching_reports_a_wrong_factor_action(monkeypatch, text):
+    _perturb_action(monkeypatch, lambda a, lab: a.m == 5, _bump(0, 0))
+    assert branching_report(CellLabel.parse(text, 5), 5)["problems"]
 
 
 def test_verify_branching():

@@ -188,6 +188,15 @@ def test_library_failures_exit_one(capsys, monkeypatch, error):
     assert out == f"FAIL {error.__name__}: injected\n"
 
 
+def test_inexact_division_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(LaurentPoly, "exact_div", lambda self, other: None)
+    code, out, err = run(capsys, "gram", "--n", "2", "--format", "structured")
+    assert code == 1 and err == ""
+    failure = records(out)[-1]
+    assert failure["kind"] == "failure" and failure["error"] == "ArithmeticError"
+    assert "remainder" in failure["detail"]
+
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 

@@ -83,3 +83,12 @@ def test_star_of_factorization():
 
 def test_factorization_error_is_exported():
     assert issubclass(FactorizationError, Exception)
+
+
+def test_planner_invariants_raise():
+    from tlh.factor import _plan_flat, _seed_word
+
+    with pytest.raises(FactorizationError, match="flat"):
+        _plan_flat(HalfDiagram(4, ((1, 4, 0), (2, 3, 0))))
+    with pytest.raises(FactorizationError):
+        _seed_word(2, 0, True, False, False)
