@@ -41,20 +41,12 @@ def normal_form(t: DecoratedTangle) -> list:
         if weight == 0:
             return []
         coeff = coeff * LaurentPoly({1: weight, -1: weight})
-    heavy = [a for a in t.sorted_arcs() if a[2] >= 2]
-    out = []
-    choices = [(t, coeff)]
-    for a, b, r in heavy:
-        f_prev, f_r = fib_pair(r)
-        grown = []
-        for tang, c in choices:
-            arcs = tang.arcs - {(a, b, r)}
-            grown.append((dataclasses.replace(tang, arcs=arcs | {(a, b, 0)}), c * f_prev))
-            grown.append((dataclasses.replace(tang, arcs=arcs | {(a, b, 1)}), c * f_r))
-        choices = grown
-    for tang, c in choices:
-        out.append((dataclasses.replace(tang, loops=()), c))
-    return out
+    choices = [(frozenset(a for a in t.arcs if a[2] < 2), coeff)]
+    for a, b, r in t.sorted_arcs():
+        if r >= 2:
+            split = tuple(enumerate(fib_pair(r)))  # F(r-1) plain, F(r) singly decorated
+            choices = [(arcs | {(a, b, dec)}, c * f) for arcs, c in choices for dec, f in split]
+    return [(DecoratedTangle(t.n_top, t.n_bottom, arcs), c) for arcs, c in choices]
 
 
 def normal_form_random(t: DecoratedTangle, rng) -> dict:

@@ -526,7 +526,16 @@ def _middle_levels(label: CellLabel, n: int) -> list:
     ]
 
 
-def _check_restriction(label: CellLabel, n: int, levels: list, problems: list) -> list:
+def _generator_action(i: int, m: int, label: CellLabel, actions: dict) -> RingMatrix:
+    """U_i's action on a layer of the m-strand algebra, memoized in ``actions``."""
+    key = (i, m, label)
+    if key not in actions:
+        u = AlgebraElement.from_diagram(generator_U(i, m))
+        actions[key] = cell_action_matrix(u, label, check_all_T=False)
+    return actions[key]
+
+
+def _check_restriction(label: CellLabel, n: int, levels: list, problems: list, actions: dict) -> list:
     """Check a layer's new basis against every U_i, i < n; returns the blocks.
 
     ``levels`` lists levels of blocks; a block is a factor label one rank
@@ -535,7 +544,8 @@ def _check_restriction(label: CellLabel, n: int, levels: list, problems: list) -
     M = dual . R . vectors, with R the action of U_i on the layer, an entry
     taking a vector of one level to a later level, or to another block of
     its own level, is a problem, and so is a diagonal block that differs
-    from U_i's action on the factor layer.
+    from U_i's action on the factor layer.  ``actions`` memoizes the
+    generator actions of both ranks.
     """
     m = n + 1
     tabs = tableaux(label, n)
@@ -549,18 +559,17 @@ def _check_restriction(label: CellLabel, n: int, levels: list, problems: list) -
         return sum(terms, LaurentPoly.zero())
 
     for i in range(1, n):
-        R = cell_action_matrix(AlgebraElement.from_diagram(generator_U(i, m)), label, check_all_T=False)
+        R = _generator_action(i, m, label, actions)
         M = RingMatrix([[coordinate(R, dual, vec) for *_, (vec, _) in basis] for *_, (_, dual) in basis])
         for a, (row_lvl, row_block, _) in enumerate(basis):
             for b, (col_lvl, col_block, _) in enumerate(basis):
                 outside = row_lvl > col_lvl or (row_lvl == col_lvl and row_block != col_block)
                 if outside and not M.entry(a, b).is_zero():
                     problems.append(f"U{i}: nonzero entry outside the diagonal blocks at ({a}, {b})")
-        u_small = AlgebraElement.from_diagram(generator_U(i, m - 1))
         start = 0
         for _, factor, pairs in blocks:
             span = range(start, start + len(pairs))
-            if M.submatrix(span, span) != cell_action_matrix(u_small, factor, check_all_T=False):
+            if M.submatrix(span, span) != _generator_action(i, m - 1, factor, actions):
                 problems.append(f"U{i} on layer {factor}: diagonal block differs from the factor action")
             start += len(pairs)
     return [{"factor": str(factor), "dim": len(pairs)} for _, factor, pairs in blocks]
@@ -579,6 +588,11 @@ def branching_report(label: CellLabel, n: int) -> dict:
     each diagonal block must equal the action on its factor layer.
     Returns the factors, block dimensions and any discrepancies.
     """
+    return _branching_report(label, n, {})
+
+
+def _branching_report(label: CellLabel, n: int, actions: dict) -> dict:
+    """branching_report with a memo of generator actions shared across layers."""
     if n < 3:
         raise ValueError(f"branching needs rank at least 3, got {n}")
     if label not in lambda_poset(n):
@@ -590,7 +604,7 @@ def branching_report(label: CellLabel, n: int) -> dict:
         levels = _middle_levels(label, n)
     else:
         levels = _east_levels(label, n, problems)
-    blocks = _check_restriction(label, n, levels, problems)
+    blocks = _check_restriction(label, n, levels, problems, actions)
     return {
         "label": str(label),
         "dim": len(tableaux(label, n)),
@@ -601,9 +615,9 @@ def branching_report(label: CellLabel, n: int) -> dict:
 
 def verify_branching(n: int) -> list:
     """Check the branching of every layer at rank n; [] means all hold."""
-    problems = []
+    problems, actions = [], {}
     for label in lambda_poset(n):
-        report = branching_report(label, n)
+        report = _branching_report(label, n, actions)
         problems += [f"layer {label}: {p}" for p in report["problems"]]
     for k in range(1, n // 2 + 1):
         if comb(n + 1, k) - 1 != 1 + (comb(n, k - 1) - 1) + (comb(n, k) - 1):

@@ -21,10 +21,10 @@ from fractions import Fraction
 
 def _norm_coord(c):
     """Collapse denominator-1 fractions back to int."""
+    if isinstance(c, int):  # the common case, and cheaper than the Fraction (ABC) check
+        return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
-    if isinstance(c, int):
-        return c
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
@@ -148,8 +148,10 @@ class GoldenScalar:
     def from_json(cls, obj) -> "GoldenScalar":
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
             raise ValueError(f"golden scalar must be a pair, got {obj!r}")
-        dec = lambda c: Fraction(c) if isinstance(c, str) else c
-        return cls(dec(obj[0]), dec(obj[1]))
+        try:
+            return cls(*(Fraction(c) if isinstance(c, str) else c for c in obj))
+        except ZeroDivisionError:
+            raise ValueError(f"golden scalar has a zero denominator: {obj!r}") from None
 
 
 G_ZERO = GoldenScalar(0, 0)

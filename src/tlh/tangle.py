@@ -161,66 +161,43 @@ class DecoratedTangle:
                 f"cannot glue: top tangle has {self.n_bottom} south nodes, "
                 f"bottom tangle has {other.n_top} north nodes"
             )
-        # nodes: ("T", i) outer top, ("B", i) outer bottom, ("M", i) glued middle
-        adj: dict[tuple, list] = {}
-
-        def add(node, entry):
-            adj.setdefault(node, []).append(entry)
-
-        for a, b, dec in self.arcs:
-            na = ("T", a.index) if a.face == "N" else ("M", a.index)
-            nb = ("T", b.index) if b.face == "N" else ("M", b.index)
-            add(na, (nb, dec, "x"))
-            add(nb, (na, dec, "x"))
-        for a, b, dec in other.arcs:
-            na = ("M", a.index) if a.face == "N" else ("B", a.index)
-            nb = ("M", b.index) if b.face == "N" else ("B", b.index)
-            add(na, (nb, dec, "y"))
-            add(nb, (na, dec, "y"))
+        # partner maps node -> (partner, decorations); upper is self, lower is other
+        upper, lower = {}, {}
+        for side, tangle in ((upper, self), (lower, other)):
+            for a, b, dec in tangle.arcs:
+                side[a], side[b] = (b, dec), (a, dec)
         for i in range(1, self.n_bottom + 1):
-            halves = adj.get(("M", i), [])
-            if len(halves) != 2:
-                raise ValueError(f"glued node {i} lies on {len(halves)} arcs; tangles must be fully matched")
+            halves = (NodeRef("S", i) in upper) + (NodeRef("N", i) in lower)
+            if halves != 2:
+                raise ValueError(f"glued node {i} lies on {halves} arcs; tangles must be fully matched")
+        glued = set()  # indices of glued nodes already walked through
 
-        out = DecoratedTangle(self.n_top, other.n_bottom)  # frame only, for positions
-        to_ref = lambda n: NodeRef("N" if n[0] == "T" else "S", n[1])
-        visited: set[tuple] = set()
-        arcs = set()
-        for start in [("T", i) for i in range(1, self.n_top + 1)] + [
-            ("B", i) for i in range(1, other.n_bottom + 1)
-        ]:
-            if start in visited:
-                continue
-            if start not in adj:
-                raise ValueError(f"outer node {to_ref(start)} is not on any arc")
-            visited.add(start)
-            node, dec_total, src = start, 0, None
+        def walk(up, node):
+            """Follow the strand leaving node; its outer end (None for a loop) and decorations."""
+            start, total = (up, node), 0
             while True:
-                nxt = next(h for h in adj[node] if h[2] != src) if node[0] == "M" else adj[node][0]
-                node, src = nxt[0], nxt[2]
-                dec_total += nxt[1]
-                visited.add(node)
-                if node[0] != "M":
-                    break
-            a, b = to_ref(start), to_ref(node)
-            if out.position(a) > out.position(b):
-                a, b = b, a
-            arcs.add((a, b, dec_total))
+                node, dec = (upper if up else lower)[node]
+                total += dec
+                if (node.face == "S") != up:  # an outer node: N above, S below
+                    return node, total
+                glued.add(node.index)
+                up, node = not up, NodeRef("N" if up else "S", node.index)
+                if (up, node) == start:
+                    return None, total
+
+        arcs, ends = set(), set()
+        outer = [(True, NodeRef("N", i)) for i in range(1, self.n_top + 1)]
+        outer += [(False, NodeRef("S", i)) for i in range(1, other.n_bottom + 1)]
+        for up, start in outer:
+            if start in ends:
+                continue
+            if start not in (upper if up else lower):
+                raise ValueError(f"outer node {start} is not on any arc")
+            end, total = walk(up, start)
+            ends.add(end)
+            arcs.add((start, end, total))
         loops = list(self.loops) + list(other.loops)
-        for i in range(1, self.n_bottom + 1):
-            start = ("M", i)
-            if start in visited:
-                continue
-            visited.add(start)
-            node, dec_total, src = start, 0, "y"
-            while True:
-                nxt = next(h for h in adj[node] if h[2] != src)
-                node, src = nxt[0], nxt[2]
-                dec_total += nxt[1]
-                if node == start:
-                    break
-                visited.add(node)
-            loops.append(dec_total)
+        loops += [walk(True, NodeRef("S", i))[1] for i in range(1, self.n_bottom + 1) if i not in glued]
         result = DecoratedTangle(self.n_top, other.n_bottom, frozenset(arcs), tuple(loops))
         for arc in result.arcs:
             if arc[2] and not result.west_exposed(arc):

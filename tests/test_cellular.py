@@ -360,6 +360,27 @@ def test_branching_reports_a_wrong_factor_action(monkeypatch, text):
     assert branching_report(CellLabel.parse(text, 5), 5)["problems"]
 
 
+def test_verify_branching_computes_each_action_once(monkeypatch):
+    calls = []
+    original = tlh.cellular.cell_action_matrix
+
+    def counted(a, label, **kwargs):
+        calls.append((a, label))
+        return original(a, label, **kwargs)
+
+    monkeypatch.setattr(tlh.cellular, "cell_action_matrix", counted)
+    assert verify_branching(5) == []
+    # 44 distinct (generator, layer) pairs over ranks 5 and 4
+    assert len(calls) == 44
+
+
+def test_verify_branching_sees_a_wrong_factor_action(monkeypatch):
+    # the shared memo still holds the (perturbed) action it was given
+    label = CellLabel("zero")
+    _perturb_action(monkeypatch, lambda a, lab: a.m == 4 and lab == label, _bump(0, 0))
+    assert any("diagonal block differs" in p for p in verify_branching(4))
+
+
 def test_verify_branching():
     assert verify_branching(3) == []
     assert verify_branching(4) == []

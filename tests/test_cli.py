@@ -76,6 +76,17 @@ def test_multiply_files(tmp_path, capsys):
     assert code == 2 and "strands" in err
 
 
+def test_zero_denominator_operand_exits_two(tmp_path, capsys):
+    u1 = AlgebraElement.from_diagram(generator_U(1, 3)).to_json()
+    bad = dict(u1, terms=[dict(u1["terms"][0], coeff=[[0, "1/0", 0]])])
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    (tmp_path / "u1.json").write_text(json.dumps(u1))
+    code, out, err = run(capsys, "multiply", str(tmp_path / "bad.json"), str(tmp_path / "u1.json"))
+    assert code == 2
+    assert err.startswith("error:") and "zero denominator" in err
+    assert out == ""
+
+
 def test_multiply_usage_errors(capsys):
     code, _, err = run(capsys, "multiply", "epsilon", "beta")
     assert code == 2 and "--n" in err

@@ -107,6 +107,13 @@ def test_golden_json_round_trip():
         GoldenScalar.from_json([1])
 
 
+def test_golden_json_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        GoldenScalar.from_json(["1/0", 0])
+    with pytest.raises(ValueError, match="zero denominator"):
+        LaurentPoly.from_json([[0, 1, "-3/0"]])
+
+
 def test_laurent_basics():
     d = LaurentPoly.delta()
     assert d == LaurentPoly({1: 1, -1: 1})

@@ -87,6 +87,130 @@ def test_identity_is_neutral():
         assert t.concat(e) == t
 
 
+def concat_reference(top: DecoratedTangle, bottom: DecoratedTangle) -> DecoratedTangle:
+    """The earlier gluing over a tagged adjacency graph, kept as an oracle for concat."""
+    if top.n_bottom != bottom.n_top:
+        raise ValueError(
+            f"cannot glue: top tangle has {top.n_bottom} south nodes, "
+            f"bottom tangle has {bottom.n_top} north nodes"
+        )
+    # nodes: ("T", i) outer top, ("B", i) outer bottom, ("M", i) glued middle
+    adj: dict[tuple, list] = {}
+
+    def add(node, entry):
+        adj.setdefault(node, []).append(entry)
+
+    for a, b, dec in top.arcs:
+        na = ("T", a.index) if a.face == "N" else ("M", a.index)
+        nb = ("T", b.index) if b.face == "N" else ("M", b.index)
+        add(na, (nb, dec, "x"))
+        add(nb, (na, dec, "x"))
+    for a, b, dec in bottom.arcs:
+        na = ("M", a.index) if a.face == "N" else ("B", a.index)
+        nb = ("M", b.index) if b.face == "N" else ("B", b.index)
+        add(na, (nb, dec, "y"))
+        add(nb, (na, dec, "y"))
+    for i in range(1, top.n_bottom + 1):
+        halves = adj.get(("M", i), [])
+        if len(halves) != 2:
+            raise ValueError(f"glued node {i} lies on {len(halves)} arcs; tangles must be fully matched")
+
+    out = DecoratedTangle(top.n_top, bottom.n_bottom)  # frame only, for positions
+    to_ref = lambda n: NodeRef("N" if n[0] == "T" else "S", n[1])
+    visited: set[tuple] = set()
+    arcs = set()
+    for start in [("T", i) for i in range(1, top.n_top + 1)] + [
+        ("B", i) for i in range(1, bottom.n_bottom + 1)
+    ]:
+        if start in visited:
+            continue
+        if start not in adj:
+            raise ValueError(f"outer node {to_ref(start)} is not on any arc")
+        visited.add(start)
+        node, dec_total, src = start, 0, None
+        while True:
+            nxt = next(h for h in adj[node] if h[2] != src) if node[0] == "M" else adj[node][0]
+            node, src = nxt[0], nxt[2]
+            dec_total += nxt[1]
+            visited.add(node)
+            if node[0] != "M":
+                break
+        a, b = to_ref(start), to_ref(node)
+        if out.position(a) > out.position(b):
+            a, b = b, a
+        arcs.add((a, b, dec_total))
+    loops = list(top.loops) + list(bottom.loops)
+    for i in range(1, top.n_bottom + 1):
+        start = ("M", i)
+        if start in visited:
+            continue
+        visited.add(start)
+        node, dec_total, src = start, 0, "y"
+        while True:
+            nxt = next(h for h in adj[node] if h[2] != src)
+            node, src = nxt[0], nxt[2]
+            dec_total += nxt[1]
+            if node == start:
+                break
+            visited.add(node)
+        loops.append(dec_total)
+    result = DecoratedTangle(top.n_top, bottom.n_bottom, frozenset(arcs), tuple(loops))
+    for arc in result.arcs:
+        if arc[2] and not result.west_exposed(arc):
+            raise ValueError(f"gluing produced a trapped decoration on {arc[0]}-{arc[1]}")
+    return result
+
+
+def glue_outcome(glue, top, bottom):
+    """A gluing's result, or the text of the ValueError it raised."""
+    try:
+        return glue(top, bottom)
+    except ValueError as exc:
+        return str(exc)
+
+
+def damaged(rng, t: DecoratedTangle) -> DecoratedTangle:
+    """t with one arc dropped or one arc decorated whatever its nesting, or t itself."""
+    arcs = sorted(t.arcs, key=str)
+    if not arcs or rng.random() < 0.6:
+        return t
+    a, b, dec = arc = rng.choice(arcs)
+    rest = t.arcs - {arc}
+    return DecoratedTangle(t.n_top, t.n_bottom, rest if rng.random() < 0.5 else rest | {(a, b, dec + 1)}, t.loops)
+
+
+def test_glue_matches_the_reference_walk():
+    rng = random.Random(20261018)
+    widths = range(0, 7)
+    seen = {"loop": 0, "stacked": 0, "fully matched": 0, "not on any arc": 0, "trapped": 0}
+    for _ in range(400):
+        nt, mid = rng.choice(widths), rng.choice(widths)
+        nb = rng.choice([k for k in widths if (k + mid) % 2 == 0])
+        if (nt + mid) % 2:
+            nt += 1
+        top = damaged(rng, random_tangle(rng, nt, mid, max_dec=3, n_loops=rng.randint(0, 2)))
+        bottom = damaged(rng, random_tangle(rng, mid, nb, max_dec=3, n_loops=rng.randint(0, 1)))
+        expected = glue_outcome(concat_reference, top, bottom)
+        assert glue_outcome(DecoratedTangle.concat, top, bottom) == expected
+        if isinstance(expected, str):
+            seen[next(key for key in seen if key in expected)] += 1
+        else:
+            seen["loop"] += len(expected.loops) > len(top.loops) + len(bottom.loops)
+            seen["stacked"] += any(dec >= 2 for *_, dec in expected.arcs)
+    # the sample covers new loops, stacked decorations and each gluing error
+    assert min(seen.values()) >= 10, seen
+
+
+def test_glue_decorated_loop_crossing_the_glued_layer_four_times():
+    # S1-S2 and S3-S4 above, N1-N4 around N2-N3 below: one loop through glued nodes 1-4,
+    # beside the strand N1-S5, N5-S1
+    top = DecoratedTangle(1, 5, frozenset({(N(1), S(5), 0), (S(1), S(2), 2), (S(3), S(4), 1)}), loops=(1,))
+    bottom = DecoratedTangle(5, 1, frozenset({(N(5), S(1), 1), (N(1), N(4), 3), (N(2), N(3), 0)}))
+    glued = top.concat(bottom)
+    assert glued == DecoratedTangle(1, 1, frozenset({(N(1), S(1), 1)}), loops=(1, 6))
+    assert glued == concat_reference(top, bottom)
+
+
 def test_glue_width_mismatch():
     with pytest.raises(ValueError, match="cannot glue"):
         DecoratedTangle.identity(2).concat(DecoratedTangle.identity(3))
