@@ -33,8 +33,11 @@ def normal_form(t: DecoratedTangle) -> list:
     """Reduce loops and stacked decorations; a list of (tangle, coefficient).
 
     The returned tangles are loop-free with at most one decoration per edge;
-    they are not checked for basis membership.
+    they are not checked for basis membership.  An already reduced tangle
+    comes back as itself.
     """
+    if not t.loops and all(r < 2 for _, _, r in t.arcs):
+        return [(t, LaurentPoly.one())]
     coeff = LaurentPoly.one()
     for r in t.loops:
         weight = fib_pair(r)[0]

@@ -2,23 +2,27 @@
 
 The basis diagrams stratify by the number k of caps per face.  Each stratum
 with propagating edges splits into two cell layers, "plain k" and "bullet
-k", spanned by the combinations
+k", spanned by the combinations of the bulleted diagram B(S, T) and the
+plain diagram P(S, T) on a pair of tableaux (half-diagrams)
 
-    bulleted diagram - gamma1 * plain diagram    (plain layer)
-    bulleted diagram - gamma2 * plain diagram    (bullet layer)
+    C(S, T) = B(S, T) - gamma * P(S, T)
 
-where gamma1 = phi and gamma2 = 1 - phi are the two roots of x^2 = x + 1.
-The identity spans the layer "0" and, on an even strand count, the
-cap-saturated diagrams span a single "middle" layer with no bullet variant.
-Layers are ordered by cap count: more caps means lower.
+with gamma = gamma1 = phi (plain) or gamma2 = 1 - phi (bullet), the two
+roots of x^2 = x + 1.  The identity spans the layer "0" and, on an even
+strand count, the cap-saturated diagrams span a single "middle" layer with
+no bullet variant.  Layers are ordered by cap count: more caps means lower.
 
-Because gamma1 != gamma2 the cell elements form a basis; inverting the
-change of basis divides by gamma2 - gamma1 = 1 - 2*phi and so moves the
-coefficients into rational golden scalars.  On each layer the generators act
-by matrices that do not depend on the second (south) index, and the layer
-carries a bilinear form whose matrix is computed here exactly; its
-nonvanishing determinant for every layer certifies semisimplicity, and its
-behaviour under dropping the eastmost strand gives the branching rules.
+Because gamma1 != gamma2 the cell elements form a basis: with D = 1 -
+2*gamma, P = C_plain / D_plain + C_bullet / D_bullet, so the change of basis
+moves coefficients into rational golden scalars.  On each layer the
+generators act by matrices that do not depend on the south tableau, and the
+layer carries a bilinear form.  Both are read off products of plain
+diagrams, scaled by D, since the sibling layers' cross terms vanish modulo
+lower layers; the bullet rule -- the layer's part of a * B is (1 - gamma)
+times that of a * P -- checks that no action leaks between the siblings.
+The form's nonvanishing determinant for every layer certifies
+semisimplicity, and its behaviour under dropping the eastmost strand gives
+the branching rules.
 """
 
 from __future__ import annotations
@@ -38,13 +42,13 @@ INV_GAMMA_GAP = GoldenScalar(Fraction(1, 5), Fraction(-2, 5))
 #: Frame pairs gram_matrix re-checks above rank 4, where checking all is slow.
 FRAME_CHECKS = 12
 
-#: Expected constant term of a rescaled diagonal form entry, by layer kind.
-_DIAG_CONSTANT = {
-    "plain": G_ONE - GAMMA1 - GAMMA1,
-    "bullet": G_ONE - GAMMA2 - GAMMA2,
-    "zero": G_ONE,
-    "middle": G_ONE,
-}
+#: The decoration weight gamma in a plain or bullet layer's cell elements.
+_GAMMA = {"plain": GAMMA1, "bullet": GAMMA2}
+
+#: D = 1 - 2*gamma by layer kind (1 where the cell elements carry no gamma):
+#: the scale from plain-diagram products to cell coordinates, and the
+#: expected constant term of a rescaled diagonal form entry.
+_DIAG_CONSTANT = {"zero": G_ONE, "middle": G_ONE} | {kind: G_ONE - 2 * g for kind, g in _GAMMA.items()}
 
 
 class IndependenceViolation(Exception):
@@ -110,6 +114,10 @@ def tableaux(label: CellLabel, n: int) -> tuple:
     return enumerate_half(n + 1, label.k)
 
 
+def _diagram(S: HalfDiagram, T: HalfDiagram, bullet: bool = False) -> AlgebraElement:
+    return AlgebraElement.from_diagram(Diagram(S, T, bullet))
+
+
 def cell_element(label: CellLabel, d1: HalfDiagram, d2: HalfDiagram) -> AlgebraElement:
     """The cell basis element of a layer attached to a pair of half-diagrams."""
     if d1.m != d2.m:
@@ -121,17 +129,10 @@ def cell_element(label: CellLabel, d1: HalfDiagram, d2: HalfDiagram) -> AlgebraE
     if label.kind in ("zero", "middle"):
         if label.kind == "middle" and 2 * label.k != d1.m:
             raise ValueError(f"middle label needs {2 * label.k} strands, got {d1.m}")
-        return AlgebraElement.from_diagram(Diagram(d1, d2))
+        return _diagram(d1, d2)
     if 2 * label.k >= d1.m:
         raise ValueError(f"label {label} needs a propagating edge on {d1.m} strands")
-    gamma = GAMMA1 if label.kind == "plain" else GAMMA2
-    return AlgebraElement(
-        d1.m,
-        {
-            Diagram(d1, d2, bullet=True): G_ONE,
-            Diagram(d1, d2, bullet=False): -gamma,
-        },
-    )
+    return _diagram(d1, d2, bullet=True) - _diagram(d1, d2).scale(_GAMMA[label.kind])
 
 
 def expand_in_cell_basis(x: AlgebraElement) -> dict:
@@ -266,14 +267,15 @@ class RingMatrix:
 def _layer_column(product: AlgebraElement, label: CellLabel, index: dict, T, what: str) -> list:
     """The coefficients of C(S, T), S in index order, in a product modulo lower layers.
 
-    Any other term on this layer or a layer not below it raises
-    IndependenceViolation; ``what`` names the computation in the message.
+    The sibling layer (same cap count, other kind) may keep its share at T;
+    any other term on a layer not below this one raises
+    IndependenceViolation.  ``what`` names the computation in the message.
     """
     col = [LaurentPoly.zero()] * len(index)
     for (mu, sp, tp), c in expand_in_cell_basis(product).items():
-        if mu.is_below(label):
+        if mu.is_below(label) or (mu != label and mu.k == label.k and tp == T):
             continue
-        if mu == label and tp == T:
+        if mu == label and tp == T and sp in index:
             col[index[sp]] = c
         else:
             raise IndependenceViolation(
@@ -285,56 +287,49 @@ def _layer_column(product: AlgebraElement, label: CellLabel, index: dict, T, wha
 def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool = True) -> RingMatrix:
     """The matrix of an element acting on a cell layer.
 
-    Entry (i, j) is the coefficient of the i-th tableau in a * C(S_j, T),
-    taken modulo lower layers.  The computation fixes the south tableau T
-    and, unless disabled, repeats it for every other T to confirm the
-    coefficients do not depend on that choice.
+    Entry (i, j) is the coefficient of the i-th tableau in a * C(S_j, T)
+    modulo lower layers: D times that in a * P(S_j, T), as P = C_plain /
+    D_plain + C_bullet / D_bullet.  On plain and bullet layers the bullet
+    rule is checked at the first south tableau: the layer's part of
+    a * B(S, T) must be (1 - gamma) times that of a * P(S, T), which fails
+    exactly when the action leaks between the sibling layers.  Unless
+    disabled, the columns are recomputed for every other T to confirm they
+    do not depend on that choice.
     """
-    n = a.m - 1
-    tabs = tableaux(label, n)
+    tabs = tableaux(label, a.m - 1)
     index = {h: i for i, h in enumerate(tabs)}
 
-    def columns(T):
-        return [_layer_column(a * cell_element(label, S, T), label, index, T, "action") for S in tabs]
+    def columns(T, bullet=False):
+        return [_layer_column(a * _diagram(S, T, bullet), label, index, T, "action") for S in tabs]
 
     base = columns(tabs[0])
+    if label.kind in _GAMMA:
+        ratio = G_ONE - _GAMMA[label.kind]
+        if columns(tabs[0], bullet=True) != [[c * ratio for c in col] for col in base]:
+            raise IndependenceViolation(f"action on layer {label} breaks the bullet rule at {tabs[0]}")
     if check_all_T:
         for T in tabs[1:]:
             if columns(T) != base:
-                raise IndependenceViolation(
-                    f"action coefficients on layer {label} depend on the south tableau"
-                )
-    size = len(tabs)
-    return RingMatrix(tuple(tuple(base[j][i] for j in range(size)) for i in range(size)))
+                raise IndependenceViolation(f"action coefficients on layer {label} depend on the south tableau")
+    scale = _DIAG_CONSTANT[label.kind]
+    return RingMatrix([[c * scale for c in row] for row in zip(*base)])
 
 
 def gram_matrix(label: CellLabel, n: int) -> RingMatrix:
     """The bilinear form on a cell layer.
 
     Entry (d1, d2) is the coefficient of C(e1, e2) in C(e1, d1) * C(d2, e2)
-    modulo lower layers, for a fixed frame pair (e1, e2).  The matrix is
-    recomputed against other frame pairs -- all of them for n <= 4, else
-    FRAME_CHECKS evenly spaced ones -- to confirm the frame does not matter.
+    modulo lower layers, for a fixed frame pair (e1, e2).  The sibling
+    layers' cross terms vanish there, so it is D^2 times that coefficient in
+    the plain product P(e1, d1) * P(d2, e2).  The matrix is recomputed
+    against other frame pairs -- all of them for n <= 4, else FRAME_CHECKS
+    evenly spaced ones -- to confirm the frame does not matter.
     """
     tabs = tableaux(label, n)
-    index = {h: i for i, h in enumerate(tabs)}
 
     def entries(e1, e2):
-        right = [cell_element(label, d2, e2) for d2 in tabs]
-        rows = []
-        for d1 in tabs:
-            left = cell_element(label, e1, d1)
-            row = []
-            for factor in right:
-                col = _layer_column(left * factor, label, index, e2, "form")
-                stray = next((S for S, c in zip(tabs, col) if S != e1 and not c.is_zero()), None)
-                if stray is not None:
-                    raise IndependenceViolation(
-                        f"form on layer {label} leaks into layer {label} at ({stray}, {e2})"
-                    )
-                row.append(col[index[e1]])
-            rows.append(row)
-        return rows
+        left, right = [_diagram(e1, d) for d in tabs], [_diagram(d, e2) for d in tabs]
+        return [[_layer_column(x * y, label, {e1: 0}, e2, "form")[0] for y in right] for x in left]
 
     pairs = [(e1, e2) for e1 in tabs for e2 in tabs]
     base = entries(*pairs[0])
@@ -343,10 +338,22 @@ def gram_matrix(label: CellLabel, n: int) -> RingMatrix:
         others = others[:: len(others) // FRAME_CHECKS][:FRAME_CHECKS]
     for e1, e2 in others:
         if entries(e1, e2) != base:
-            raise IndependenceViolation(
-                f"form entries on layer {label} depend on the frame pair"
-            )
-    return RingMatrix(base)
+            raise IndependenceViolation(f"form entries on layer {label} depend on the frame pair")
+    scale = _DIAG_CONSTANT[label.kind] ** 2
+    return RingMatrix([[c * scale for c in row] for row in base])
+
+
+def _action_problems(n: int, labels, *, check_all_T: bool) -> list:
+    """The IndependenceViolation, if any, of cell_action_matrix for each U_i on each layer."""
+    problems = []
+    for label in labels:
+        for i in range(1, n + 1):
+            u = AlgebraElement.from_diagram(generator_U(i, n + 1))
+            try:
+                cell_action_matrix(u, label, check_all_T=check_all_T)
+            except IndependenceViolation as exc:
+                problems.append(f"U{i}: {exc}")
+    return problems
 
 
 def verify_cellular_axioms(n: int) -> list:
@@ -357,7 +364,7 @@ def verify_cellular_axioms(n: int) -> list:
     the cell basis and re-summing returns the diagram.  Axiom 2: the flip
     anti-automorphism swaps the two tableaux of every cell element.  Axiom 3:
     every generator acts on every layer with coefficients independent of the
-    south tableau.
+    south tableau, and without leaks between sibling layers (the bullet rule).
     """
     problems = []
     m = n + 1
@@ -386,15 +393,7 @@ def verify_cellular_axioms(n: int) -> list:
         x = AlgebraElement.from_diagram(d)
         if combine_cell_terms(m, expand_in_cell_basis(x)) != x:
             problems.append(f"cell expansion does not round-trip on {d}")
-
-    for label in labels:
-        for i in range(1, n + 1):
-            u = AlgebraElement.from_diagram(generator_U(i, m))
-            try:
-                cell_action_matrix(u, label, check_all_T=True)
-            except IndependenceViolation as exc:
-                problems.append(f"U{i}: {exc}")
-    return problems
+    return problems + _action_problems(n, labels, check_all_T=True)
 
 
 def semisimplicity_check(n: int) -> list:
@@ -404,9 +403,12 @@ def semisimplicity_check(n: int) -> list:
     determinant, every entry rescaled by v^(-k) must be a polynomial in 1/v,
     off-diagonal constant terms must vanish, and diagonal constant terms must
     equal 1 - 2*gamma1 (plain), 1 - 2*gamma2 (bullet) or 1 (zero and middle
-    layers, whose cell elements carry no gamma).
+    layers, whose cell elements carry no gamma).  Plain products cannot see
+    a leak between sibling layers, so every U_i must also pass the bullet
+    rule of cell_action_matrix on each plain and bullet layer.
     """
-    problems = []
+    siblings = [label for label in lambda_poset(n) if label.kind in _GAMMA]
+    problems = _action_problems(n, siblings, check_all_T=False)
     for label in lambda_poset(n):
         tabs = tableaux(label, n)
         try:

@@ -6,7 +6,7 @@ JSON records with sorted keys, so identical inputs give byte-identical
 output.  Exit status: 0 when every check passes, 1 when a mathematical
 property is violated (a library failure such as a FactorizationError or an
 ArithmeticError is reported as a {"kind": "failure"} record), 2 on usage or
-parse errors.
+parse errors or when the output cannot be written.
 """
 
 from __future__ import annotations
@@ -360,18 +360,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     report = Report(args.format)
     try:
-        code = args.func(args, report)
-    except UsageError as exc:
+        try:
+            code = args.func(args, report)
+        except (ClosureViolation, IndependenceViolation, FactorizationError, ArithmeticError) as exc:
+            name = type(exc).__name__
+            report.emit({"kind": "failure", "error": name, "detail": str(exc)}, f"FAIL {name}: {exc}")
+            code = 1
+        report.write(args.out)
+    except (UsageError, ValueError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ClosureViolation, IndependenceViolation, FactorizationError, ArithmeticError) as exc:
-        name = type(exc).__name__
-        report.emit({"kind": "failure", "error": name, "detail": str(exc)}, f"FAIL {name}: {exc}")
-        code = 1
-    except (ValueError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report.write(args.out)
     return code
 
 

@@ -320,10 +320,6 @@ class LaurentPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     # -- division ----------------------------------------------------------
 
     def divmod_by(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:

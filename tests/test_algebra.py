@@ -66,6 +66,13 @@ def test_normal_form_splits_stacked_decorations():
         assert out == {plain: LaurentPoly.const(f_prev), dec: LaurentPoly.const(f_r)}
 
 
+def test_normal_form_returns_a_reduced_tangle_itself():
+    t = generator_U(1, 3).tangle.concat(generator_U(2, 3).tangle)
+    assert not t.loops and all(r < 2 for _, _, r in t.arcs)
+    assert normal_form(t)[0][0] is t
+    assert normal_form(t) == [(t, LaurentPoly.one())]
+
+
 def test_normal_form_matches_random_rule_order():
     rng = random.Random(20260825)
     for _ in range(300):

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+import tlh.algebra
 import tlh.cellular
-from tlh.algebra import AlgebraElement
+from tlh.algebra import AlgebraElement, special_elements
 from tlh.cellular import (
+    FRAME_CHECKS,
     INV_GAMMA_GAP,
     CellLabel,
     IndependenceViolation,
@@ -26,6 +28,7 @@ from tlh.cellular import (
 )
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
 from tlh.ring import GAMMA1, GAMMA2, G_ONE, GoldenScalar, LaurentPoly
+from tlh.tangle import DecoratedTangle
 
 H_STAR = HalfDiagram(3, ((1, 2, 1),))
 H_PLAIN = HalfDiagram(3, ((2, 3, 0),))
@@ -114,6 +117,152 @@ def test_expansion_round_trips_on_every_diagram():
         for d in enumerate_diagrams(m):
             x = AlgebraElement.from_diagram(d)
             assert combine_cell_terms(m, expand_in_cell_basis(x)) == x
+
+
+def test_plain_diagram_splits_over_the_sibling_layers():
+    # P(S, T) = C_plain(S, T) / D_plain + C_bullet(S, T) / D_bullet, D = 1 - 2*gamma
+    d_plain, d_bullet = (G_ONE - 2 * GAMMA1).inverse(), (G_ONE - 2 * GAMMA2).inverse()
+    for n in (2, 3, 4):
+        for k in range(1, n // 2 + 1):
+            plain, bullet = CellLabel("plain", k), CellLabel("bullet", k)
+            tabs = tableaux(plain, n)
+            for S in tabs:
+                for T in tabs:
+                    split = cell_element(plain, S, T).scale(d_plain) + cell_element(bullet, S, T).scale(d_bullet)
+                    assert split == AlgebraElement.from_diagram(Diagram(S, T))
+
+
+def test_layer_column_keeps_only_the_sibling_share_at_T():
+    plain, bullet = CellLabel("plain", 1), CellLabel("bullet", 1)
+    tabs = tableaux(plain, 2)
+    index = {h: i for i, h in enumerate(tabs)}
+    column = tlh.cellular._layer_column
+    sibling = cell_element(bullet, H_STAR, H_PLAIN)
+    assert column(sibling, plain, index, H_PLAIN, "test") == [LaurentPoly.zero()] * 2
+    with pytest.raises(IndependenceViolation, match="leaks into layer 1b"):
+        column(sibling, plain, index, H_STAR, "test")
+    own = cell_element(plain, H_PLAIN, H_STAR)
+    assert column(own, plain, index, H_STAR, "test")[index[H_PLAIN]] == LaurentPoly.one()
+    with pytest.raises(IndependenceViolation, match="leaks into layer 1 "):
+        column(own, plain, {H_STAR: 0}, H_STAR, "test")
+    empty = HalfDiagram(3, ())
+    lower = AlgebraElement.from_diagram(Diagram(H_STAR, H_PLAIN))
+    assert column(lower, CellLabel("zero"), {empty: 0}, empty, "test") == [LaurentPoly.zero()]
+
+
+# The cell-element action and form, kept as oracles for the plain-diagram ones.
+
+
+def _layer_column_reference(product, label, index, T, what):
+    col = [LaurentPoly.zero()] * len(index)
+    for (mu, sp, tp), c in expand_in_cell_basis(product).items():
+        if mu.is_below(label):
+            continue
+        if mu == label and tp == T:
+            col[index[sp]] = c
+        else:
+            raise IndependenceViolation(
+                f"{what} on layer {label} leaks into layer {mu} at ({sp}, {tp})"
+            )
+    return col
+
+
+def cell_action_matrix_reference(a, label, *, check_all_T=True):
+    n = a.m - 1
+    tabs = tableaux(label, n)
+    index = {h: i for i, h in enumerate(tabs)}
+
+    def columns(T):
+        return [_layer_column_reference(a * cell_element(label, S, T), label, index, T, "action") for S in tabs]
+
+    base = columns(tabs[0])
+    if check_all_T:
+        for T in tabs[1:]:
+            if columns(T) != base:
+                raise IndependenceViolation(
+                    f"action coefficients on layer {label} depend on the south tableau"
+                )
+    size = len(tabs)
+    return RingMatrix(tuple(tuple(base[j][i] for j in range(size)) for i in range(size)))
+
+
+def gram_matrix_reference(label, n):
+    tabs = tableaux(label, n)
+    index = {h: i for i, h in enumerate(tabs)}
+
+    def entries(e1, e2):
+        right = [cell_element(label, d2, e2) for d2 in tabs]
+        rows = []
+        for d1 in tabs:
+            left = cell_element(label, e1, d1)
+            row = []
+            for factor in right:
+                col = _layer_column_reference(left * factor, label, index, e2, "form")
+                stray = next((S for S, c in zip(tabs, col) if S != e1 and not c.is_zero()), None)
+                if stray is not None:
+                    raise IndependenceViolation(
+                        f"form on layer {label} leaks into layer {label} at ({stray}, {e2})"
+                    )
+                row.append(col[index[e1]])
+            rows.append(row)
+        return rows
+
+    pairs = [(e1, e2) for e1 in tabs for e2 in tabs]
+    base = entries(*pairs[0])
+    others = pairs[1:]
+    if n > 4 and len(others) > FRAME_CHECKS:
+        others = others[:: len(others) // FRAME_CHECKS][:FRAME_CHECKS]
+    for e1, e2 in others:
+        if entries(e1, e2) != base:
+            raise IndependenceViolation(
+                f"form entries on layer {label} depend on the frame pair"
+            )
+    return RingMatrix(base)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gram_matrix_matches_the_cell_element_reference(n):
+    for label in lambda_poset(n):
+        assert gram_matrix(label, n) == gram_matrix_reference(label, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_action_matrix_matches_the_cell_element_reference(n):
+    m = n + 1
+    elements = [AlgebraElement.from_diagram(generator_U(i, m)) for i in range(1, m)]
+    elements += special_elements(m).values()
+    for label in lambda_poset(n):
+        for a in elements:
+            assert cell_action_matrix(a, label) == cell_action_matrix_reference(a, label)
+
+
+def test_bullet_rule_sees_a_product_that_ignores_the_bullet(monkeypatch):
+    original = tlh.algebra.multiply
+
+    def unbulleted(x, y):  # drops the bullet of every bulleted right operand
+        plain = AlgebraElement.zero(y.m)
+        for d, c in y.items():
+            plain = plain + AlgebraElement.from_diagram(Diagram(d.north, d.south), c)
+        return original(x, plain)
+
+    monkeypatch.setattr(tlh.algebra, "multiply", unbulleted)
+    for problems in (verify_cellular_axioms(3), semisimplicity_check(3)):
+        assert any("bullet rule" in p for p in problems)
+
+
+def test_gram_matrix_glues_one_plain_pair_per_entry(monkeypatch):
+    gluings = []
+    original = DecoratedTangle.concat
+
+    def counted(self, other):
+        gluings.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(DecoratedTangle, "concat", counted)
+    for label in lambda_poset(3):
+        gram_matrix(label, 3)
+    # t^2 entries for each of the t^2 frames: 1 + 2 * 81 + 625 (the cell elements took 1 274)
+    assert len(gluings) == 788
 
 
 def test_action_matrix_frozen_n2():

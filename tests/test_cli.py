@@ -219,6 +219,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
         ("factorize_u1_u2_n2", ["factorize", "U1 U2", "--n", "2"]),
         ("gram_n2_lambda1", ["gram", "--n", "2", "--lambda", "1"]),
         ("enumerate_n3", ["enumerate", "--n", "3"]),
+        ("gram_n4", ["gram", "--n", "4"]),
     ],
 )
 def test_structured_output_matches_golden(capsys, name, argv):
@@ -252,3 +253,9 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     code, expected, _ = run(capsys, "dims", "--n", "2")
     assert target.read_text() == expected
+
+def test_out_flag_reports_unwritable_paths(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "report.txt", tmp_path):
+        code, out, err = run(capsys, "dims", "--n", "2", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err

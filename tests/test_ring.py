@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlh.ring import (
     GAMMA1,
@@ -191,3 +193,39 @@ def test_laurent_random_ring_axioms():
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
         assert f * g == g * f
+
+
+# Property tests: Z[phi][v, 1/v] is a commutative ring, and divmod_by divides.
+
+golden = st.builds(GoldenScalar, st.integers(-20, 20), st.integers(-20, 20))
+laurent = st.dictionaries(st.integers(-6, 6), golden, max_size=5).map(LaurentPoly)
+properties = settings(max_examples=150, deadline=None, database=None)
+
+
+@properties
+@given(golden, golden, golden)
+def test_golden_ring_axioms_property(x, y, z):
+    assert (x + y) + z == x + (y + z) and x + y == y + x
+    assert (x * y) * z == x * (y * z) and x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + G_ZERO == x and x * G_ONE == x and x + (-x) == G_ZERO
+
+
+@properties
+@given(laurent, laurent, laurent)
+def test_laurent_ring_axioms_property(f, g, h):
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    assert (f + g) + h == f + (g + h) and f + g == g + f
+    assert (f * g) * h == f * (g * h) and f * g == g * f
+    assert f * (g + h) == f * g + f * h
+    assert f + zero == f and f * one == f and f - f == zero
+
+
+@properties
+@given(laurent, laurent.filter(bool))
+def test_divmod_by_property(f, g):
+    q, r = f.divmod_by(g)
+    assert q * g + r == f
+    if not r.is_zero():  # r lies within g's degree span, counted from f's lowest exponent
+        assert f.min_exp <= r.min_exp and r.max_exp - f.min_exp < g.max_exp - g.min_exp
+    assert (f * g).exact_div(g) == f
