@@ -324,12 +324,11 @@ def positivity_check(m: int) -> list:
         for d2 in diagrams:
             product = AlgebraElement.from_diagram(d1) * AlgebraElement.from_diagram(d2)
             for d, full in product._terms.items():
-                c, power = full, 0
-                while (q := c.exact_div(delta)) is not None:
-                    c, power = q, power + 1
-                const = c.coefficient(0)
+                # const * delta^power spans v^-power .. v^power with const on top
+                power = (full.max_exp - full.min_exp) // 2
+                const = full.coefficient(full.max_exp)
                 ok = (
-                    c == LaurentPoly.const(const)
+                    full == delta ** power * LaurentPoly.const(const)
                     and const.b == 0
                     and isinstance(const.a, int)
                     and const.a > 0

@@ -1,28 +1,28 @@
 """Cell structure of the diagram algebra: labels, cell basis, forms, branching.
 
-The basis diagrams stratify by the number k of caps per face.  Each stratum
-with propagating edges splits into two cell layers, "plain k" and "bullet
-k", spanned by the combinations of the bulleted diagram B(S, T) and the
-plain diagram P(S, T) on a pair of tableaux (half-diagrams)
+The basis diagrams stratify by the number k of caps per face; one rule,
+``_stratum``, gives each stratum's cell layers.  The identity spans "0", the
+cap-saturated diagrams on an even strand count span "middle", and any other
+stratum splits into sibling layers "plain k" and "bullet k", spanned by the
+bulleted and plain diagrams B(S, T), P(S, T) on a pair of tableaux through
 
     C(S, T) = B(S, T) - gamma * P(S, T)
 
 with gamma = gamma1 = phi (plain) or gamma2 = 1 - phi (bullet), the two
-roots of x^2 = x + 1.  The identity spans the layer "0" and, on an even
-strand count, the cap-saturated diagrams span a single "middle" layer with
-no bullet variant.  Layers are ordered by cap count: more caps means lower.
+roots of x^2 = x + 1.  Layers are ordered by cap count: more caps means lower.
 
-Because gamma1 != gamma2 the cell elements form a basis: with D = 1 -
-2*gamma, P = C_plain / D_plain + C_bullet / D_bullet, so the change of basis
-moves coefficients into rational golden scalars.  On each layer the
-generators act by matrices that do not depend on the south tableau, and the
-layer carries a bilinear form.  Both are read off products of plain
-diagrams, scaled by D, since the sibling layers' cross terms vanish modulo
-lower layers; the bullet rule -- the layer's part of a * B is (1 - gamma)
-times that of a * P -- checks that no action leaks between the siblings.
-The form's nonvanishing determinant for every layer certifies
-semisimplicity, and its behaviour under dropping the eastmost strand gives
-the branching rules.
+The sibling table ``_SIBLINGS`` is the whole 2x2 change of basis between
+(P, B) and (C_plain, C_bullet): for each kind, gamma and the coordinates of P
+and of B on that kind's C.  They divide by gamma2 - gamma1, so coefficients
+move into rational golden scalars; with D = 1 - 2*gamma, P = C_plain /
+D_plain + C_bullet / D_bullet.  On each layer the generators act by matrices
+that do not depend on the south tableau, and the layer carries a bilinear
+form.  Both are read off products of plain diagrams, scaled by D, since the
+sibling layers' cross terms vanish modulo lower layers; the bullet rule --
+the layer's part of a * B is (1 - gamma) times that of a * P -- checks that
+no action leaks between the siblings.  The form's nonvanishing determinant
+for every layer certifies semisimplicity, and its behaviour under dropping
+the eastmost strand gives the branching rules.
 """
 
 from __future__ import annotations
@@ -42,13 +42,17 @@ INV_GAMMA_GAP = GoldenScalar(Fraction(1, 5), Fraction(-2, 5))
 #: Frame pairs gram_matrix re-checks above rank 4, where checking all is slow.
 FRAME_CHECKS = 12
 
-#: The decoration weight gamma in a plain or bullet layer's cell elements.
-_GAMMA = {"plain": GAMMA1, "bullet": GAMMA2}
+#: The sibling table: for each sibling kind, gamma in its cell elements
+#: C = B - gamma*P, and the coordinates of P and of B on that C.
+_SIBLINGS = {
+    "plain": (GAMMA1, INV_GAMMA_GAP, GAMMA2 * INV_GAMMA_GAP),
+    "bullet": (GAMMA2, -INV_GAMMA_GAP, -GAMMA1 * INV_GAMMA_GAP),
+}
 
 #: D = 1 - 2*gamma by layer kind (1 where the cell elements carry no gamma):
 #: the scale from plain-diagram products to cell coordinates, and the
 #: expected constant term of a rescaled diagonal form entry.
-_DIAG_CONSTANT = {"zero": G_ONE, "middle": G_ONE} | {kind: G_ONE - 2 * g for kind, g in _GAMMA.items()}
+_DIAG_CONSTANT = {"zero": G_ONE, "middle": G_ONE} | {kind: G_ONE - 2 * g for kind, (g, _, _) in _SIBLINGS.items()}
 
 
 class IndependenceViolation(Exception):
@@ -82,16 +86,19 @@ class CellLabel:
     @classmethod
     def parse(cls, text: str, n: int) -> "CellLabel":
         """Read a selector like '0', '2', '2b' or 'mid' for the rank-n poset."""
-        if text == "0":
-            return cls("zero")
-        if text == "mid":
-            if n % 2 == 0:
-                raise ValueError(f"rank {n} has no middle label")
-            return cls("middle", (n + 1) // 2)
-        body, kind = (text[:-1], "bullet") if text.endswith("b") else (text, "plain")
-        if not body.isdigit() or not 1 <= int(body) <= n // 2:
-            raise ValueError(f"unknown cell label {text!r} for rank {n}")
-        return cls(kind, int(body))
+        for label in lambda_poset(n):
+            if str(label) == text:
+                return label
+        raise ValueError(f"unknown cell label {text!r} for rank {n}")
+
+
+def _stratum(m: int, k: int) -> tuple:
+    """The cell layers the k-cap diagrams on m strands span."""
+    if k == 0:
+        return (CellLabel("zero"),)
+    if 2 * k == m:
+        return (CellLabel("middle", k),)
+    return tuple(CellLabel(kind, k) for kind in _SIBLINGS)
 
 
 @functools.cache
@@ -99,12 +106,7 @@ def lambda_poset(n: int) -> tuple:
     """All cell labels at rank n: zero, plain/bullet pairs, middle when n is odd."""
     if n < 2:
         raise ValueError(f"the cell poset needs rank at least 2, got {n}")
-    labels = [CellLabel("zero")]
-    for k in range(1, n // 2 + 1):
-        labels += [CellLabel("plain", k), CellLabel("bullet", k)]
-    if n % 2:
-        labels.append(CellLabel("middle", (n + 1) // 2))
-    return tuple(labels)
+    return tuple(label for k in range((n + 1) // 2 + 1) for label in _stratum(n + 1, k))
 
 
 def tableaux(label: CellLabel, n: int) -> tuple:
@@ -126,13 +128,11 @@ def cell_element(label: CellLabel, d1: HalfDiagram, d2: HalfDiagram) -> AlgebraE
         raise ValueError(
             f"label {label} needs {label.k}-cap halves, got {d1.k} and {d2.k}"
         )
-    if label.kind in ("zero", "middle"):
-        if label.kind == "middle" and 2 * label.k != d1.m:
-            raise ValueError(f"middle label needs {2 * label.k} strands, got {d1.m}")
+    if label not in _stratum(d1.m, label.k):
+        raise ValueError(f"label {label} is not a layer of {label.k}-cap diagrams on {d1.m} strands")
+    if label.kind not in _SIBLINGS:
         return _diagram(d1, d2)
-    if 2 * label.k >= d1.m:
-        raise ValueError(f"label {label} needs a propagating edge on {d1.m} strands")
-    return _diagram(d1, d2, bullet=True) - _diagram(d1, d2).scale(_GAMMA[label.kind])
+    return _diagram(d1, d2, bullet=True) - _diagram(d1, d2).scale(_SIBLINGS[label.kind][0])
 
 
 def expand_in_cell_basis(x: AlgebraElement) -> dict:
@@ -140,29 +140,20 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
 
     Keys are (label, north half, south half); values are Laurent polynomials
     whose golden coordinates may be rational, since the change of basis
-    divides by gamma2 - gamma1.
+    divides by gamma2 - gamma1.  Each diagram adds to every layer of its
+    stratum, weighted on a sibling layer by the sibling table.
     """
     out: dict = {}
-
-    def add(key, c):
-        cur = out.get(key, LaurentPoly.zero()) + c
-        if cur.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = cur
-
     for d, coeff in x.items():
-        if d.k == 0:
-            add((CellLabel("zero"), d.north, d.south), coeff)
-        elif d.prop_count == 0:
-            add((CellLabel("middle", d.k), d.north, d.south), coeff)
-        elif d.bullet:
-            add((CellLabel("plain", d.k), d.north, d.south), coeff * (GAMMA2 * INV_GAMMA_GAP))
-            add((CellLabel("bullet", d.k), d.north, d.south), coeff * (-GAMMA1 * INV_GAMMA_GAP))
-        else:
-            add((CellLabel("plain", d.k), d.north, d.south), coeff * INV_GAMMA_GAP)
-            add((CellLabel("bullet", d.k), d.north, d.south), coeff * (-INV_GAMMA_GAP))
-    return out
+        for label in _stratum(d.m, d.k):
+            if label.kind in _SIBLINGS:
+                _, on_p, on_b = _SIBLINGS[label.kind]
+                c = coeff * (on_b if d.bullet else on_p)
+            else:
+                c = coeff
+            key = (label, d.north, d.south)
+            out[key] = out.get(key, LaurentPoly.zero()) + c
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
 def combine_cell_terms(m: int, coefficients: dict) -> AlgebraElement:
@@ -303,8 +294,8 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
         return [_layer_column(a * _diagram(S, T, bullet), label, index, T, "action") for S in tabs]
 
     base = columns(tabs[0])
-    if label.kind in _GAMMA:
-        ratio = G_ONE - _GAMMA[label.kind]
+    if label.kind in _SIBLINGS:
+        ratio = G_ONE - _SIBLINGS[label.kind][0]
         if columns(tabs[0], bullet=True) != [[c * ratio for c in col] for col in base]:
             raise IndependenceViolation(f"action on layer {label} breaks the bullet rule at {tabs[0]}")
     if check_all_T:
@@ -407,7 +398,7 @@ def semisimplicity_check(n: int) -> list:
     a leak between sibling layers, so every U_i must also pass the bullet
     rule of cell_action_matrix on each plain and bullet layer.
     """
-    siblings = [label for label in lambda_poset(n) if label.kind in _GAMMA]
+    siblings = [label for label in lambda_poset(n) if label.kind in _SIBLINGS]
     problems = _action_problems(n, siblings, check_all_T=False)
     for label in lambda_poset(n):
         tabs = tableaux(label, n)
@@ -438,9 +429,7 @@ def label_minus_one(label: CellLabel, n: int) -> CellLabel:
     """The factor label one cap down in the rank-(n-1) poset."""
     if not 0 < 2 * label.k < n + 1:
         raise ValueError(f"no reduced label for {label} at rank {n}")
-    if label.k == 1:
-        return CellLabel("zero")
-    return CellLabel(label.kind, label.k - 1)
+    return CellLabel(label.kind if label.k > 1 else "zero", label.k - 1)
 
 
 def _unit(idx: int) -> tuple:
@@ -457,8 +446,8 @@ def _east_levels(label: CellLabel, n: int, problems: list) -> list:
     figure four, spanning a trivial top.
     """
     m = n + 1
-    # a layer with n/2 caps has no plain/bullet variant one rank down: it is the middle there
-    sub_label = CellLabel("middle", label.k) if 2 * label.k == n else label
+    # one rank down, the k-cap stratum may be the middle layer instead
+    sub_label = next(mu for mu in _stratum(n, label.k) if mu.kind in (label.kind, "middle"))
     lm1 = label_minus_one(label, n)
     sub_pos = {h: i for i, h in enumerate(tableaux(sub_label, n - 1))}
     lm1_pos = {h: i for i, h in enumerate(tableaux(lm1, n - 1))}
@@ -493,17 +482,15 @@ def _middle_levels(label: CellLabel, n: int) -> list:
 
     The pair (C_S, C_S') changes basis to C_S' - gamma1 C_S (factor plain
     k-1) and C_S' - gamma2 C_S (factor bullet k-1), both over the image of S
-    without its east cap; the inverse divides by gamma2 - gamma1.  The one
-    tableau d0 without a partner spans a trivial top.
+    without its east cap; the dual functionals are the sibling table's
+    coordinates of P and of B.  The one tableau d0 without a partner spans a
+    trivial top.
     """
     m = n + 1
     k = label.k
     tabs = tableaux(label, n)
     index = {h: i for i, h in enumerate(tabs)}
-    d0 = HalfDiagram(
-        m,
-        ((1, 2, 0),) + tuple((2 * j - 1, 2 * j, 1) for j in range(2, k)) + ((m - 1, m, 0),),
-    )
+    d0 = HalfDiagram(m, HalfDiagram.figure_four(m - 2, k - 1).pairs + ((m - 1, m, 0),))
     small_pos = {h: i for i, h in enumerate(tableaux(CellLabel("plain", k - 1), n - 1))}
     orbits = []
     for idx, S in enumerate(tabs):
@@ -514,16 +501,11 @@ def _middle_levels(label: CellLabel, n: int) -> list:
         partner = index[HalfDiagram(m, rest + ((east[0], m, 1),))]
         orbits.append((small_pos[HalfDiagram(m - 1, rest)], idx, partner))
     orbits.sort()
-    plain = [
-        ({s: -GAMMA1, p: G_ONE}, {s: INV_GAMMA_GAP, p: GAMMA2 * INV_GAMMA_GAP})
-        for _, s, p in orbits
-    ]
-    bullet = [
-        ({s: -GAMMA2, p: G_ONE}, {s: -INV_GAMMA_GAP, p: -GAMMA1 * INV_GAMMA_GAP})
-        for _, s, p in orbits
-    ]
     return [
-        [(CellLabel("plain", k - 1), plain), (CellLabel("bullet", k - 1), bullet)],
+        [
+            (CellLabel(kind, k - 1), [({s: -gamma, p: G_ONE}, {s: on_p, p: on_b}) for _, s, p in orbits])
+            for kind, (gamma, on_p, on_b) in _SIBLINGS.items()
+        ],
         [(CellLabel("zero"), [_unit(index[d0])])],
     ]
 

@@ -3,10 +3,11 @@
 Subcommands: dims, enumerate, multiply, factorize, gram, verify.  Output is
 human-readable text by default; --format structured prints line-delimited
 JSON records with sorted keys, so identical inputs give byte-identical
-output.  Exit status: 0 when every check passes, 1 when a mathematical
-property is violated (a library failure such as a FactorizationError or an
-ArithmeticError is reported as a {"kind": "failure"} record), 2 on usage or
-parse errors or when the output cannot be written.
+output.  Exit status: 0 when every check passes; 1 when a mathematical
+property is violated or the computation raises (reported as a
+{"kind": "failure"} record); 2 on a usage error -- a bad option, a malformed
+--lambda or operand -- or an --out path that cannot be written, which is
+checked before any computation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from math import comb
 
 from tlh.algebra import (
     AlgebraElement,
-    ClosureViolation,
     evaluate_word,
     normal_form,
     normal_form_random,
@@ -102,11 +102,22 @@ def _check_cap(args, key: str, n: int):
         raise UsageError(f"{key} is capped at n <= {cap} (got n = {n}); override with --cap")
 
 
+def _parse_label(text: str, n: int) -> CellLabel:
+    """A --lambda selector as a label of the rank-n poset."""
+    try:
+        return CellLabel.parse(text, n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _load_element(operand: str, n) -> AlgebraElement:
     """An operand: a JSON file path, or a word like 'U1 U2' or 'epsilon*beta'."""
     path = pathlib.Path(operand)
     if path.exists():
-        return AlgebraElement.from_json(json.loads(path.read_text()))
+        try:
+            return AlgebraElement.from_json(json.loads(path.read_text()))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"{operand}: {exc}") from exc
     tokens = [t for t in re.split(r"[\s*,]+", operand.strip()) if t]
     if not tokens:
         raise UsageError("empty operand")
@@ -150,7 +161,7 @@ def cmd_enumerate(args, report: Report) -> int:
     n = _require_n(args)
     _check_cap(args, "enumerate", n)
     if args.selector:
-        label = CellLabel.parse(args.selector, n)
+        label = _parse_label(args.selector, n)
         for h in tableaux(label, n):
             report.emit({"kind": "tableau", "label": str(label), "half": h.to_json()}, str(h))
     else:
@@ -208,7 +219,7 @@ def cmd_factorize(args, report: Report) -> int:
 def cmd_gram(args, report: Report) -> int:
     n = _require_n(args)
     _check_cap(args, "gram", n)
-    labels = (CellLabel.parse(args.selector, n),) if args.selector else lambda_poset(n)
+    labels = (_parse_label(args.selector, n),) if args.selector else lambda_poset(n)
     code = 0
     for label in labels:
         try:
@@ -360,14 +371,19 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     report = Report(args.format)
     try:
+        if args.out:
+            # fail on an unwritable path before computing; appending keeps an existing file
+            open(args.out, "a").close()
         try:
             code = args.func(args, report)
-        except (ClosureViolation, IndependenceViolation, FactorizationError, ArithmeticError) as exc:
+        except (UsageError, OSError):
+            raise
+        except Exception as exc:
             name = type(exc).__name__
             report.emit({"kind": "failure", "error": name, "detail": str(exc)}, f"FAIL {name}: {exc}")
             code = 1
         report.write(args.out)
-    except (UsageError, ValueError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -279,14 +279,10 @@ def enumerate_half(m: int, k: int) -> tuple:
     return out
 
 
-def enumerate_diagrams(m: int, max_strands: int = 9) -> list:
+def enumerate_diagrams(m: int) -> list:
     """All basis diagrams on m strands, in a fixed canonical order."""
     if m < 1:
         raise ValueError(f"strand count must be positive, got {m}")
-    if m > max_strands:
-        raise ValueError(
-            f"enumeration of {m} strands exceeds the cap of {max_strands}; raise max_strands to force"
-        )
     out = []
     for k in range(0, m // 2 + 1):
         halves = enumerate_half(m, k)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tlh.algebra
 from tlh.algebra import (
     AlgebraElement,
     ClosureViolation,
@@ -19,7 +23,7 @@ from tlh.algebra import (
     verify_presentation,
 )
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
-from tlh.ring import LaurentPoly
+from tlh.ring import GoldenScalar, LaurentPoly
 from tlh.tangle import DecoratedTangle, NodeRef, random_tangle
 
 N = lambda i: NodeRef("N", i)
@@ -253,3 +257,39 @@ def test_multiply_rejects_mixed_frames():
 
 def test_positivity_of_structure_coefficients_small():
     assert positivity_check(3) == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [DELTA + 1, -DELTA, DELTA * GoldenScalar(0, 1), DELTA ** 2],
+    ids=["delta+1", "-delta", "phi*delta", "delta^2"],
+)
+def test_positivity_check_reports_each_bad_coefficient(monkeypatch, bad):
+    # U1 * U1 = [2] U1 has one cap per factor, so [2]^2 is one power too many
+    u1 = AlgebraElement.from_diagram(generator_U(1, 3))
+    real = tlh.algebra.multiply
+
+    def multiply(x, y):
+        return u1.scale(bad) if x == u1 == y else real(x, y)
+
+    monkeypatch.setattr(tlh.algebra, "multiply", multiply)
+    d = generator_U(1, 3)
+    assert positivity_check(3) == [f"({d}) * ({d}) has coefficient {bad} at {d}"]
+
+
+# Property test: elements with rational golden coordinates survive JSON.
+
+coordinate = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+golden = st.builds(GoldenScalar, coordinate, coordinate)
+laurent = st.dictionaries(st.integers(-4, 4), golden, max_size=3).map(LaurentPoly)
+
+
+def elements(m):
+    terms = st.dictionaries(st.sampled_from(enumerate_diagrams(m)), laurent, max_size=4)
+    return terms.map(lambda t: AlgebraElement(m, t))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 5).flatmap(elements))
+def test_element_json_round_trip_property(x):
+    assert AlgebraElement.from_json(json.loads(json.dumps(x.to_json()))) == x

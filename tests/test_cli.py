@@ -87,6 +87,22 @@ def test_zero_denominator_operand_exits_two(tmp_path, capsys):
     assert out == ""
 
 
+def test_malformed_operand_json_exits_two(tmp_path, capsys):
+    u1 = tmp_path / "u1.json"
+    u1.write_text(json.dumps(AlgebraElement.from_diagram(generator_U(1, 3)).to_json()))
+    malformed = {
+        "syntax": "{",
+        "no_diagram": '{"m": 3, "terms": [{"coeff": []}]}',
+        "terms": '{"m": 3, "terms": 5}',
+    }
+    for name, text in malformed.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "multiply", str(bad), str(u1))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: ")
+
+
 def test_multiply_usage_errors(capsys):
     code, _, err = run(capsys, "multiply", "epsilon", "beta")
     assert code == 2 and "--n" in err
@@ -199,6 +215,18 @@ def test_library_failures_exit_one(capsys, monkeypatch, error):
     assert out == f"FAIL {error.__name__}: injected\n"
 
 
+def test_library_fault_in_a_suite_exits_one(capsys, monkeypatch):
+    import tlh.cli
+
+    def fault(m):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(tlh.cli, "verify_presentation", fault)
+    code, out, err = run(capsys, "verify", "presentation", "--n", "2", "--format", "structured")
+    assert code == 1 and err == ""
+    assert records(out)[-1] == {"kind": "failure", "error": "KeyError", "detail": "'missing'"}
+
+
 def test_inexact_division_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(LaurentPoly, "exact_div", lambda self, other: None)
     code, out, err = run(capsys, "gram", "--n", "2", "--format", "structured")
@@ -247,6 +275,12 @@ def test_usage_errors_exit_two(capsys):
         main(["unknown"])
 
 
+def test_dims_beyond_the_default_enumeration_size(capsys):
+    code, out, _ = run(capsys, "dims", "--n", "9", "--cap", "9")
+    assert code == 0
+    assert out.splitlines()[-1].endswith(": pass")
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
     code, out, _ = run(capsys, "dims", "--n", "2", "--out", str(target))
@@ -259,3 +293,21 @@ def test_out_flag_reports_unwritable_paths(tmp_path, capsys):
         code, out, err = run(capsys, "dims", "--n", "2", "--out", str(target))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unwritable_out_is_checked_before_computing(tmp_path, capsys, monkeypatch):
+    import tlh.cli
+
+    calls = []
+    monkeypatch.setattr(tlh.cli, "gram_matrix", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "gram", "--n", "4", "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert calls == []
+
+
+def test_usage_error_keeps_an_existing_out_file(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    target.write_text("kept\n")
+    code, _, err = run(capsys, "dims", "--n", "1", "--out", str(target))
+    assert code == 2 and err.startswith("error: ")
+    assert target.read_text() == "kept\n"

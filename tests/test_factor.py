@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlh.algebra import AlgebraElement, evaluate_word
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
@@ -92,3 +95,15 @@ def test_planner_invariants_raise():
         _plan_flat(HalfDiagram(4, ((1, 4, 0), (2, 3, 0))))
     with pytest.raises(FactorizationError):
         _seed_word(2, 0, True, False, False)
+
+
+basis = functools.cache(enumerate_diagrams)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, len(basis(7)) - 1))
+def test_factorize_round_trip_property_m7(index):
+    d = basis(7)[index]
+    word = factorize(d)
+    assert_valid_word(word, 7)
+    assert evaluate_word(word, 7) == AlgebraElement.from_diagram(d)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlh.tangle import DecoratedTangle, NodeRef, random_matching, random_tangle
 
@@ -336,3 +339,35 @@ def test_json_round_trip():
         DecoratedTangle.from_json({"n_top": 1})
     with pytest.raises(ValueError):
         DecoratedTangle.from_json([1, 2])
+
+
+# Property tests over random tangles: up to three stacked decorations per arc,
+# up to two carried loops, and widths of one parity so that every gluing fits.
+
+properties = settings(max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def tangle_chain(draw, length):
+    """`length` random tangles, each one's bottom width the next one's top width."""
+    parity = draw(st.integers(0, 1))
+    widths = [2 * draw(st.integers(0, 2)) + parity for _ in range(length + 1)]
+    rng = draw(st.randoms(use_true_random=False))
+    return [
+        random_tangle(rng, top, bottom, max_dec=3, n_loops=rng.randint(0, 2))
+        for top, bottom in zip(widths, widths[1:])
+    ]
+
+
+@properties
+@given(tangle_chain(3))
+def test_glue_is_associative_property(chain):
+    a, b, c = chain
+    assert a.concat(b).concat(c) == a.concat(b.concat(c))
+
+
+@properties
+@given(tangle_chain(1))
+def test_json_round_trip_property(chain):
+    (t,) = chain
+    assert DecoratedTangle.from_json(json.loads(json.dumps(t.to_json()))) == t
