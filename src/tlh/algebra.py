@@ -216,12 +216,15 @@ class AlgebraElement:
     def from_json(cls, obj: dict) -> "AlgebraElement":
         if not isinstance(obj, dict) or "m" not in obj:
             raise ValueError(f"algebra element must be an object with 'm', got {obj!r}")
+        m = obj["m"]
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise ValueError(f"strand count 'm' must be a positive integer, got {m!r}")
         terms: dict[Diagram, LaurentPoly] = {}
         for entry in obj.get("terms", []):
             d = Diagram.from_json(entry["diagram"])
             c = LaurentPoly.from_json(entry["coeff"])
             terms[d] = terms.get(d, LaurentPoly.zero()) + c
-        return cls(obj["m"], terms)
+        return cls(m, terms)
 
 
 def reduce_tangle(t: DecoratedTangle) -> AlgebraElement:

@@ -432,82 +432,51 @@ def label_minus_one(label: CellLabel, n: int) -> CellLabel:
     return CellLabel(label.kind if label.k > 1 else "zero", label.k - 1)
 
 
-def _unit(idx: int) -> tuple:
-    """A tableau kept as it is: (vector, dual functional) both the idx-th unit vector."""
-    return {idx: G_ONE}, {idx: G_ONE}
+def _restricted_blocks(label: CellLabel, n: int, problems: list) -> list:
+    """A layer's new basis, placed by what each tableau S does at its east point.
 
-
-def _east_levels(label: CellLabel, n: int, problems: list) -> list:
-    """Plain and bullet layers: the tableaux ordered by what the east point does.
-
-    East-free tableaux come first, matched to the same layer one rank down;
-    then the east-capped ones whose image without that cap is admissible,
-    matched to label_minus_one; last, for k >= 2, the one whose image is the
-    figure four, spanning a trivial top.
+    Level 0: the east point is free, and the image is S on n nodes.  Level 1:
+    it is capped and S without that cap is admissible.  Level 2: otherwise;
+    the image must be the figure four, and it spans the trivial top.  An
+    image's factors are the layers of its stratum one rank down of the
+    layer's own kind, or the whole stratum if none has it.  With one factor S
+    is kept as a unit vector; with two (the middle layer) the plain and
+    decorated east caps S, S' over one image become C_S' - gamma C_S for each
+    sibling, with the sibling table's coordinates of P and of B as the dual
+    functionals.  Returns (level, factor, pairs) blocks in level order, each
+    in its factor's tableau order.
     """
     m = n + 1
-    # one rank down, the k-cap stratum may be the middle layer instead
-    sub_label = next(mu for mu in _stratum(n, label.k) if mu.kind in (label.kind, "middle"))
-    lm1 = label_minus_one(label, n)
-    sub_pos = {h: i for i, h in enumerate(tableaux(sub_label, n - 1))}
-    lm1_pos = {h: i for i, h in enumerate(tableaux(lm1, n - 1))}
-    free, capped, top = [], [], []
+    over: dict = {}  # (level, image position) -> (image, [(east decoration, tableau index)])
     for idx, S in enumerate(tableaux(label, n)):
-        if m in S.free_points:
-            free.append((sub_pos[HalfDiagram(m - 1, S.pairs)], idx))
-            continue
-        east = next(p for p in S.pairs if p[1] == m)
-        if east[2]:
+        east = next((p for p in S.pairs if p[1] == m), None)
+        image = HalfDiagram(n, tuple(p for p in S.pairs if p[1] != m))
+        if east and east[2] and S.free_points:
             problems.append(f"decorated east cap under propagating edges in {S}")
-        image = HalfDiagram(m - 1, tuple(p for p in S.pairs if p[1] != m))
-        if image.admissible():
-            capped.append((lm1_pos[image], idx))
-        else:
-            top.append(idx)
-            if image != HalfDiagram.figure_four(m - 1, label.k - 1):
+        level = 0 if east is None else 1 if image.admissible() else 2
+        if level == 2:
+            if image != HalfDiagram.figure_four(n, label.k - 1):
                 problems.append(f"unexpected inadmissible east-capped image {image}")
-    if len(top) != (1 if label.k >= 2 else 0):
-        problems.append(f"{len(top)} trivial-top elements instead of {1 if label.k >= 2 else 0}")
-    levels = [
-        [(sub_label, [_unit(idx) for _, idx in sorted(free)])],
-        [(lm1, [_unit(idx) for _, idx in sorted(capped)])],
-    ]
-    if top:
-        levels.append([(CellLabel("zero"), [_unit(idx) for idx in top])])
-    return levels
-
-
-def _middle_levels(label: CellLabel, n: int) -> list:
-    """The middle layer: each plain east cap S and its decorated partner S'.
-
-    The pair (C_S, C_S') changes basis to C_S' - gamma1 C_S (factor plain
-    k-1) and C_S' - gamma2 C_S (factor bullet k-1), both over the image of S
-    without its east cap; the dual functionals are the sibling table's
-    coordinates of P and of B.  The one tableau d0 without a partner spans a
-    trivial top.
-    """
-    m = n + 1
-    k = label.k
-    tabs = tableaux(label, n)
-    index = {h: i for i, h in enumerate(tabs)}
-    d0 = HalfDiagram(m, HalfDiagram.figure_four(m - 2, k - 1).pairs + ((m - 1, m, 0),))
-    small_pos = {h: i for i, h in enumerate(tableaux(CellLabel("plain", k - 1), n - 1))}
-    orbits = []
-    for idx, S in enumerate(tabs):
-        east = next(p for p in S.pairs if p[1] == m)
-        if S == d0 or east[2]:
-            continue
-        rest = tuple(p for p in S.pairs if p[1] != m)
-        partner = index[HalfDiagram(m, rest + ((east[0], m, 1),))]
-        orbits.append((small_pos[HalfDiagram(m - 1, rest)], idx, partner))
-    orbits.sort()
-    return [
-        [
-            (CellLabel(kind, k - 1), [({s: -gamma, p: G_ONE}, {s: on_p, p: on_b}) for _, s, p in orbits])
-            for kind, (gamma, on_p, on_b) in _SIBLINGS.items()
-        ],
-        [(CellLabel("zero"), [_unit(index[d0])])],
-    ]
+            image = HalfDiagram(n)
+        key = (level, enumerate_half(n, image.k).index(image))
+        over.setdefault(key, (image, []))[1].append((east[2] if east else 0, idx))
+    tops = len(over.get((2, 0), (None, ()))[1])  # level 2 keeps only the empty face
+    if tops != (1 if label.k >= 2 else 0):
+        problems.append(f"{tops} trivial-top elements instead of {1 if label.k >= 2 else 0}")
+    blocks: dict = {}
+    for (level, _), (image, group) in sorted(over.items()):
+        stratum = _stratum(n, image.k)
+        factors = [mu for mu in stratum if mu.kind == label.kind] or stratum
+        group.sort()
+        for factor in factors:
+            if len(factors) == 1:
+                pairs = [({i: G_ONE}, {i: G_ONE}) for _, i in group]
+            else:
+                (_, s), (_, p) = group
+                gamma, on_p, on_b = _SIBLINGS[factor.kind]
+                pairs = [({s: -gamma, p: G_ONE}, {s: on_p, p: on_b})]
+            blocks.setdefault((level, factor), []).extend(pairs)
+    return [(level, factor, pairs) for (level, factor), pairs in blocks.items()]
 
 
 def _generator_action(i: int, m: int, label: CellLabel, actions: dict) -> RingMatrix:
@@ -519,21 +488,21 @@ def _generator_action(i: int, m: int, label: CellLabel, actions: dict) -> RingMa
     return actions[key]
 
 
-def _check_restriction(label: CellLabel, n: int, levels: list, problems: list, actions: dict) -> list:
-    """Check a layer's new basis against every U_i, i < n; returns the blocks.
+def _check_restriction(label: CellLabel, n: int, blocks: list, problems: list, actions: dict) -> list:
+    """Check a layer's new basis against every U_i, i < n; returns the report's blocks.
 
-    ``levels`` lists levels of blocks; a block is a factor label one rank
-    down and its (vector, dual functional) pairs, both sparse maps from
+    ``blocks`` lists (level, factor, pairs) in level order: a factor label one
+    rank down and its (vector, dual functional) pairs, both sparse maps from
     tableau index to scalar, and there must be one pair per tableau.  For
     M = dual . R . vectors, with R the action of U_i on the layer, an entry
     taking a vector of one level to a later level, or to another block of
     its own level, is a problem, and so is a diagonal block that differs
-    from U_i's action on the factor layer.  ``actions`` memoizes the
-    generator actions of both ranks.
+    from U_i's action on the factor layer.  A generator whose action breaks
+    the cell axioms is reported as a problem, and the check goes on with the
+    next one.  ``actions`` memoizes the generator actions of both ranks.
     """
     m = n + 1
     tabs = tableaux(label, n)
-    blocks = [(lvl, factor, pairs) for lvl, level in enumerate(levels) for factor, pairs in level]
     basis = [(lvl, b, pair) for b, (lvl, _, pairs) in enumerate(blocks) for pair in pairs]
     if len(basis) != len(tabs):
         problems.append(f"new basis has {len(basis)} vectors for a layer of dimension {len(tabs)}")
@@ -543,34 +512,37 @@ def _check_restriction(label: CellLabel, n: int, levels: list, problems: list, a
         return sum(terms, LaurentPoly.zero())
 
     for i in range(1, n):
-        R = _generator_action(i, m, label, actions)
-        M = RingMatrix([[coordinate(R, dual, vec) for *_, (vec, _) in basis] for *_, (_, dual) in basis])
-        for a, (row_lvl, row_block, _) in enumerate(basis):
-            for b, (col_lvl, col_block, _) in enumerate(basis):
-                outside = row_lvl > col_lvl or (row_lvl == col_lvl and row_block != col_block)
-                if outside and not M.entry(a, b).is_zero():
-                    problems.append(f"U{i}: nonzero entry outside the diagonal blocks at ({a}, {b})")
-        start = 0
-        for _, factor, pairs in blocks:
-            span = range(start, start + len(pairs))
-            if M.submatrix(span, span) != _generator_action(i, m - 1, factor, actions):
-                problems.append(f"U{i} on layer {factor}: diagonal block differs from the factor action")
-            start += len(pairs)
+        try:
+            R = _generator_action(i, m, label, actions)
+            M = RingMatrix([[coordinate(R, dual, vec) for *_, (vec, _) in basis] for *_, (_, dual) in basis])
+            for a, (row_lvl, row_block, _) in enumerate(basis):
+                for b, (col_lvl, col_block, _) in enumerate(basis):
+                    outside = row_lvl > col_lvl or (row_lvl == col_lvl and row_block != col_block)
+                    if outside and not M.entry(a, b).is_zero():
+                        problems.append(f"U{i}: nonzero entry outside the diagonal blocks at ({a}, {b})")
+            start = 0
+            for _, factor, pairs in blocks:
+                span = range(start, start + len(pairs))
+                if M.submatrix(span, span) != _generator_action(i, m - 1, factor, actions):
+                    problems.append(f"U{i} on layer {factor}: diagonal block differs from the factor action")
+                start += len(pairs)
+        except IndependenceViolation as exc:
+            problems.append(f"U{i}: {exc}")
     return [{"factor": str(factor), "dim": len(pairs)} for _, factor, pairs in blocks]
 
 
 def branching_report(label: CellLabel, n: int) -> dict:
     """How a cell layer decomposes when the east strand is dropped.
 
-    Builds a new basis of the layer as levels of blocks, each block matched
-    to a factor layer one rank down: for plain and bullet layers a
-    reordering of the tableaux (east point free, then capped, then the
-    trivial top), for the middle layer a linear change pairing each plain
-    east cap with its decorated partner, for the layer "0" the single
-    tableau.  Every subalgebra generator must act block-triangularly on it,
-    with no entry into a later level or between blocks of one level, and
-    each diagonal block must equal the action on its factor layer.
-    Returns the factors, block dimensions and any discrepancies.
+    One east-point rule builds a new basis of the layer as levels of blocks,
+    each matched to a factor layer one rank down: east-free tableaux, then
+    east caps with an admissible image, then the trivial top.  On plain,
+    bullet and zero layers the basis is the tableaux reordered; on the
+    middle layer each plain east cap is paired with its decorated partner.
+    Every subalgebra generator must act block-triangularly on it, with no
+    entry into a later level or between blocks of one level, and each
+    diagonal block must equal the action on its factor layer.  Returns the
+    factors, block dimensions and any discrepancies.
     """
     return _branching_report(label, n, {})
 
@@ -582,17 +554,11 @@ def _branching_report(label: CellLabel, n: int, actions: dict) -> dict:
     if label not in lambda_poset(n):
         raise ValueError(f"label {label} is not in the rank-{n} poset")
     problems: list = []
-    if label.kind == "zero":
-        levels = [[(label, [_unit(0)])]]
-    elif label.kind == "middle":
-        levels = _middle_levels(label, n)
-    else:
-        levels = _east_levels(label, n, problems)
-    blocks = _check_restriction(label, n, levels, problems, actions)
+    blocks = _restricted_blocks(label, n, problems)
     return {
         "label": str(label),
         "dim": len(tableaux(label, n)),
-        "blocks": blocks,
+        "blocks": _check_restriction(label, n, blocks, problems, actions),
         "problems": problems,
     }
 

@@ -25,6 +25,9 @@ from tlh.cellular import (
     tableaux,
     verify_branching,
     verify_cellular_axioms,
+    _SIBLINGS,
+    _restricted_blocks,
+    _stratum,
 )
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
 from tlh.ring import GAMMA1, GAMMA2, G_ONE, GoldenScalar, LaurentPoly
@@ -437,6 +440,112 @@ def test_branching_frozen_reports():
         branching_report(CellLabel("plain", 1), 2)
 
 
+def _unit(idx: int) -> tuple:
+    """A tableau kept as it is: (vector, dual functional) both the idx-th unit vector."""
+    return {idx: G_ONE}, {idx: G_ONE}
+
+
+def _east_levels(label: CellLabel, n: int, problems: list) -> list:
+    """Plain and bullet layers: the tableaux ordered by what the east point does.
+
+    East-free tableaux come first, matched to the same layer one rank down;
+    then the east-capped ones whose image without that cap is admissible,
+    matched to label_minus_one; last, for k >= 2, the one whose image is the
+    figure four, spanning a trivial top.
+    """
+    m = n + 1
+    # one rank down, the k-cap stratum may be the middle layer instead
+    sub_label = next(mu for mu in _stratum(n, label.k) if mu.kind in (label.kind, "middle"))
+    lm1 = label_minus_one(label, n)
+    sub_pos = {h: i for i, h in enumerate(tableaux(sub_label, n - 1))}
+    lm1_pos = {h: i for i, h in enumerate(tableaux(lm1, n - 1))}
+    free, capped, top = [], [], []
+    for idx, S in enumerate(tableaux(label, n)):
+        if m in S.free_points:
+            free.append((sub_pos[HalfDiagram(m - 1, S.pairs)], idx))
+            continue
+        east = next(p for p in S.pairs if p[1] == m)
+        if east[2]:
+            problems.append(f"decorated east cap under propagating edges in {S}")
+        image = HalfDiagram(m - 1, tuple(p for p in S.pairs if p[1] != m))
+        if image.admissible():
+            capped.append((lm1_pos[image], idx))
+        else:
+            top.append(idx)
+            if image != HalfDiagram.figure_four(m - 1, label.k - 1):
+                problems.append(f"unexpected inadmissible east-capped image {image}")
+    if len(top) != (1 if label.k >= 2 else 0):
+        problems.append(f"{len(top)} trivial-top elements instead of {1 if label.k >= 2 else 0}")
+    levels = [
+        [(sub_label, [_unit(idx) for _, idx in sorted(free)])],
+        [(lm1, [_unit(idx) for _, idx in sorted(capped)])],
+    ]
+    if top:
+        levels.append([(CellLabel("zero"), [_unit(idx) for idx in top])])
+    return levels
+
+
+def _middle_levels(label: CellLabel, n: int) -> list:
+    """The middle layer: each plain east cap S and its decorated partner S'.
+
+    The pair (C_S, C_S') changes basis to C_S' - gamma1 C_S (factor plain
+    k-1) and C_S' - gamma2 C_S (factor bullet k-1), both over the image of S
+    without its east cap; the dual functionals are the sibling table's
+    coordinates of P and of B.  The one tableau d0 without a partner spans a
+    trivial top.
+    """
+    m = n + 1
+    k = label.k
+    tabs = tableaux(label, n)
+    index = {h: i for i, h in enumerate(tabs)}
+    d0 = HalfDiagram(m, HalfDiagram.figure_four(m - 2, k - 1).pairs + ((m - 1, m, 0),))
+    small_pos = {h: i for i, h in enumerate(tableaux(CellLabel("plain", k - 1), n - 1))}
+    orbits = []
+    for idx, S in enumerate(tabs):
+        east = next(p for p in S.pairs if p[1] == m)
+        if S == d0 or east[2]:
+            continue
+        rest = tuple(p for p in S.pairs if p[1] != m)
+        partner = index[HalfDiagram(m, rest + ((east[0], m, 1),))]
+        orbits.append((small_pos[HalfDiagram(m - 1, rest)], idx, partner))
+    orbits.sort()
+    return [
+        [
+            (CellLabel(kind, k - 1), [({s: -gamma, p: G_ONE}, {s: on_p, p: on_b}) for _, s, p in orbits])
+            for kind, (gamma, on_p, on_b) in _SIBLINGS.items()
+        ],
+        [(CellLabel("zero"), [_unit(index[d0])])],
+    ]
+
+
+def _levels_reference(label: CellLabel, n: int, problems: list) -> list:
+    """The per-kind builders _restricted_blocks replaced, kept as its oracle."""
+    if label.kind == "zero":
+        return [[(label, [_unit(0)])]]
+    if label.kind == "middle":
+        return _middle_levels(label, n)
+    return _east_levels(label, n, problems)
+
+
+def _level_ranks(blocks) -> list:
+    """Each block's rank among the distinct levels: the partition, not the numbering."""
+    levels = sorted({lvl for lvl, _, _ in blocks})
+    return [levels.index(lvl) for lvl, _, _ in blocks]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_restricted_blocks_match_the_per_kind_builders(n):
+    for label in lambda_poset(n):
+        old_problems, new_problems = [], []
+        levels = _levels_reference(label, n, old_problems)
+        old = [(lvl, f, pairs) for lvl, level in enumerate(levels) for f, pairs in level]
+        new = _restricted_blocks(label, n, new_problems)
+        assert [f for _, f, _ in new] == [f for _, f, _ in old]
+        assert [pairs for *_, pairs in new] == [pairs for *_, pairs in old]
+        assert _level_ranks(new) == _level_ranks(old)
+        assert new_problems == old_problems == []
+
+
 def _perturb_action(monkeypatch, applies, change):
     """Make cell_action_matrix return change(rows) whenever applies(a, label) holds."""
     original = tlh.cellular.cell_action_matrix
@@ -528,6 +637,23 @@ def test_verify_branching_sees_a_wrong_factor_action(monkeypatch):
     label = CellLabel("zero")
     _perturb_action(monkeypatch, lambda a, lab: a.m == 4 and lab == label, _bump(0, 0))
     assert any("diagonal block differs" in p for p in verify_branching(4))
+
+
+def test_verify_branching_reports_a_generator_fault_and_goes_on(monkeypatch):
+    original = tlh.cellular.cell_action_matrix
+    faulty = CellLabel("plain", 1)
+
+    def failing(a, label, **kwargs):
+        if a.m == 5 and label == faulty:
+            raise IndependenceViolation("injected fault")
+        return original(a, label, **kwargs)
+
+    monkeypatch.setattr(tlh.cellular, "cell_action_matrix", failing)
+    problems = verify_branching(4)
+    assert [p for p in problems if p.startswith("layer 1: ")] == [
+        f"layer 1: U{i}: injected fault" for i in range(1, 4)
+    ]
+    assert all(p.startswith("layer 1: ") for p in problems)
 
 
 def test_verify_branching():

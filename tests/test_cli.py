@@ -94,6 +94,9 @@ def test_malformed_operand_json_exits_two(tmp_path, capsys):
         "syntax": "{",
         "no_diagram": '{"m": 3, "terms": [{"coeff": []}]}',
         "terms": '{"m": 3, "terms": 5}',
+        "m_string": '{"m": "x"}',
+        "m_negative": '{"m": -4}',
+        "m_bool": '{"m": true}',
     }
     for name, text in malformed.items():
         bad = tmp_path / f"{name}.json"
