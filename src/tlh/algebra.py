@@ -260,11 +260,12 @@ def special_elements(m: int) -> dict:
     one = AlgebraElement.one(m)
     u1 = AlgebraElement.from_diagram(generator_U(1, m))
     u2 = AlgebraElement.from_diagram(generator_U(2, m))
+    u12, u21 = u1 * u2, u2 * u1
     return {
-        "alpha": u1 * u2 - one,
-        "beta": u2 * u1 - one,
-        "epsilon": u1 * u2 * u1 - u1.scale(2),
-        "zeta": u2 * u1 * u2 - u2.scale(2),
+        "alpha": u12 - one,
+        "beta": u21 - one,
+        "epsilon": u12 * u1 - u1.scale(2),
+        "zeta": u21 * u2 - u2.scale(2),
     }
 
 

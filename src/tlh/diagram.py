@@ -160,6 +160,8 @@ class Diagram:
                     props.append((a.index, b.index, dec))
                 else:
                     caps[a.face].append((min(a.index, b.index), max(a.index, b.index), dec))
+            if 2 * len(t.arcs) != t.n_top + t.n_bottom:  # an uncovered node; checked before any half is built
+                raise ValueError("propagating edges do not join the free nodes in order")
             north = HalfDiagram(t.n_top, tuple(caps["N"]))
             south = HalfDiagram(t.n_top, tuple(caps["S"]))
             props.sort()

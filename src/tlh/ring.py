@@ -9,8 +9,8 @@ required (the cellular basis change divides by gamma2 - gamma1 = 1 - 2*phi).
 
 Coefficients of the diagram algebra live one level up, in Laurent
 polynomials in v over the golden ring; the loop parameter is the quantum
-integer delta = [2] = v + v^(-1).  Everything here is immutable and exact:
-no floats anywhere.
+integer delta = [2] = v + v^(-1).  One private base gives both rings their
+derived operators.  Everything here is immutable and exact: no floats.
 """
 
 from __future__ import annotations
@@ -28,8 +28,40 @@ def _norm_coord(c):
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
+class _Ring:
+    """Truth, subtraction and powers from a subclass's _coerce, is_zero, +, unary - and *."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __pow__(self, e: int):
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"nonnegative integer power expected, got {e!r}")
+        out, base = self._coerce(1), self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+
 @dataclasses.dataclass(frozen=True)
-class GoldenScalar:
+class GoldenScalar(_Ring):
     """An element a + b*phi of Z[phi] (or Q(phi)), with phi^2 = phi + 1.
 
     >>> phi = GoldenScalar(0, 1)
@@ -61,9 +93,6 @@ class GoldenScalar:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -75,17 +104,11 @@ class GoldenScalar:
     def __neg__(self):
         return GoldenScalar(-self.a, -self.b)
 
-    def __sub__(self, other):
+    def __sub__(self, other):  # direct: Bareiss subtracts scalars too often to build each negation
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return GoldenScalar(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -118,17 +141,6 @@ class GoldenScalar:
             return NotImplemented
         return self * other.inverse()
 
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"nonnegative integer power expected, got {e!r}")
-        out, base = GoldenScalar(1, 0), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
@@ -148,6 +160,8 @@ class GoldenScalar:
     def from_json(cls, obj) -> "GoldenScalar":
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
             raise ValueError(f"golden scalar must be a pair, got {obj!r}")
+        if any(isinstance(c, bool) for c in obj):
+            raise ValueError(f"golden coordinates must be integers or 'p/q' strings, got {obj!r}")
         try:
             return cls(*(Fraction(c) if isinstance(c, str) else c for c in obj))
         except ZeroDivisionError:
@@ -187,7 +201,7 @@ def fib_reduce(r: int) -> GoldenScalar:
     return GoldenScalar(*fib_pair(r))
 
 
-class LaurentPoly:
+class LaurentPoly(_Ring):
     """Laurent polynomial in v with GoldenScalar coefficients.
 
     Stored as a finitely supported exponent -> coefficient map with no zero
@@ -236,9 +250,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def items(self):
         return sorted(self._terms.items())
 
@@ -278,18 +289,6 @@ class LaurentPoly:
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self._terms.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -303,17 +302,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"nonnegative integer power expected, got {e!r}")
-        out, base = LaurentPoly.one(), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -325,26 +313,23 @@ class LaurentPoly:
     def divmod_by(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
         """Quotient and remainder over the coefficient field Q(phi).
 
-        Both operands are shifted so their lowest exponent is zero, divided
-        as ordinary polynomials, and shifted back, so self == q * other + r
-        with r supported strictly below other's degree span.
+        Long division from the top exponent down, in the operands' own
+        exponents, so self == q * other + r with r supported in
+        [self.min_exp, self.min_exp + span(other)).
         """
         if other.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero(), LaurentPoly.zero()
-        sf, sg = self.min_exp, other.min_exp
-        G = {e - sg: c for e, c in other._terms.items()}
-        deg_g = max(G)
-        lead_inv = G[deg_g].inverse()
-        rem = {e - sf: c for e, c in self._terms.items()}
+        lead_exp = other.max_exp
+        lead_inv = other._terms[lead_exp].inverse()
+        rem = dict(self._terms)
+        floor = min(rem, default=0) + lead_exp - other.min_exp
         quo: dict[int, GoldenScalar] = {}
-        while rem and max(rem) >= deg_g:
+        while rem and max(rem) >= floor:
             top = max(rem)
-            q_exp = top - deg_g
+            q_exp = top - lead_exp
             q_coeff = rem[top] * lead_inv
             quo[q_exp] = q_coeff
-            for e, c in G.items():
+            for e, c in other._terms.items():
                 ee = e + q_exp
                 val = rem.get(ee, G_ZERO) - q_coeff * c
                 if val.is_zero():
@@ -353,9 +338,7 @@ class LaurentPoly:
                     rem[ee] = val
             if top in rem:
                 raise ArithmeticError(f"leading term at degree {top} did not cancel")
-        q = LaurentPoly({e + sf - sg: c for e, c in quo.items()})
-        r = LaurentPoly({e + sf: c for e, c in rem.items()})
-        return q, r
+        return LaurentPoly(quo), LaurentPoly(rem)
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly | None":
         """self / other when the division is exact, else None."""
@@ -396,6 +379,8 @@ class LaurentPoly:
             if not isinstance(t, list) or len(t) != 3:
                 raise ValueError(f"bad laurent term {t!r}")
             e = t[0]
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise ValueError(f"laurent exponent must be an integer, got {e!r}")
             if last is not None and e <= last:
                 raise ValueError("laurent exponents must be strictly increasing")
             last = e

@@ -234,6 +234,8 @@ class DecoratedTangle:
             loops = tuple(obj.get("loops", []))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed tangle object: {exc}") from exc
+        if any(isinstance(c, bool) for c in (n_top, n_bottom, *(dec for _, _, dec in arcs), *loops)):
+            raise ValueError("tangle widths, decorations and loop counts must be integers, not booleans")
         return cls(n_top, n_bottom, arcs, loops)
 
 

@@ -88,6 +88,11 @@ def test_zero_denominator_operand_exits_two(tmp_path, capsys):
 
 
 def test_malformed_operand_json_exits_two(tmp_path, capsys):
+    def element(coeff, dec="1"):  # U1 on three strands, with the given coefficient and cap decoration
+        arcs = f'{{"from": "N1", "to": "N2", "dec": {dec}}}, {{"from": "N3", "to": "S3", "dec": 0}}, '
+        arcs += f'{{"from": "S2", "to": "S1", "dec": {dec}}}'
+        return f'{{"m": 3, "terms": [{{"coeff": {coeff}, "diagram": {{"n_top": 3, "n_bottom": 3, "arcs": [{arcs}]}}}}]}}'
+
     u1 = tmp_path / "u1.json"
     u1.write_text(json.dumps(AlgebraElement.from_diagram(generator_U(1, 3)).to_json()))
     malformed = {
@@ -97,6 +102,11 @@ def test_malformed_operand_json_exits_two(tmp_path, capsys):
         "m_string": '{"m": "x"}',
         "m_negative": '{"m": -4}',
         "m_bool": '{"m": true}',
+        "exponent_bool": element("[[true, 1, 0]]"),
+        "coordinate_bool": element("[[0, true, 0]]"),
+        "dec_bool": element("[[0, 1, 0]]", dec="true"),
+        "widths_bool": '{"m": 1, "terms": [{"coeff": [[0, 1, 0]], "diagram": '
+        '{"n_top": true, "n_bottom": true, "arcs": [{"from": "N1", "to": "S1", "dec": 0}]}}]}',
     }
     for name, text in malformed.items():
         bad = tmp_path / f"{name}.json"

@@ -193,6 +193,22 @@ def test_from_tangle_rejects_bad_propagating_edges():
     assert "not west-exposed" in rejection(hidden)
 
 
+def test_from_tangle_rejects_uncovered_nodes_before_building_halves(monkeypatch):
+    u1, built = generator_U(1, 3).tangle, []
+    post_init = HalfDiagram.__post_init__
+
+    def counted(half):
+        built.append(half)
+        post_init(half)
+
+    monkeypatch.setattr(HalfDiagram, "__post_init__", counted)
+    for t in (DecoratedTangle(1000, 1000), DecoratedTangle(3, 3, frozenset({(N(1), S(1), 0), (N(2), N(3), 0)}))):
+        assert rejection(t) == "not a basis diagram: propagating edges do not join the free nodes in order"
+    assert built == []
+    Diagram.from_tangle(u1)
+    assert len(built) == 2
+
+
 def test_from_tangle_matches_the_oracle():
     for m in range(1, 5):
         accepted = set()

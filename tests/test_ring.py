@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,44 @@ def test_laurent_divmod_exact():
     assert g.exact_div(d) is None
 
 
+def divmod_by_reference(f: LaurentPoly, g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """The earlier divmod_by, which shifts both operands to exponent 0 and back."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by zero Laurent polynomial")
+    if f.is_zero():
+        return LaurentPoly.zero(), LaurentPoly.zero()
+    sf, sg = f.min_exp, g.min_exp
+    G = {e - sg: c for e, c in g._terms.items()}
+    deg_g = max(G)
+    lead_inv = G[deg_g].inverse()
+    rem = {e - sf: c for e, c in f._terms.items()}
+    quo: dict[int, GoldenScalar] = {}
+    while rem and max(rem) >= deg_g:
+        top = max(rem)
+        q_exp = top - deg_g
+        q_coeff = rem[top] * lead_inv
+        quo[q_exp] = q_coeff
+        for e, c in G.items():
+            ee = e + q_exp
+            val = rem.get(ee, G_ZERO) - q_coeff * c
+            if val.is_zero():
+                rem.pop(ee, None)
+            else:
+                rem[ee] = val
+        if top in rem:
+            raise ArithmeticError(f"leading term at degree {top} did not cancel")
+    q = LaurentPoly({e + sf - sg: c for e, c in quo.items()})
+    r = LaurentPoly({e + sf: c for e, c in rem.items()})
+    return q, r
+
+
+def outcome(divide, f, g):
+    try:
+        return divide(f, g)
+    except (ZeroDivisionError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
 def test_laurent_divmod_random_property():
     rng = random.Random(77)
 
@@ -157,6 +196,7 @@ def test_laurent_divmod_random_property():
 
     for _ in range(300):
         f, g = sample(), sample()
+        assert outcome(LaurentPoly.divmod_by, f, g) == outcome(divmod_by_reference, f, g)
         if g.is_zero():
             with pytest.raises(ZeroDivisionError):
                 f.divmod_by(g)
@@ -224,8 +264,25 @@ def test_laurent_ring_axioms_property(f, g, h):
 @properties
 @given(laurent, laurent.filter(bool))
 def test_divmod_by_property(f, g):
+    assert outcome(LaurentPoly.divmod_by, f, g) == outcome(divmod_by_reference, f, g)
     q, r = f.divmod_by(g)
     assert q * g + r == f
     if not r.is_zero():  # r lies within g's degree span, counted from f's lowest exponent
         assert f.min_exp <= r.min_exp and r.max_exp - f.min_exp < g.max_exp - g.min_exp
     assert (f * g).exact_div(g) == f
+
+
+@properties
+@given(st.one_of(st.tuples(golden, golden), st.tuples(laurent, laurent)), st.integers(-5, 5))
+def test_shared_operators_property(pair, k):
+    x, y = pair
+    assert x - y == x + (-y)
+    assert k - x == (-x) + k and (k - x) + x == x._coerce(k)
+    power = x._coerce(1)
+    for e in range(5):
+        assert x ** e == power
+        power = power * x
+    for bad in (-1, 2.0, Fraction(1, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"nonnegative integer power expected, got {bad!r}")):
+            x ** bad
+    assert bool(x) == (not x.is_zero())

@@ -339,6 +339,9 @@ def test_json_round_trip():
         DecoratedTangle.from_json({"n_top": 1})
     with pytest.raises(ValueError):
         DecoratedTangle.from_json([1, 2])
+    for field, value in (("n_top", True), ("loops", [True])):
+        with pytest.raises(ValueError, match="not booleans"):
+            DecoratedTangle.from_json(blob | {field: value})
 
 
 # Property tests over random tangles: up to three stacked decorations per arc,
