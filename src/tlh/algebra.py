@@ -19,10 +19,12 @@ random order so tests can confirm the rewriting system is confluent.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import random
 
 from tlh.diagram import Diagram, enumerate_diagrams, generator_U
 from tlh.ring import LaurentPoly, fib_pair
-from tlh.tangle import DecoratedTangle
+from tlh.tangle import DecoratedTangle, random_tangle
 
 
 class ClosureViolation(Exception):
@@ -316,6 +318,29 @@ def verify_presentation(m: int) -> list:
         check("epsilon*beta = U1", s["epsilon"] * s["beta"], u[1])
         check("zeta*alpha = U2", s["zeta"] * s["alpha"], u[2])
         check("U2*epsilon = zeta*U1", u[2] * s["epsilon"], s["zeta"] * u[1])
+    return problems
+
+
+def verify_associativity(m: int, seed: int) -> list:
+    """Check that basis products associate and reduction ignores rule order; [] means both hold.
+
+    All basis triples up to 3 strands, else 1200 seeded ones; then 1200 seeded random tangles.
+    """
+    problems = []
+    elements = [AlgebraElement.from_diagram(d) for d in enumerate_diagrams(m)]
+    if m <= 3:
+        triples = itertools.product(elements, repeat=3)
+    else:
+        rng = random.Random(seed)
+        triples = ([rng.choice(elements) for _ in range(3)] for _ in range(1200))
+    for x, y, z in triples:
+        if (x * y) * z != x * (y * z):
+            problems.append(f"associativity fails on ({x}), ({y}), ({z})")
+    rng = random.Random(seed + 1)
+    for _ in range(1200):
+        t = random_tangle(rng, m, m, max_dec=3, n_loops=rng.randint(0, 2))
+        if dict(normal_form(t)) != normal_form_random(t, rng):
+            problems.append(f"reduction order changes the normal form of {t}")
     return problems
 
 

@@ -11,47 +11,42 @@ bulleted and plain diagrams B(S, T), P(S, T) on a pair of tableaux through
 with gamma = gamma1 = phi (plain) or gamma2 = 1 - phi (bullet), the two
 roots of x^2 = x + 1.  Layers are ordered by cap count: more caps means lower.
 
-The sibling table ``_SIBLINGS`` is the whole 2x2 change of basis between
-(P, B) and (C_plain, C_bullet): for each kind, gamma and the coordinates of P
-and of B on that kind's C.  They divide by gamma2 - gamma1, so coefficients
-move into rational golden scalars; with D = 1 - 2*gamma, P = C_plain /
-D_plain + C_bullet / D_bullet.  On each layer the generators act by matrices
-that do not depend on the south tableau, and the layer carries a bilinear
-form.  Both are read off products of plain diagrams, scaled by D, since the
-sibling layers' cross terms vanish modulo lower layers; the bullet rule --
-the layer's part of a * B is (1 - gamma) times that of a * P -- checks that
-no action leaks between the siblings.  The form's nonvanishing determinant
-for every layer certifies semisimplicity, and its behaviour under dropping
-the eastmost strand gives the branching rules.
+The sibling table ``_SIBLINGS`` gives each kind's gamma.  With D = 1 - 2*gamma,
+P has coordinate 1/D and B (1 - gamma)/D on each kind's C, so
+P = C_plain / D_plain + C_bullet / D_bullet; D_plain = gamma2 - gamma1 has
+norm -5, so coefficients move into rational golden scalars.  On each layer
+the generators act by matrices that do not depend on the south tableau, and
+the layer carries a bilinear form.  Both are read off products of plain
+diagrams, scaled by D, since the sibling layers' cross terms vanish modulo
+lower layers; the bullet rule -- the layer's part of a * B is (1 - gamma)
+times that of a * P -- checks that no action leaks between the siblings.
+The form's nonvanishing determinant for every layer certifies
+semisimplicity, and its behaviour under dropping the eastmost strand gives
+the branching rules.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from fractions import Fraction
 
 from tlh.algebra import AlgebraElement
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, enumerate_half, generator_U
-from tlh.ring import G_ONE, GAMMA1, GAMMA2, GoldenScalar, LaurentPoly
-
-#: 1 / (gamma2 - gamma1): the only scalar the cell basis change needs to invert.
-INV_GAMMA_GAP = GoldenScalar(Fraction(1, 5), Fraction(-2, 5))
+from tlh.ring import G_ONE, G_ZERO, GAMMA1, GAMMA2, LaurentPoly
 
 #: Frame pairs gram_matrix re-checks above rank 4, where checking all is slow.
 FRAME_CHECKS = 12
 
-#: The sibling table: for each sibling kind, gamma in its cell elements
-#: C = B - gamma*P, and the coordinates of P and of B on that C.
-_SIBLINGS = {
-    "plain": (GAMMA1, INV_GAMMA_GAP, GAMMA2 * INV_GAMMA_GAP),
-    "bullet": (GAMMA2, -INV_GAMMA_GAP, -GAMMA1 * INV_GAMMA_GAP),
-}
+#: The sibling table: for each sibling kind, gamma in its cell elements C = B - gamma*P.
+_SIBLINGS = {"plain": GAMMA1, "bullet": GAMMA2}
 
-#: D = 1 - 2*gamma by layer kind (1 where the cell elements carry no gamma):
-#: the scale from plain-diagram products to cell coordinates, and the
-#: expected constant term of a rescaled diagonal form entry.
-_DIAG_CONSTANT = {"zero": G_ONE, "middle": G_ONE} | {kind: G_ONE - 2 * g for kind, (g, _, _) in _SIBLINGS.items()}
+#: (D, coordinate of P on C, coordinate of B on C) by layer kind, with gamma = 0
+#: off the siblings; D scales plain-diagram products to cell coordinates and
+#: is the constant term of a rescaled diagonal form entry.
+_SCALARS = {
+    kind: (1 - 2 * g, G_ONE / (1 - 2 * g), (1 - g) / (1 - 2 * g))
+    for kind, g in {"zero": G_ZERO, "middle": G_ZERO, **_SIBLINGS}.items()
+}
 
 
 class IndependenceViolation(Exception):
@@ -131,7 +126,7 @@ def cell_element(label: CellLabel, d1: HalfDiagram, d2: HalfDiagram) -> AlgebraE
         raise ValueError(f"label {label} is not a layer of {label.k}-cap diagrams on {d1.m} strands")
     if label.kind not in _SIBLINGS:
         return _diagram(d1, d2)
-    return _diagram(d1, d2, bullet=True) - _diagram(d1, d2).scale(_SIBLINGS[label.kind][0])
+    return _diagram(d1, d2, bullet=True) - _diagram(d1, d2).scale(_SIBLINGS[label.kind])
 
 
 def expand_in_cell_basis(x: AlgebraElement) -> dict:
@@ -146,7 +141,7 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
     for d, coeff in x.items():
         for label in _stratum(d.m, d.k):
             if label.kind in _SIBLINGS:
-                _, on_p, on_b = _SIBLINGS[label.kind]
+                _, on_p, on_b = _SCALARS[label.kind]
                 c = coeff * (on_b if d.bullet else on_p)
             else:
                 c = coeff
@@ -294,14 +289,14 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
 
     base = columns(tabs[0])
     if label.kind in _SIBLINGS:
-        ratio = G_ONE - _SIBLINGS[label.kind][0]
+        ratio = 1 - _SIBLINGS[label.kind]
         if columns(tabs[0], bullet=True) != [[c * ratio for c in col] for col in base]:
             raise IndependenceViolation(f"action on layer {label} breaks the bullet rule at {tabs[0]}")
     if check_all_T:
         for T in tabs[1:]:
             if columns(T) != base:
                 raise IndependenceViolation(f"action coefficients on layer {label} depend on the south tableau")
-    scale = _DIAG_CONSTANT[label.kind]
+    scale = _SCALARS[label.kind][0]
     return RingMatrix([[c * scale for c in row] for row in zip(*base)])
 
 
@@ -329,7 +324,7 @@ def gram_matrix(label: CellLabel, n: int) -> RingMatrix:
     for e1, e2 in others:
         if entries(e1, e2) != base:
             raise IndependenceViolation(f"form entries on layer {label} depend on the frame pair")
-    scale = _DIAG_CONSTANT[label.kind] ** 2
+    scale = _SCALARS[label.kind][0] ** 2
     return RingMatrix([[c * scale for c in row] for row in base])
 
 
@@ -410,7 +405,7 @@ def semisimplicity_check(n: int) -> list:
             problems.append(f"layer {label}: form matrix is not symmetric")
         if form.det().is_zero():
             problems.append(f"layer {label}: form determinant vanishes")
-        expected = _DIAG_CONSTANT[label.kind]
+        expected = _SCALARS[label.kind][0]
         for i, d1 in enumerate(tabs):
             for j, d2 in enumerate(tabs):
                 g = form.entry(i, j)
@@ -441,7 +436,7 @@ def _restricted_blocks(label: CellLabel, n: int, problems: list) -> list:
     layer's own kind, or the whole stratum if none has it.  With one factor S
     is kept as a unit vector; with two (the middle layer) the plain and
     decorated east caps S, S' over one image become C_S' - gamma C_S for each
-    sibling, with the sibling table's coordinates of P and of B as the dual
+    sibling, with the coordinates of P and of B on each C as the dual
     functionals.  Returns (level, factor, pairs) blocks in level order, each
     in its factor's tableau order.
     """
@@ -472,8 +467,8 @@ def _restricted_blocks(label: CellLabel, n: int, problems: list) -> list:
                 pairs = [({i: G_ONE}, {i: G_ONE}) for _, i in group]
             else:
                 (_, s), (_, p) = group
-                gamma, on_p, on_b = _SIBLINGS[factor.kind]
-                pairs = [({s: -gamma, p: G_ONE}, {s: on_p, p: on_b})]
+                _, on_p, on_b = _SCALARS[factor.kind]
+                pairs = [({s: -_SIBLINGS[factor.kind], p: G_ONE}, {s: on_p, p: on_b})]
             blocks.setdefault((level, factor), []).extend(pairs)
     return [(level, factor, pairs) for (level, factor), pairs in blocks.items()]
 
@@ -550,8 +545,6 @@ def _branching_report(label: CellLabel, n: int, actions: dict) -> dict:
     """branching_report with a memo of generator actions shared across layers."""
     if n < 3:
         raise ValueError(f"branching needs rank at least 3, got {n}")
-    if label not in lambda_poset(n):
-        raise ValueError(f"label {label} is not in the rank-{n} poset")
     problems: list = []
     blocks = _restricted_blocks(label, n, problems)
     return {

@@ -13,10 +13,8 @@ checked before any computation.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import pathlib
-import random
 import re
 import sys
 from math import comb
@@ -24,9 +22,8 @@ from math import comb
 from tlh.algebra import (
     AlgebraElement,
     evaluate_word,
-    normal_form,
-    normal_form_random,
     positivity_check,
+    verify_associativity,
     verify_presentation,
 )
 from tlh.cellular import (
@@ -42,7 +39,6 @@ from tlh.cellular import (
 from tlh.diagram import enumerate_diagrams
 from tlh.factor import FactorizationError, factorize
 from tlh.ring import LaurentPoly
-from tlh.tangle import random_tangle
 
 DEFAULT_SEED = 20260825
 
@@ -86,20 +82,19 @@ class Report:
             sys.stdout.write(data)
 
 
-def _require_n(args) -> int:
+def _rank(args, *keys) -> int:
+    """--n, after checking it and then its size cap for each key."""
     if args.n is None:
         raise UsageError("this subcommand needs --n")
     if args.n < 2:
         raise UsageError(f"--n must be at least 2, got {args.n}")
+    for key in keys:
+        cap = DEFAULT_CAPS[key] if args.cap is None else args.cap
+        if cap <= 0:
+            raise UsageError(f"--cap must be positive, got {cap}")
+        if args.n > cap:
+            raise UsageError(f"{key} is capped at n <= {cap} (got n = {args.n}); override with --cap")
     return args.n
-
-
-def _check_cap(args, key: str, n: int):
-    cap = DEFAULT_CAPS[key] if args.cap is None else args.cap
-    if cap <= 0:
-        raise UsageError(f"--cap must be positive, got {cap}")
-    if n > cap:
-        raise UsageError(f"{key} is capped at n <= {cap} (got n = {n}); override with --cap")
 
 
 def _parse_label(text: str, n: int) -> CellLabel:
@@ -130,8 +125,7 @@ def _load_element(operand: str, n) -> AlgebraElement:
 
 
 def cmd_dims(args, report: Report) -> int:
-    n = _require_n(args)
-    _check_cap(args, "dims", n)
+    n = _rank(args, "dims")
     total = 0
     for label in lambda_poset(n):
         dim = len(tableaux(label, n))
@@ -158,8 +152,7 @@ def cmd_dims(args, report: Report) -> int:
 
 
 def cmd_enumerate(args, report: Report) -> int:
-    n = _require_n(args)
-    _check_cap(args, "enumerate", n)
+    n = _rank(args, "enumerate")
     if args.selector:
         label = _parse_label(args.selector, n)
         for h in tableaux(label, n):
@@ -172,7 +165,7 @@ def cmd_enumerate(args, report: Report) -> int:
 
 def cmd_multiply(args, report: Report) -> int:
     if args.n is not None:
-        _check_cap(args, "multiply", _require_n(args))
+        _rank(args, "multiply")
     left = _load_element(args.left, args.n)
     right = _load_element(args.right, args.n)
     if left.m != right.m:
@@ -185,24 +178,20 @@ def cmd_multiply(args, report: Report) -> int:
 
 
 def cmd_factorize(args, report: Report) -> int:
-    if args.element is not None:
-        x = _load_element(args.element, args.n)
-        terms = x.items()
+    if args.element is None:
+        diagrams = enumerate_diagrams(_rank(args, "factorize") + 1)
+    else:
+        terms = _load_element(args.element, args.n).items()
         if len(terms) != 1 or terms[0][1] != LaurentPoly.one():
             raise UsageError("factorization needs a single basis diagram with coefficient 1")
-        word = factorize(terms[0][0])
-        report.emit(
-            {"kind": "factorization", "diagram": terms[0][0].to_json(), "word": word},
-            f"{terms[0][0]}  ->  {' '.join(word) if word else '1'}",
-        )
-        return 0
-    n = _require_n(args)
-    _check_cap(args, "factorize", n)
+        diagrams = [terms[0][0]]
     code = 0
-    for d in enumerate_diagrams(n + 1):
+    for d in diagrams:
         try:
             word = factorize(d)
         except FactorizationError as exc:
+            if args.element is not None:
+                raise  # one operand's failure is the run's failure record
             report.emit(
                 {"kind": "factorization", "diagram": d.to_json(), "verdict": "fail", "detail": str(exc)},
                 f"FAIL {d}: {exc}",
@@ -217,8 +206,7 @@ def cmd_factorize(args, report: Report) -> int:
 
 
 def cmd_gram(args, report: Report) -> int:
-    n = _require_n(args)
-    _check_cap(args, "gram", n)
+    n = _rank(args, "gram")
     labels = (_parse_label(args.selector, n),) if args.selector else lambda_poset(n)
     code = 0
     for label in labels:
@@ -250,29 +238,6 @@ def cmd_gram(args, report: Report) -> int:
     return code
 
 
-def _associativity_problems(n: int, seed: int) -> list:
-    m = n + 1
-    problems = []
-    elements = [AlgebraElement.from_diagram(d) for d in enumerate_diagrams(m)]
-    if n <= 2:
-        triples = itertools.product(elements, repeat=3)
-    else:
-        rng = random.Random(seed)
-        triples = (
-            (rng.choice(elements), rng.choice(elements), rng.choice(elements))
-            for _ in range(1200)
-        )
-    for x, y, z in triples:
-        if (x * y) * z != x * (y * z):
-            problems.append(f"associativity fails on ({x}), ({y}), ({z})")
-    rng = random.Random(seed + 1)
-    for _ in range(1200):
-        t = random_tangle(rng, m, m, max_dec=3, n_loops=rng.randint(0, 2))
-        if dict(normal_form(t)) != normal_form_random(t, rng):
-            problems.append(f"reduction order changes the normal form of {t}")
-    return problems
-
-
 #: Each verify suite, in run order: what passing it certifies (printed in the
 #: report header) and its check, called with n and the seed.
 SUITES = {
@@ -282,7 +247,7 @@ SUITES = {
     ),
     "associativity": (
         "product associativity and order-independence of reduction",
-        _associativity_problems,
+        lambda n, seed: verify_associativity(n + 1, seed),
     ),
     "positivity": (
         "structure constants are positive integers times powers of [2]",
@@ -304,15 +269,11 @@ SUITES = {
 
 
 def cmd_verify(args, report: Report) -> int:
-    n = _require_n(args)
-    suites = tuple(SUITES) if args.suite == "all" else (args.suite,)
-    if "branching" in suites and n < 3:
-        if args.suite == "branching":
-            raise UsageError("the branching suite needs n >= 3")
-        suites = tuple(s for s in suites if s != "branching")
-    for suite in suites:
-        _check_cap(args, suite, n)
-    seed = DEFAULT_SEED if args.seed is None else args.seed
+    n = _rank(args)
+    if args.suite == "branching" and n < 3:
+        raise UsageError("the branching suite needs n >= 3")
+    suites = [s for s in SUITES if args.suite in (s, "all") and (s != "branching" or n >= 3)]
+    _rank(args, *suites)
     failures = 0
     for suite in suites:
         prop, check = SUITES[suite]
@@ -320,7 +281,7 @@ def cmd_verify(args, report: Report) -> int:
             {"kind": "suite", "suite": suite, "n": n, "property": prop},
             f"== {suite} (n = {n}): {prop}",
         )
-        problems = check(n, seed)
+        problems = check(n, args.seed)
         for p in problems:
             report.emit(
                 {"kind": "check", "suite": suite, "verdict": "fail", "detail": p},
@@ -337,20 +298,20 @@ def cmd_verify(args, report: Report) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, default=None, help="Coxeter index; diagrams use n + 1 strands")
-    common.add_argument("--lambda", dest="selector", default=None, metavar="LABEL",
-                        help="cell label selector: 0, k, kb or mid")
     common.add_argument("--format", choices=("text", "structured"), default="text",
                         help="structured prints line-delimited JSON records")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
     common.add_argument("--cap", type=int, default=None, help="override the built-in size cap")
     common.add_argument("--out", default=None, metavar="PATH", help="write output to a file")
+    layered = argparse.ArgumentParser(add_help=False, parents=[common])
+    layered.add_argument("--lambda", dest="selector", default=None, metavar="LABEL",
+                         help="cell label selector: 0, k, kb or mid")
 
     parser = argparse.ArgumentParser(prog="tlh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dims", parents=[common], help="cell layer sizes and the total rank")
     p.set_defaults(func=cmd_dims)
-    p = sub.add_parser("enumerate", parents=[common], help="list basis diagrams, or one layer's tableaux")
+    p = sub.add_parser("enumerate", parents=[layered], help="list basis diagrams, or one layer's tableaux")
     p.set_defaults(func=cmd_enumerate)
     p = sub.add_parser("multiply", parents=[common], help="multiply two elements (JSON files or generator words)")
     p.add_argument("left", help="JSON file, or word such as 'U1 U2' or 'epsilon*beta'")
@@ -359,10 +320,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factorize", parents=[common], help="write basis diagrams as generator words")
     p.add_argument("element", nargs="?", default=None, help="JSON file or word; omit to list all diagrams at --n")
     p.set_defaults(func=cmd_factorize)
-    p = sub.add_parser("gram", parents=[common], help="bilinear form matrices and determinants")
+    p = sub.add_parser("gram", parents=[layered], help="bilinear form matrices and determinants")
     p.set_defaults(func=cmd_gram)
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
     p.add_argument("suite", choices=(*SUITES, "all"))
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized checks")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -256,16 +256,14 @@ def random_tangle(rng, n_top: int, n_bottom: int, max_dec: int = 2, n_loops: int
     """A random valid decorated tangle, for property tests."""
     if (n_top + n_bottom) % 2:
         raise ValueError(f"odd boundary ({n_top} + {n_bottom}) admits no tangle")
-    frame = DecoratedTangle(n_top, n_bottom)
     refs = [NodeRef("N", i) for i in range(1, n_top + 1)] + [
         NodeRef("S", i) for i in range(n_bottom, 0, -1)
-    ]
-    refs.sort(key=frame.position)
-    plain = frozenset((a, b, 0) for a, b in random_matching(rng, refs))
-    bare = DecoratedTangle(n_top, n_bottom, plain)
-    arcs = frozenset(
+    ]  # boundary order
+    pairs = random_matching(rng, refs)
+    bare = DecoratedTangle(n_top, n_bottom, frozenset((a, b, 0) for a, b in pairs))
+    arcs = frozenset(  # in matching order, since a frozenset's order follows string hashing
         (a, b, rng.choice([0, 0, 1, 1, rng.randint(0, max_dec)]) if bare.west_exposed((a, b, 0)) else 0)
-        for a, b, _ in plain
+        for a, b in pairs
     )
     loops = tuple(rng.randint(0, max_dec) for _ in range(n_loops))
     return DecoratedTangle(n_top, n_bottom, arcs, loops)

@@ -20,6 +20,7 @@ from tlh.algebra import (
     positivity_check,
     reduce_tangle,
     special_elements,
+    verify_associativity,
     verify_presentation,
 )
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
@@ -275,6 +276,19 @@ def test_positivity_check_reports_each_bad_coefficient(monkeypatch, bad):
     monkeypatch.setattr(tlh.algebra, "multiply", multiply)
     d = generator_U(1, 3)
     assert positivity_check(3) == [f"({d}) * ({d}) has coefficient {bad} at {d}"]
+
+
+def test_associativity_reports_a_corrupted_product(monkeypatch):
+    u1, u2 = (AlgebraElement.from_diagram(generator_U(i, 3)) for i in (1, 2))
+    real = tlh.algebra.multiply
+
+    def multiply(x, y):  # U1 * U2 picks up a stray identity term
+        return real(x, y) + AlgebraElement.one(3) if x == u1 and y == u2 else real(x, y)
+
+    monkeypatch.setattr(tlh.algebra, "multiply", multiply)
+    problems = verify_associativity(3, 20260825)
+    assert f"associativity fails on ({u1}), ({u1}), ({u2})" in problems
+    assert all(p.startswith("associativity fails on (") for p in problems)
 
 
 # Property test: elements with rational golden coordinates survive JSON.

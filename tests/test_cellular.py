@@ -1,6 +1,7 @@
 """Tests for the cell structure: labels, cell basis, action and form matrices."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,6 @@ import tlh.cellular
 from tlh.algebra import AlgebraElement, special_elements
 from tlh.cellular import (
     FRAME_CHECKS,
-    INV_GAMMA_GAP,
     CellLabel,
     IndependenceViolation,
     RingMatrix,
@@ -25,13 +25,21 @@ from tlh.cellular import (
     tableaux,
     verify_branching,
     verify_cellular_axioms,
-    _SIBLINGS,
     _restricted_blocks,
     _stratum,
 )
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
 from tlh.ring import GAMMA1, GAMMA2, G_ONE, GoldenScalar, LaurentPoly
 from tlh.tangle import DecoratedTangle
+
+#: 1 / (gamma2 - gamma1), and the sibling table as literal values: for each
+#: sibling kind, gamma in its cell elements C = B - gamma*P, and the
+#: coordinates of P and of B on that C.
+INV_GAMMA_GAP = GoldenScalar(Fraction(1, 5), Fraction(-2, 5))
+SIBLINGS = {
+    "plain": (GoldenScalar(0, 1), INV_GAMMA_GAP, GoldenScalar(Fraction(3, 5), Fraction(-1, 5))),
+    "bullet": (GoldenScalar(1, -1), -INV_GAMMA_GAP, GoldenScalar(Fraction(2, 5), Fraction(1, 5))),
+}
 
 H_STAR = HalfDiagram(3, ((1, 2, 1),))
 H_PLAIN = HalfDiagram(3, ((2, 3, 0),))
@@ -440,6 +448,11 @@ def test_branching_frozen_reports():
         branching_report(CellLabel("plain", 1), 2)
 
 
+def test_branching_rejects_a_label_outside_the_poset():
+    with pytest.raises(ValueError, match="label mid is not in the rank-4 poset"):
+        branching_report(CellLabel("middle", 2), 4)
+
+
 def _unit(idx: int) -> tuple:
     """A tableau kept as it is: (vector, dual functional) both the idx-th unit vector."""
     return {idx: G_ONE}, {idx: G_ONE}
@@ -512,7 +525,7 @@ def _middle_levels(label: CellLabel, n: int) -> list:
     return [
         [
             (CellLabel(kind, k - 1), [({s: -gamma, p: G_ONE}, {s: on_p, p: on_b}) for _, s, p in orbits])
-            for kind, (gamma, on_p, on_b) in _SIBLINGS.items()
+            for kind, (gamma, on_p, on_b) in SIBLINGS.items()
         ],
         [(CellLabel("zero"), [_unit(index[d0])])],
     ]

@@ -1,13 +1,16 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from tlh.algebra import AlgebraElement, ClosureViolation, evaluate_word
 from tlh.cellular import IndependenceViolation
-from tlh.cli import main
+from tlh.cli import DEFAULT_SEED, _build_parser, main
 from tlh.diagram import Diagram, generator_U
 from tlh.factor import FactorizationError
 from tlh.ring import GoldenScalar, LaurentPoly
@@ -228,6 +231,26 @@ def test_library_failures_exit_one(capsys, monkeypatch, error):
     assert out == f"FAIL {error.__name__}: injected\n"
 
 
+def test_factorize_table_reports_a_failed_diagram_and_goes_on(capsys, monkeypatch):
+    import tlh.cli
+
+    real, u1 = tlh.cli.factorize, generator_U(1, 3)
+
+    def factorize(d):
+        if d == u1:
+            raise FactorizationError("injected")
+        return real(d)
+
+    monkeypatch.setattr(tlh.cli, "factorize", factorize)
+    code, out, err = run(capsys, "factorize", "--n", "2", "--format", "structured")
+    assert code == 1 and err == ""
+    recs = records(out)
+    assert len(recs) == 9
+    assert [r for r in recs if "verdict" in r] == [
+        {"kind": "factorization", "diagram": u1.to_json(), "verdict": "fail", "detail": "injected"}
+    ]
+
+
 def test_library_fault_in_a_suite_exits_one(capsys, monkeypatch):
     import tlh.cli
 
@@ -261,12 +284,65 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
         ("gram_n2_lambda1", ["gram", "--n", "2", "--lambda", "1"]),
         ("enumerate_n3", ["enumerate", "--n", "3"]),
         ("gram_n4", ["gram", "--n", "4"]),
+        ("verify_all_n3", ["verify", "all", "--n", "3"]),
     ],
 )
 def test_structured_output_matches_golden(capsys, name, argv):
     code, out, _ = run(capsys, *argv, "--format", "structured")
     assert code == 0
     assert out == (GOLDEN / f"{name}.jsonl").read_text()
+
+
+def test_verify_under_python_O_matches_golden():
+    # every check must still run when python -O strips assert statements
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "tlh.cli", "verify", "all", "--n", "3", "--format", "structured"],
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="1"),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / "verify_all_n3.jsonl").read_text()
+
+
+COMMON_OPTIONS = ("--n", "--cap", "--format", "--out")
+READ_OPTIONS = {
+    "dims": COMMON_OPTIONS,
+    "enumerate": (*COMMON_OPTIONS, "--lambda"),
+    "multiply": COMMON_OPTIONS,
+    "factorize": COMMON_OPTIONS,
+    "gram": (*COMMON_OPTIONS, "--lambda"),
+    "verify": (*COMMON_OPTIONS, "--seed"),
+}
+UNREAD_OPTIONS = [
+    (command, option)
+    for command, read in READ_OPTIONS.items()
+    for option in ("--lambda", "--seed")
+    if option not in read
+]
+OPERANDS = {"multiply": ["U1", "U2"], "verify": ["presentation"]}
+
+
+def test_each_subcommand_parses_the_options_it_reads():
+    values = {"--n": "2", "--cap": "3", "--format": "structured", "--out": "x", "--lambda": "1", "--seed": "7"}
+    assert len(UNREAD_OPTIONS) == 9
+    for command, read in READ_OPTIONS.items():
+        argv = [command, *OPERANDS.get(command, [])]
+        for option in read:
+            argv += [option, values[option]]
+        args = _build_parser().parse_args(argv)
+        assert args.n == 2 and args.cap == 3 and args.format == "structured" and args.out == "x"
+        assert (getattr(args, "selector", None) == "1") == ("--lambda" in read)
+        assert (getattr(args, "seed", None) == 7) == ("--seed" in read)
+    assert _build_parser().parse_args(["verify", "all"]).seed == DEFAULT_SEED
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
+def test_unread_options_exit_two(capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *OPERANDS.get(command, []), "--n", "2", option, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys):

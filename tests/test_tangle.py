@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -310,6 +314,27 @@ def test_random_tangle_always_valid():
         assert t.validate() == []
     with pytest.raises(ValueError):
         random_tangle(rng, 2, 3)
+
+
+def test_seeded_random_tangles_do_not_depend_on_string_hashing():
+    script = (
+        "import random\n"
+        "from tlh.tangle import random_tangle\n"
+        "rng = random.Random(20260825)\n"
+        "for _ in range(200):\n"
+        "    top = rng.randint(2, 5)\n"
+        "    print(random_tangle(rng, top, top, max_dec=3, n_loops=rng.randint(0, 2)))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for hash_seed in ("1", "2")
+    ]
+    assert outputs[0].count("\n") == 200 and outputs[0] == outputs[1]
 
 
 def test_str_rendering():
