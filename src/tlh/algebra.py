@@ -222,10 +222,13 @@ class AlgebraElement:
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"strand count 'm' must be a positive integer, got {m!r}")
         terms: dict[Diagram, LaurentPoly] = {}
-        for entry in obj.get("terms", []):
-            d = Diagram.from_json(entry["diagram"])
-            c = LaurentPoly.from_json(entry["coeff"])
-            terms[d] = terms.get(d, LaurentPoly.zero()) + c
+        try:
+            for entry in obj.get("terms", []):
+                d = Diagram.from_json(entry["diagram"])
+                c = LaurentPoly.from_json(entry["coeff"])
+                terms[d] = terms.get(d, LaurentPoly.zero()) + c
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed algebra element terms: {exc!r}") from exc
         return cls(m, terms)
 
 

@@ -82,19 +82,21 @@ class Report:
             sys.stdout.write(data)
 
 
-def _rank(args, *keys) -> int:
-    """--n, after checking it and then its size cap for each key."""
-    if args.n is None:
-        raise UsageError("this subcommand needs --n")
-    if args.n < 2:
-        raise UsageError(f"--n must be at least 2, got {args.n}")
+def _rank(args, *keys, n=None) -> int:
+    """--n after checking it, or else the operands' rank n; then n against each key's size cap."""
+    if n is None:
+        if args.n is None:
+            raise UsageError("this subcommand needs --n")
+        if args.n < 2:
+            raise UsageError(f"--n must be at least 2, got {args.n}")
+        n = args.n
     for key in keys:
         cap = DEFAULT_CAPS[key] if args.cap is None else args.cap
         if cap <= 0:
             raise UsageError(f"--cap must be positive, got {cap}")
-        if args.n > cap:
-            raise UsageError(f"{key} is capped at n <= {cap} (got n = {args.n}); override with --cap")
-    return args.n
+        if n > cap:
+            raise UsageError(f"{key} is capped at n <= {cap} (got n = {n}); override with --cap")
+    return n
 
 
 def _parse_label(text: str, n: int) -> CellLabel:
@@ -122,6 +124,20 @@ def _load_element(operand: str, n) -> AlgebraElement:
         return evaluate_word(tokens, n + 1)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _operands(args, key: str, *texts) -> list:
+    """The operands, on one strand count: n + 1 with --n, else any within the cap for key."""
+    n = None if args.n is None else _rank(args, key)
+    operands = [_load_element(text, n) for text in texts]
+    m = operands[0].m
+    if any(x.m != m for x in operands):
+        raise UsageError(f"operands live on {' and '.join(str(x.m) for x in operands)} strands")
+    if n is None:
+        _rank(args, key, n=m - 1)
+    elif m != n + 1:
+        raise UsageError(f"--n {n} means {n + 1} strands, but operands have {m}")
+    return operands
 
 
 def cmd_dims(args, report: Report) -> int:
@@ -164,14 +180,7 @@ def cmd_enumerate(args, report: Report) -> int:
 
 
 def cmd_multiply(args, report: Report) -> int:
-    if args.n is not None:
-        _rank(args, "multiply")
-    left = _load_element(args.left, args.n)
-    right = _load_element(args.right, args.n)
-    if left.m != right.m:
-        raise UsageError(f"operands live on {left.m} and {right.m} strands")
-    if args.n is not None and left.m != args.n + 1:
-        raise UsageError(f"--n {args.n} means {args.n + 1} strands, but operands have {left.m}")
+    left, right = _operands(args, "multiply", args.left, args.right)
     product = left * right
     report.emit(product.to_json(), str(product))
     return 0
@@ -181,7 +190,7 @@ def cmd_factorize(args, report: Report) -> int:
     if args.element is None:
         diagrams = enumerate_diagrams(_rank(args, "factorize") + 1)
     else:
-        terms = _load_element(args.element, args.n).items()
+        terms = _operands(args, "factorize", args.element)[0].items()
         if len(terms) != 1 or terms[0][1] != LaurentPoly.one():
             raise UsageError("factorization needs a single basis diagram with coefficient 1")
         diagrams = [terms[0][0]]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from math import comb
 
 from tlh.tangle import DecoratedTangle, NodeRef
@@ -38,50 +37,50 @@ class HalfDiagram:
     pairs: tuple = ()
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError(f"negative strand count {self.m}")
+        if type(self.m) is not int or self.m < 0:
+            raise ValueError(f"strand count must be a nonnegative integer, got {self.m!r}")
         pairs = tuple(sorted(tuple(p) for p in self.pairs))
-        used = set()
+        ends = {}  # node -> the cap on it
         for p in pairs:
             if len(p) != 3:
                 raise ValueError(f"cap must be (west, east, dec), got {p!r}")
             a, b, dec = p
-            if not (isinstance(a, int) and isinstance(b, int) and 1 <= a < b <= self.m):
+            if not (type(a) is int and type(b) is int and 1 <= a < b <= self.m):  # no bools
                 raise ValueError(f"bad cap endpoints ({a}, {b}) for {self.m} nodes")
-            if dec not in (0, 1):
+            if type(dec) is not int or dec not in (0, 1):
                 raise ValueError(f"cap decoration must be 0 or 1, got {dec!r}")
-            if used & {a, b}:
+            if a in ends or b in ends:
                 raise ValueError(f"node on more than one cap in {pairs!r}")
-            used |= {a, b}
-        for (a, b, _), (c, d, _) in itertools.combinations(pairs, 2):
-            if a < c < b < d or c < a < d < b:
-                raise ValueError(f"caps ({a},{b}) and ({c},{d}) cross")
-        free = [x for x in range(1, self.m + 1) if x not in used]
-        for a, b, dec in pairs:
-            if any(a < f < b for f in free):
-                raise ValueError(f"cap ({a},{b}) covers an unpaired node")
-            if dec and not self._exposed(a, b, pairs, free):
-                raise ValueError(f"decorated cap ({a},{b}) is not west-exposed")
+            ends[a] = ends[b] = p
+        # one west-to-east walk fills free_points; a crossing raises at once, the first other fault at the end
+        free, open_caps, fault = [], [], None
+        for x in range(1, self.m + 1):
+            p = ends.get(x)
+            if p is None:
+                if open_caps and fault is None:
+                    fault = f"cap ({open_caps[0][0]},{open_caps[0][1]}) covers an unpaired node"
+                free.append(x)
+            elif x == p[0]:
+                if p[2] and (open_caps or free) and fault is None:
+                    fault = f"decorated cap ({p[0]},{p[1]}) is not west-exposed"
+                open_caps.append(p)
+            else:  # x closes p, which must be the innermost open cap
+                c, d, _ = open_caps.pop()
+                if d != x:
+                    raise ValueError(f"caps ({p[0]},{p[1]}) and ({c},{d}) cross")
+        if fault:
+            raise ValueError(fault)
         object.__setattr__(self, "pairs", pairs)
-
-    @staticmethod
-    def _exposed(a: int, b: int, pairs, free) -> bool:
-        if any(f < a for f in free):
-            return False
-        return not any(c < a and b < d for c, d, _ in pairs)
+        object.__setattr__(self, "free_points", tuple(free))
 
     @property
     def k(self) -> int:
         return len(self.pairs)
 
-    @property
-    def free_points(self) -> tuple:
-        used = {x for p in self.pairs for x in p[:2]}
-        return tuple(x for x in range(1, self.m + 1) if x not in used)
-
     def exposed_caps(self) -> tuple:
-        free = self.free_points
-        return tuple(p for p in self.pairs if self._exposed(p[0], p[1], self.pairs, free))
+        """The caps west of every free node and inside no other cap."""
+        west = min(self.free_points, default=self.m + 1)
+        return tuple(p for p in self.pairs if p[1] < west and not any(c < p[0] < d for c, d, _ in self.pairs))
 
     def admissible(self) -> bool:
         """The face condition: no caps, or a decorated {1,2}, or a plain {i,i+1}, i > 1."""
@@ -113,7 +112,10 @@ class HalfDiagram:
     def from_json(cls, obj: dict) -> "HalfDiagram":
         if not isinstance(obj, dict) or "m" not in obj:
             raise ValueError(f"half-diagram must be an object with 'm', got {obj!r}")
-        return cls(obj["m"], tuple(tuple(p) for p in obj.get("caps", ())))
+        caps = obj.get("caps", [])
+        if not isinstance(caps, list) or not all(isinstance(p, list) and all(type(c) is int for c in p) for p in caps):
+            raise ValueError(f"half-diagram caps must be a list of integer lists, got {caps!r}")
+        return cls(obj["m"], tuple(map(tuple, caps)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,10 +167,7 @@ class Diagram:
             north = HalfDiagram(t.n_top, tuple(caps["N"]))
             south = HalfDiagram(t.n_top, tuple(caps["S"]))
             props.sort()
-            if (
-                tuple(x for x, _, _ in props) != north.free_points
-                or tuple(y for _, y, _ in props) != south.free_points
-            ):
+            if [(x, y) for x, y, _ in props] != list(zip(north.free_points, south.free_points)):
                 raise ValueError("propagating edges do not join the free nodes in order")
             if any(dec for _, _, dec in props[1:]):
                 raise ValueError("a propagating edge east of the westmost one is decorated")
@@ -234,22 +233,22 @@ def generator_U(i: int, m: int) -> Diagram:
     return Diagram(half, half)
 
 
-def _shapes(points: tuple, k: int):
-    """Non-crossing k-cap matchings on an ordered point set, caps covering no free point."""
+def _faces(points: tuple, k: int, exposed: bool):
+    """Pairs of the k-cap faces on ordered points, caps covering no free point; while
+    exposed (no free point or enclosing cap to the west), outer caps come plain and decorated."""
     if k == 0:
         yield ()
         return
     if len(points) < 2 * k:
         return
     p = points[0]
-    yield from _shapes(points[1:], k)  # p stays free
-    for i in range(1, len(points), 2):
-        inner_k = (i - 1) // 2
-        if inner_k + 1 > k:
-            break
-        for si in _shapes(points[1:i], inner_k):
-            for so in _shapes(points[i + 1 :], k - 1 - inner_k):
-                yield ((p, points[i]),) + si + so
+    yield from _faces(points[1:], k, False)  # p stays free
+    for j in range(k):  # p caps points[i] over j inner caps
+        i = 2 * j + 1
+        for si in _faces(points[1:i], j, False):
+            for so in _faces(points[i + 1 :], k - 1 - j, exposed):
+                for dec in (0, 1) if exposed else (0,):
+                    yield ((p, points[i], dec),) + si + so
 
 
 @functools.cache
@@ -257,15 +256,7 @@ def enumerate_generalized_half(m: int, k: int) -> tuple:
     """All k-cap faces with any west-exposed decoration pattern; count C(m, k)."""
     if k < 0 or 2 * k > m:
         return ()
-    out = []
-    for shape in _shapes(tuple(range(1, m + 1)), k):
-        base = HalfDiagram(m, tuple((a, b, 0) for a, b in shape))
-        exposed = [(a, b) for a, b, _ in base.exposed_caps()]
-        hidden = [(a, b) for a, b in shape if (a, b) not in exposed]
-        for bits in itertools.product((0, 1), repeat=len(exposed)):
-            pairs = tuple((a, b, bit) for (a, b), bit in zip(exposed, bits))
-            pairs += tuple((a, b, 0) for a, b in hidden)
-            out.append(HalfDiagram(m, pairs))
+    out = [HalfDiagram(m, pairs) for pairs in _faces(tuple(range(1, m + 1)), k, True)]
     if len(out) != comb(m, k):
         raise RuntimeError(f"face count {len(out)} != C({m},{k})")
     return tuple(sorted(out, key=lambda h: h.pairs))

@@ -160,7 +160,7 @@ class GoldenScalar(_Ring):
     def from_json(cls, obj) -> "GoldenScalar":
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
             raise ValueError(f"golden scalar must be a pair, got {obj!r}")
-        if any(isinstance(c, bool) for c in obj):
+        if any(isinstance(c, bool) or not isinstance(c, (int, str)) for c in obj):
             raise ValueError(f"golden coordinates must be integers or 'p/q' strings, got {obj!r}")
         try:
             return cls(*(Fraction(c) if isinstance(c, str) else c for c in obj))

@@ -18,7 +18,6 @@ add along glued paths, and closed loops record their total decoration count.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from typing import NamedTuple
 
 
@@ -60,10 +59,8 @@ class DecoratedTangle:
     def __post_init__(self):
         if self.n_top < 0 or self.n_bottom < 0:
             raise ValueError(f"negative boundary width: {self.n_top}, {self.n_bottom}")
-        norm = set()
-        used = Counter()
-        for arc in self.arcs:
-            a, b, dec = arc
+        norm, seen, dup = set(), set(), set()
+        for a, b, dec in self.arcs:
             for ref in (a, b):
                 if not isinstance(ref, NodeRef):
                     raise ValueError(f"arc endpoint {ref!r} is not a NodeRef")
@@ -74,14 +71,13 @@ class DecoratedTangle:
                 raise ValueError(f"arc joins node {a} to itself")
             if not isinstance(dec, int) or dec < 0:
                 raise ValueError(f"bad decoration count {dec!r} on arc {a}-{b}")
-            used[a] += 1
-            used[b] += 1
+            dup.update(seen.intersection((a, b)))
+            seen.update((a, b))
             if self.position(a) > self.position(b):
                 a, b = b, a
             norm.add((a, b, dec))
-        dup = [str(n) for n, c in sorted(used.items()) if c > 1]
         if dup:
-            raise ValueError(f"nodes on more than one arc: {', '.join(dup)}")
+            raise ValueError(f"nodes on more than one arc: {', '.join(map(str, sorted(dup)))}")
         if any(not isinstance(r, int) or r < 0 for r in self.loops):
             raise ValueError(f"bad loop decoration counts {self.loops!r}")
         object.__setattr__(self, "arcs", frozenset(norm))
@@ -199,8 +195,8 @@ class DecoratedTangle:
         loops = list(self.loops) + list(other.loops)
         loops += [walk(True, NodeRef("S", i))[1] for i in range(1, self.n_bottom + 1) if i not in glued]
         result = DecoratedTangle(self.n_top, other.n_bottom, frozenset(arcs), tuple(loops))
-        for arc in result.arcs:
-            if arc[2] and not result.west_exposed(arc):
+        for arc in sorted(arc for arc in result.arcs if arc[2]):  # sorted: not in hash-seeded set order
+            if not result.west_exposed(arc):
                 raise ValueError(f"gluing produced a trapped decoration on {arc[0]}-{arc[1]}")
         return result
 
@@ -234,8 +230,8 @@ class DecoratedTangle:
             loops = tuple(obj.get("loops", []))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed tangle object: {exc}") from exc
-        if any(isinstance(c, bool) for c in (n_top, n_bottom, *(dec for _, _, dec in arcs), *loops)):
-            raise ValueError("tangle widths, decorations and loop counts must be integers, not booleans")
+        if any(type(c) is not int for c in (n_top, n_bottom, *(dec for _, _, dec in arcs), *loops)):
+            raise ValueError("tangle widths, decorations and loop counts must be integers (not booleans)")
         return cls(n_top, n_bottom, arcs, loops)
 
 

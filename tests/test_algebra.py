@@ -238,6 +238,14 @@ def test_element_json_round_trip():
         assert AlgebraElement.from_json(x.to_json()) == x
     with pytest.raises(ValueError):
         AlgebraElement.from_json({"terms": []})
+    u1 = evaluate_word(["U1"], 3).to_json()
+    (term,) = u1["terms"]
+    for terms in (5, "U1", [5], [{"coeff": term["coeff"]}], [{"diagram": term["diagram"]}]):
+        with pytest.raises(ValueError, match="malformed algebra element terms"):
+            AlgebraElement.from_json({"m": 3, "terms": terms})
+    for bad in ({"coeff": [[0, 1.5, 0]]}, {"diagram": dict(term["diagram"], n_top=3.0)}):
+        with pytest.raises(ValueError):
+            AlgebraElement.from_json({"m": 3, "terms": [dict(term, **bad)]})
 
 
 def test_evaluate_word_errors():

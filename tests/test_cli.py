@@ -364,6 +364,41 @@ def test_usage_errors_exit_two(capsys):
         main(["unknown"])
 
 
+#: One operand check for multiply and factorize: (argv, start of the error).
+#: {on3} and {on12} are JSON files holding U1 on 3 and on 12 strands.
+OPERAND_ERRORS = {
+    "factorize_word_over_cap": (["factorize", "U1", "--n", "9"], "factorize is capped at n <= 6 (got n = 9)"),
+    "factorize_word_n0": (["factorize", "U1", "--n", "0"], "--n must be at least 2, got 0"),
+    "factorize_word_n1": (["factorize", "U1", "--n", "1"], "--n must be at least 2, got 1"),
+    "factorize_word_own_cap": (["factorize", "U1 U5", "--n", "12", "--cap", "1"], "factorize is capped at n <= 1"),
+    "factorize_file_wrong_n": (["factorize", "{on3}", "--n", "5"], "--n 5 means 6 strands, but operands have 3"),
+    "multiply_file_wrong_n": (["multiply", "{on3}", "{on3}", "--n", "5"], "--n 5 means 6 strands, but operands have 3"),
+    "factorize_file_over_cap": (["factorize", "{on12}"], "factorize is capped at n <= 6 (got n = 11)"),
+    "multiply_file_over_cap": (["multiply", "{on12}", "{on12}"], "multiply is capped at n <= 8 (got n = 11)"),
+    "factorize_file_zero_cap": (["factorize", "{on3}", "--cap", "0"], "--cap must be positive, got 0"),
+}
+
+
+@pytest.fixture
+def u1_files(tmp_path):
+    files = {}
+    for m in (3, 12):
+        files[f"on{m}"] = path = tmp_path / f"u1_on_{m}.json"
+        path.write_text(json.dumps(AlgebraElement.from_diagram(generator_U(1, m)).to_json()))
+    return files
+
+
+@pytest.mark.parametrize("argv, message", OPERAND_ERRORS.values(), ids=OPERAND_ERRORS)
+def test_operands_are_checked_once_for_both_commands(capsys, u1_files, argv, message):
+    code, out, err = run(capsys, *(arg.format(**u1_files) for arg in argv))
+    assert code == 2 and out == "" and err.startswith(f"error: {message}")
+
+
+def test_file_operands_run_within_an_explicit_cap(capsys, u1_files):
+    code, out, _ = run(capsys, "multiply", str(u1_files["on12"]), str(u1_files["on12"]), "--cap", "11")
+    assert code == 0 and out
+
+
 def test_dims_beyond_the_default_enumeration_size(capsys):
     code, out, _ = run(capsys, "dims", "--n", "9", "--cap", "9")
     assert code == 0

@@ -299,9 +299,169 @@ def test_json_round_trips():
         assert Diagram.from_json(d.to_json()) == d
     with pytest.raises(ValueError):
         HalfDiagram.from_json({"caps": []})
+    for obj in (
+        {"m": 3, "caps": [[1, 2, True]]},
+        {"m": True, "caps": []},
+        {"m": 3.0},
+        {"m": 3, "caps": 5},
+        {"m": 3, "caps": [5]},
+        {"m": 3, "caps": [[1, "x", 0], [1, 2, 0]]},
+    ):
+        with pytest.raises(ValueError):
+            HalfDiagram.from_json(obj)
+    with pytest.raises(ValueError, match="must be integers"):
+        Diagram.from_json(generator_U(1, 3).to_json() | {"n_top": 3.0, "n_bottom": 3.0})
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.integers(1, 7).flatmap(lambda m: st.sampled_from(enumerate_diagrams(m))))
 def test_json_round_trip_property(d):
     assert Diagram.from_json(json.loads(json.dumps(d.to_json()))) == d
+
+
+# The pairwise face check and the shape-then-decoration-bits enumeration that
+# the one-walk constructor and the decorating recursion replaced, kept as oracles.
+
+
+def pairwise_exposed(a: int, b: int, pairs, free) -> bool:
+    if any(f < a for f in free):
+        return False
+    return not any(c < a and b < d for c, d, _ in pairs)
+
+
+def pairwise_face_check(m: int, pairs) -> tuple:
+    """(every geometric fault in the order the old check met them, free nodes).
+
+    The first fault is the message the old check raised; shape faults raise."""
+    pairs = tuple(sorted(tuple(p) for p in pairs))
+    used = set()
+    for p in pairs:
+        if len(p) != 3:
+            raise ValueError(f"cap must be (west, east, dec), got {p!r}")
+        a, b, dec = p
+        if not (isinstance(a, int) and isinstance(b, int) and 1 <= a < b <= m):
+            raise ValueError(f"bad cap endpoints ({a}, {b}) for {m} nodes")
+        if dec not in (0, 1):
+            raise ValueError(f"cap decoration must be 0 or 1, got {dec!r}")
+        if used & {a, b}:
+            raise ValueError(f"node on more than one cap in {pairs!r}")
+        used |= {a, b}
+    faults = [
+        f"caps ({a},{b}) and ({c},{d}) cross"
+        for (a, b, _), (c, d, _) in itertools.combinations(pairs, 2)
+        if a < c < b < d or c < a < d < b
+    ]
+    free = [x for x in range(1, m + 1) if x not in used]
+    for a, b, dec in pairs:
+        if any(a < f < b for f in free):
+            faults.append(f"cap ({a},{b}) covers an unpaired node")
+        if dec and not pairwise_exposed(a, b, pairs, free):
+            faults.append(f"decorated cap ({a},{b}) is not west-exposed")
+    return faults, tuple(free)
+
+
+def shapes(points: tuple, k: int):
+    """Non-crossing k-cap matchings on an ordered point set, caps covering no free point."""
+    if k == 0:
+        yield ()
+        return
+    if len(points) < 2 * k:
+        return
+    p = points[0]
+    yield from shapes(points[1:], k)  # p stays free
+    for i in range(1, len(points), 2):
+        inner_k = (i - 1) // 2
+        if inner_k + 1 > k:
+            break
+        for si in shapes(points[1:i], inner_k):
+            for so in shapes(points[i + 1 :], k - 1 - inner_k):
+                yield ((p, points[i]),) + si + so
+
+
+def faces_by_decoration_bits(m: int, k: int) -> tuple:
+    out = []
+    for shape in shapes(tuple(range(1, m + 1)), k):
+        free = [x for x in range(1, m + 1) if not any(x in cap for cap in shape)]
+        plain = tuple((a, b, 0) for a, b in shape)
+        exposed = [(a, b) for a, b in shape if pairwise_exposed(a, b, plain, free)]
+        hidden = [(a, b) for a, b in shape if (a, b) not in exposed]
+        for bits in itertools.product((0, 1), repeat=len(exposed)):
+            pairs = tuple((a, b, bit) for (a, b), bit in zip(exposed, bits))
+            pairs += tuple((a, b, 0) for a, b in hidden)
+            out.append(HalfDiagram(m, pairs))
+    return tuple(sorted(out, key=lambda h: h.pairs))
+
+
+def test_enumeration_matches_the_decoration_bits_oracle():
+    for m in range(0, 11):
+        for k in range(0, m // 2 + 1):
+            assert [h.pairs for h in enumerate_generalized_half(m, k)] == [
+                h.pairs for h in faces_by_decoration_bits(m, k)
+            ]
+
+
+def test_free_points_and_exposed_caps_match_the_oracle():
+    for m in range(0, 9):
+        for k in range(0, m // 2 + 1):
+            for h in enumerate_generalized_half(m, k):
+                faults, free = pairwise_face_check(m, h.pairs)
+                assert faults == [] and h.free_points == free
+                assert h.exposed_caps() == tuple(p for p in h.pairs if pairwise_exposed(p[0], p[1], h.pairs, free))
+
+
+@st.composite
+def raw_faces(draw):
+    """Cap lists on up to 10 nodes: planar faces with one decoration flipped,
+    arbitrary matchings, and now and then a malformed cap."""
+    m = draw(st.integers(0, 10))
+    k = draw(st.integers(0, m // 2))
+    if draw(st.booleans()):
+        pairs = list(draw(st.sampled_from(enumerate_generalized_half(m, k))).pairs)
+        if pairs:
+            i = draw(st.integers(0, k - 1))
+            pairs[i] = pairs[i][:2] + (1 - pairs[i][2],)
+    else:
+        order = draw(st.permutations(range(1, m + 1)))
+        decs = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+        pairs = [(*sorted(order[2 * i : 2 * i + 2]), dec) for i, dec in enumerate(decs)]
+    if pairs and draw(st.integers(0, 9)) == 0:
+        a, b, dec = pairs[0]
+        pairs[0] = draw(st.sampled_from([(a, b, 2), (b, a, dec), (a, m + 1, dec), (a, b)]))
+    if len(pairs) > 1 and draw(st.integers(0, 9)) == 0:
+        pairs[1] = (pairs[0][0], pairs[1][1], 0) if pairs[0][0] < pairs[1][1] else pairs[1]
+    return m, tuple(pairs)
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(raw_faces())
+def test_face_check_matches_the_pairwise_oracle(face):
+    m, pairs = face
+    try:
+        faults, free = pairwise_face_check(m, pairs)
+    except ValueError as exc:  # a malformed cap: both checks run the same per-cap checks first
+        with pytest.raises(ValueError) as info:
+            HalfDiagram(m, pairs)
+        assert str(info.value) == str(exc)
+        return
+    if not faults:
+        assert HalfDiagram(m, pairs).free_points == free
+        return
+    with pytest.raises(ValueError) as info:
+        HalfDiagram(m, pairs)
+    assert str(info.value) in faults  # one of the faults the old check saw
+    if len(faults) == 1:
+        assert str(info.value) == faults[0]
+
+
+def test_face_faults_found_in_one_walk():
+    # a crossing is reported before a fault met earlier in the walk
+    with pytest.raises(ValueError, match=r"^caps \(4,6\) and \(5,7\) cross$"):
+        HalfDiagram(7, ((2, 3, 1), (4, 6, 0), (5, 7, 0)))
+    # a free node under nested caps names the outermost one
+    with pytest.raises(ValueError, match=r"^cap \(1,6\) covers an unpaired node$"):
+        HalfDiagram(6, ((1, 6, 0), (2, 5, 0)))
+    # otherwise the first fault met west to east is reported: node 2 comes
+    # before the free node 4 (the pairwise check named the cover of (1,5))
+    with pytest.raises(ValueError, match=r"^decorated cap \(2,3\) is not west-exposed$"):
+        HalfDiagram(5, ((1, 5, 0), (2, 3, 1)))
+

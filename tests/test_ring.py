@@ -108,6 +108,11 @@ def test_golden_json_round_trip():
     assert GoldenScalar(Fraction(1, 5), 0).to_json() == ["1/5", 0]
     with pytest.raises(ValueError):
         GoldenScalar.from_json([1])
+    for obj in ([1.5, 0], [None, 0], [0, [1]], [True, 0]):
+        with pytest.raises(ValueError, match="integers or 'p/q' strings"):
+            GoldenScalar.from_json(obj)
+    with pytest.raises(ValueError, match="integers or 'p/q' strings"):
+        LaurentPoly.from_json([[0, 0.5, 0]])
 
 
 def test_golden_json_rejects_zero_denominator():

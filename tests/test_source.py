@@ -1,9 +1,17 @@
 """Source-level rules for the package."""
 
 import ast
+import importlib
+import inspect
 import pathlib
+import sys
+import types
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tlh"
+from tlh.algebra import AlgebraElement
+from tlh.diagram import generator_U
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tlh"
 
 
 def test_no_assert_statements_in_src():
@@ -15,3 +23,53 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert sorted(SRC.glob("*.py")) and found == []
+
+
+def load_benchmark_tracer():
+    """perfbench/spans.py as a module, compiled from its text so that nothing is written there."""
+    path = ROOT / "perfbench" / "spans.py"
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def tlh_bindings() -> dict:
+    """(owner, attribute) -> value for every attribute of every tlh module and of its classes."""
+    bindings = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "tlh" or name.startswith("tlh.")):
+            continue
+        for attr, value in vars(mod).items():
+            bindings[(mod, attr)] = value
+            if inspect.isclass(value) and value.__module__ == name:
+                bindings.update(((value, a), v) for a, v in vars(value).items())
+    return bindings
+
+
+def test_the_benchmark_tracer_finds_every_traced_name_and_restores_it():
+    # perfbench traces tlh from outside src/: a traced method that is deleted or
+    # only inherited, or a function that loses its binding, breaks the benchmark
+    spans = load_benchmark_tracer()
+    for mod_name, _, _ in spans.TARGETS:
+        importlib.import_module(mod_name)
+    before = tlh_bindings()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        for mod_name, path, name in spans.TARGETS:
+            owner = sys.modules[mod_name]
+            *cls, attr = path.split(".")
+            if cls:
+                owner = getattr(owner, cls[0])
+                assert attr in vars(owner), f"{name}: {path} is not defined on the class itself"
+            current = vars(owner)[attr]
+            assert current.__wrapped__ is before[(owner, attr)], f"{name} is not traced"
+        golden = sys.modules["tlh.ring"].GoldenScalar
+        assert vars(golden)["__post_init__"].__wrapped__ is before[(golden, "__post_init__")]
+        u1 = AlgebraElement.from_diagram(generator_U(1, 3))
+        assert (u1 * u1).m == 3
+    calls = {name: calls for name, (calls, _) in tracer.self_times().items()}
+    assert calls["tangle.DecoratedTangle.concat"] == 1 and calls["diagram.Diagram"] >= 1
+    after = tlh_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []

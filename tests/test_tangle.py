@@ -8,6 +8,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,8 @@ def test_constructor_rejects_structural_garbage():
         DecoratedTangle(2, 2, frozenset({(N(1), N(1), 0)}))
     with pytest.raises(ValueError, match="more than one arc"):
         DecoratedTangle(2, 2, frozenset({(N(1), N(2), 0), (N(1), S(1), 0)}))
+    with pytest.raises(ValueError, match="^nodes on more than one arc: N2, S1$"):  # sorted
+        DecoratedTangle(2, 2, frozenset({(S(1), N(2), 0), (N(2), S(2), 0), (S(1), N(1), 0)}))
     with pytest.raises(ValueError, match="decoration"):
         DecoratedTangle(2, 2, frozenset({(N(1), N(2), -1)}))
     with pytest.raises(ValueError, match="loop"):
@@ -162,8 +165,8 @@ def concat_reference(top: DecoratedTangle, bottom: DecoratedTangle) -> Decorated
             visited.add(node)
         loops.append(dec_total)
     result = DecoratedTangle(top.n_top, bottom.n_bottom, frozenset(arcs), tuple(loops))
-    for arc in result.arcs:
-        if arc[2] and not result.west_exposed(arc):
+    for arc in sorted(arc for arc in result.arcs if arc[2]):  # sorted: not in hash-seeded set order
+        if not result.west_exposed(arc):
             raise ValueError(f"gluing produced a trapped decoration on {arc[0]}-{arc[1]}")
     return result
 
@@ -367,6 +370,10 @@ def test_json_round_trip():
     for field, value in (("n_top", True), ("loops", [True])):
         with pytest.raises(ValueError, match="not booleans"):
             DecoratedTangle.from_json(blob | {field: value})
+    arcs = [dict(blob["arcs"][0], dec=1.0), blob["arcs"][1]]
+    for field, value in (("n_top", 2.0), ("n_bottom", "2"), ("loops", [0.5]), ("arcs", arcs)):
+        with pytest.raises(ValueError, match="must be integers"):
+            DecoratedTangle.from_json(blob | {field: value})
 
 
 # Property tests over random tangles: up to three stacked decorations per arc,
@@ -399,3 +406,73 @@ def test_glue_is_associative_property(chain):
 def test_json_round_trip_property(chain):
     (t,) = chain
     assert DecoratedTangle.from_json(json.loads(json.dumps(t.to_json()))) == t
+
+
+def counter_tangle_check(n_top, n_bottom, arcs, loops):
+    """The constructor check the seen-set pass replaced, kept as its oracle.
+
+    Returns the normalized (arcs, loops), or raises the ValueError it raised."""
+    if n_top < 0 or n_bottom < 0:
+        raise ValueError(f"negative boundary width: {n_top}, {n_bottom}")
+    frame = DecoratedTangle(n_top, n_bottom)  # for position() only
+    norm = set()
+    used = Counter()
+    for arc in arcs:
+        a, b, dec = arc
+        for ref in (a, b):
+            if not isinstance(ref, NodeRef):
+                raise ValueError(f"arc endpoint {ref!r} is not a NodeRef")
+            width = n_top if ref.face == "N" else n_bottom if ref.face == "S" else None
+            if width is None or not 1 <= ref.index <= width:
+                raise ValueError(f"node {ref} out of range for widths ({n_top}, {n_bottom})")
+        if a == b:
+            raise ValueError(f"arc joins node {a} to itself")
+        if not isinstance(dec, int) or dec < 0:
+            raise ValueError(f"bad decoration count {dec!r} on arc {a}-{b}")
+        used[a] += 1
+        used[b] += 1
+        if frame.position(a) > frame.position(b):
+            a, b = b, a
+        norm.add((a, b, dec))
+    dup = [str(n) for n, c in sorted(used.items()) if c > 1]
+    if dup:
+        raise ValueError(f"nodes on more than one arc: {', '.join(dup)}")
+    if any(not isinstance(r, int) or r < 0 for r in loops):
+        raise ValueError(f"bad loop decoration counts {loops!r}")
+    return frozenset(norm), tuple(sorted(loops))
+
+
+def check_outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def constructor_check(*args):
+    t = DecoratedTangle(*args)
+    return t.arcs, t.loops
+
+
+@st.composite
+def raw_tangles(draw):
+    """Constructor arguments on widths up to 4: mostly nodes in range, so that
+    nodes on two arcs are common, and now and then a stray node or count."""
+    width = st.sampled_from([0, 1, 2, 3, 4] * 4 + [-1])
+    n_top, n_bottom = draw(width), draw(width)
+    refs = [NodeRef("N", i) for i in range(1, n_top + 1)] + [NodeRef("S", i) for i in range(1, n_bottom + 1)]
+    strays = [NodeRef("X", 1), NodeRef("N", 0), NodeRef("S", n_bottom + 1), NodeRef("N", n_top + 1)]
+    node = st.sampled_from(refs * 8 + strays)
+    count = st.sampled_from([0, 0, 1, 1, 2, 3] * 4 + [-1])
+    arcs = frozenset(draw(st.lists(st.tuples(node, node, count), max_size=5)))
+    loops = tuple(draw(st.lists(count, max_size=2)))
+    return n_top, n_bottom, arcs, loops
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(raw_tangles())
+def test_tangle_check_matches_the_counter_oracle(raw):
+    # the same frozenset object feeds both, so both meet its arcs in the same order
+    expected = check_outcome(counter_tangle_check, *raw)
+    assert check_outcome(constructor_check, *raw) == expected
+
