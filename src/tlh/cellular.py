@@ -20,9 +20,11 @@ the layer carries a bilinear form.  Both are read off products of plain
 diagrams, scaled by D, since the sibling layers' cross terms vanish modulo
 lower layers; the bullet rule -- the layer's part of a * B is (1 - gamma)
 times that of a * P -- checks that no action leaks between the siblings.
-The form's nonvanishing determinant for every layer certifies
-semisimplicity, and its behaviour under dropping the eastmost strand gives
-the branching rules.
+Every form entry is fixed by v -> 1/v, so ``gram_det`` rewrites the form as
+polynomials in delta = [2] = v + v^(-1), half as long, takes the one Bareiss
+determinant there and writes it back in v.  The form's nonvanishing
+determinant for every layer certifies semisimplicity, and its behaviour
+under dropping the eastmost strand gives the branching rules.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import functools
 
 from tlh.algebra import AlgebraElement
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, enumerate_half, generator_U
-from tlh.ring import G_ONE, G_ZERO, GAMMA1, GAMMA2, LaurentPoly
+from tlh.ring import G_ONE, G_ZERO, GAMMA1, GAMMA2, LaurentPoly, from_delta, to_delta
 
 #: Frame pairs gram_matrix re-checks above rank 4, where checking all is slow.
 FRAME_CHECKS = 12
@@ -328,6 +330,14 @@ def gram_matrix(label: CellLabel, n: int) -> RingMatrix:
     return RingMatrix([[c * scale for c in row] for row in base])
 
 
+def gram_det(form: RingMatrix) -> LaurentPoly:
+    """The determinant of a form, in v, taken by one Bareiss in delta = [2].
+
+    Raises ValueError if an entry is not fixed by v -> 1/v.
+    """
+    return from_delta(RingMatrix([[to_delta(g) for g in row] for row in form.rows]).det())
+
+
 def _action_problems(n: int, labels, *, check_all_T: bool) -> list:
     """The IndependenceViolation, if any, of cell_action_matrix for each U_i on each layer."""
     problems = []
@@ -384,13 +394,15 @@ def verify_cellular_axioms(n: int) -> list:
 def semisimplicity_check(n: int) -> list:
     """Nondegeneracy and near-orthogonality of every layer's form; [] means pass.
 
-    For each layer the form matrix must be symmetric with nonzero
-    determinant, every entry rescaled by v^(-k) must be a polynomial in 1/v,
-    off-diagonal constant terms must vanish, and diagonal constant terms must
-    equal 1 - 2*gamma1 (plain), 1 - 2*gamma2 (bullet) or 1 (zero and middle
-    layers, whose cell elements carry no gamma).  Plain products cannot see
-    a leak between sibling layers, so every U_i must also pass the bullet
-    rule of cell_action_matrix on each plain and bullet layer.
+    For each layer the form matrix must be symmetric, and every entry must be
+    fixed by v -> 1/v, so a polynomial in delta = [2], of degree at most k.
+    Its delta^k coefficient must vanish off the diagonal and equal D = 1 -
+    2*gamma1 (plain), 1 - 2*gamma2 (bullet) or 1 (zero and middle layers,
+    whose cell elements carry no gamma) on it.  The determinant must then
+    lead with D^dim * delta^(k * dim), which its v form shows as the same
+    coefficient at v^(k * dim) on top.  Plain products cannot see a leak
+    between sibling layers, so every U_i must also pass the bullet rule of
+    cell_action_matrix on each plain and bullet layer.
     """
     siblings = [label for label in lambda_poset(n) if label.kind in _SIBLINGS]
     problems = _action_problems(n, siblings, check_all_T=False)
@@ -403,19 +415,32 @@ def semisimplicity_check(n: int) -> list:
             continue
         if not form.is_symmetric():
             problems.append(f"layer {label}: form matrix is not symmetric")
-        if form.det().is_zero():
-            problems.append(f"layer {label}: form determinant vanishes")
+        try:
+            entries = [[to_delta(g) for g in row] for row in form.rows]
+        except ValueError as exc:
+            problems.append(f"layer {label}: {exc}")
+            continue
         expected = _SCALARS[label.kind][0]
         for i, d1 in enumerate(tabs):
             for j, d2 in enumerate(tabs):
-                g = form.entry(i, j)
+                g = entries[i][j]
                 if not g.is_zero() and g.max_exp > label.k:
-                    problems.append(f"layer {label}: <{d1}, {d2}> exceeds degree {label.k}")
+                    problems.append(f"layer {label}: <{d1}, {d2}> exceeds degree {label.k} in delta")
                 top = g.coefficient(label.k)
                 if i == j and top != expected:
                     problems.append(f"layer {label}: diagonal constant at {d1} is {top}, not {expected}")
                 if i != j and not top.is_zero():
                     problems.append(f"layer {label}: off-diagonal constant at ({d1}, {d2}) is {top}")
+        det = gram_det(form)
+        if det.is_zero():
+            problems.append(f"layer {label}: form determinant vanishes")
+            continue
+        top, lead = det.max_exp, det.coefficient(det.max_exp)
+        if (top, lead) != (label.k * len(tabs), expected ** len(tabs)):
+            problems.append(
+                f"layer {label}: determinant's top term is {lead} at delta^{top},"
+                f" not {expected ** len(tabs)} at delta^{label.k * len(tabs)}"
+            )
     return problems
 
 

@@ -29,6 +29,7 @@ from tlh.algebra import (
 from tlh.cellular import (
     CellLabel,
     IndependenceViolation,
+    gram_det,
     gram_matrix,
     lambda_poset,
     semisimplicity_check,
@@ -228,7 +229,7 @@ def cmd_gram(args, report: Report) -> int:
             )
             code = 1
             continue
-        det = form.det()
+        det = gram_det(form)
         verdict = "degenerate" if det.is_zero() else "nondegenerate"
         record = {
             "kind": "gram",

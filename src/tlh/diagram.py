@@ -39,16 +39,19 @@ class HalfDiagram:
     def __post_init__(self):
         if type(self.m) is not int or self.m < 0:
             raise ValueError(f"strand count must be a nonnegative integer, got {self.m!r}")
-        pairs = tuple(sorted(tuple(p) for p in self.pairs))
-        ends = {}  # node -> the cap on it
-        for p in pairs:
-            if len(p) != 3:
+        pairs = tuple(self.pairs)
+        for p in pairs:  # every type before the sort compares them
+            if not isinstance(p, (tuple, list)) or len(p) != 3:
                 raise ValueError(f"cap must be (west, east, dec), got {p!r}")
             a, b, dec = p
             if not (type(a) is int and type(b) is int and 1 <= a < b <= self.m):  # no bools
                 raise ValueError(f"bad cap endpoints ({a}, {b}) for {self.m} nodes")
             if type(dec) is not int or dec not in (0, 1):
                 raise ValueError(f"cap decoration must be 0 or 1, got {dec!r}")
+        pairs = tuple(sorted(tuple(p) for p in pairs))
+        ends = {}  # node -> the cap on it
+        for p in pairs:
+            a, b, _ = p
             if a in ends or b in ends:
                 raise ValueError(f"node on more than one cap in {pairs!r}")
             ends[a] = ends[b] = p

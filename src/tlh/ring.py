@@ -9,14 +9,19 @@ required (the cellular basis change divides by gamma2 - gamma1 = 1 - 2*phi).
 
 Coefficients of the diagram algebra live one level up, in Laurent
 polynomials in v over the golden ring; the loop parameter is the quantum
-integer delta = [2] = v + v^(-1).  One private base gives both rings their
-derived operators.  Everything here is immutable and exact: no floats.
+integer delta = [2] = v + v^(-1).  A Laurent polynomial fixed by v -> 1/v is
+a polynomial in delta, half as long; ``to_delta`` and ``from_delta`` convert
+exactly between the two, a delta-polynomial being a LaurentPoly whose
+nonnegative exponents count powers of delta.  One private base gives both
+rings their derived operators.  Everything here is immutable and exact: no
+floats.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from math import comb
 
 
 def _norm_coord(c):
@@ -386,3 +391,41 @@ class LaurentPoly(_Ring):
             last = e
             terms[e] = GoldenScalar.from_json(t[1:])
         return cls(terms)
+
+
+def to_delta(p: LaurentPoly) -> LaurentPoly:
+    """p(v) as a polynomial in delta = v + v^(-1); exponent e counts delta^e.
+
+    Removes c * delta^top from the top term until nothing is left, which
+    succeeds exactly when p(v) == p(1/v); any other input raises ValueError.
+
+    >>> to_delta(LaurentPoly({2: 1, 0: 3, -2: 1})) == LaurentPoly({2: 1, 0: 1})
+    True
+    """
+    rem = dict(p._terms)
+    out: dict[int, GoldenScalar] = {}
+    while rem:
+        top = max(rem)
+        if top < 0:
+            raise ValueError(f"{p} is not symmetric under v -> 1/v")
+        c = out[top] = rem[top]
+        for i in range(top + 1):  # delta^top = sum over i of C(top, i) v^(top - 2i)
+            e = top - 2 * i
+            val = rem.get(e, G_ZERO) - c * comb(top, i)
+            if val.is_zero():
+                rem.pop(e, None)
+            else:
+                rem[e] = val
+    return LaurentPoly(out)
+
+
+def from_delta(q: LaurentPoly) -> LaurentPoly:
+    """A polynomial in delta, exponent e counting delta^e, written back in v by Horner's rule."""
+    if q.is_zero():
+        return q
+    if q.min_exp < 0:
+        raise ValueError(f"{q} has a negative power of delta")
+    out, delta = LaurentPoly.zero(), LaurentPoly.delta()
+    for e in range(q.max_exp, -1, -1):
+        out = out * delta + q.coefficient(e)
+    return out

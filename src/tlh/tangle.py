@@ -57,6 +57,8 @@ class DecoratedTangle:
     loops: tuple = ()
 
     def __post_init__(self):
+        if type(self.n_top) is not int or type(self.n_bottom) is not int:  # no bools
+            raise ValueError(f"boundary widths must be integers, got {self.n_top!r}, {self.n_bottom!r}")
         if self.n_top < 0 or self.n_bottom < 0:
             raise ValueError(f"negative boundary width: {self.n_top}, {self.n_bottom}")
         norm, seen, dup = set(), set(), set()

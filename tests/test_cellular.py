@@ -1,5 +1,6 @@
 """Tests for the cell structure: labels, cell basis, action and form matrices."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from tlh.cellular import (
     cell_element,
     combine_cell_terms,
     expand_in_cell_basis,
+    gram_det,
     gram_matrix,
     label_minus_one,
     lambda_poset,
@@ -29,7 +31,7 @@ from tlh.cellular import (
     _stratum,
 )
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
-from tlh.ring import GAMMA1, GAMMA2, G_ONE, GoldenScalar, LaurentPoly
+from tlh.ring import GAMMA1, GAMMA2, G_ONE, G_ZERO, GoldenScalar, LaurentPoly
 from tlh.tangle import DecoratedTangle
 
 #: 1 / (gamma2 - gamma1), and the sibling table as literal values: for each
@@ -40,6 +42,9 @@ SIBLINGS = {
     "plain": (GoldenScalar(0, 1), INV_GAMMA_GAP, GoldenScalar(Fraction(3, 5), Fraction(-1, 5))),
     "bullet": (GoldenScalar(1, -1), -INV_GAMMA_GAP, GoldenScalar(Fraction(2, 5), Fraction(1, 5))),
 }
+
+#: gram_matrix, computed once per layer for the tests that only read forms.
+cached_form = functools.cache(gram_matrix)
 
 H_STAR = HalfDiagram(3, ((1, 2, 1),))
 H_PLAIN = HalfDiagram(3, ((2, 3, 0),))
@@ -234,7 +239,7 @@ def gram_matrix_reference(label, n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_gram_matrix_matches_the_cell_element_reference(n):
     for label in lambda_poset(n):
-        assert gram_matrix(label, n) == gram_matrix_reference(label, n)
+        assert cached_form(label, n) == gram_matrix_reference(label, n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -393,6 +398,110 @@ def test_gram_matrix_frozen_middle_n3():
     assert form.entry(i0, i1).is_zero()
     assert form.entry(i0, i2) == delta
     assert form.is_symmetric()
+
+
+# Determinants in delta = [2]: v-Bareiss and a point evaluation over Q(phi) are the oracles.
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gram_det_matches_bareiss_in_v(n):
+    for label in lambda_poset(n):
+        if label.kind == "middle" and n == 5:
+            continue  # the 19x19 middle layer takes seconds in v
+        form = cached_form(label, n)
+        assert gram_det(form) == form.det()
+
+
+def _at(p: LaurentPoly, v: int) -> GoldenScalar:
+    """p evaluated at a rational v, in Q(phi)."""
+    return sum((c * Fraction(v) ** e for e, c in p.items()), G_ZERO)
+
+
+def _field_det(rows) -> GoldenScalar:
+    """Determinant over Q(phi) by Gaussian elimination with Fractions."""
+    a = [list(row) for row in rows]
+    det = G_ONE
+    for p in range(len(a)):
+        pivot = next((i for i in range(p, len(a)) if a[i][p]), None)
+        if pivot is None:
+            return G_ZERO
+        if pivot != p:
+            a[p], a[pivot] = a[pivot], a[p]
+            det = -det
+        det = det * a[p][p]
+        inv = a[p][p].inverse()
+        for i in range(p + 1, len(a)):
+            f = a[i][p] * inv
+            a[i] = [x - f * y for x, y in zip(a[i], a[p])]
+    return det
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gram_det_matches_point_evaluations(n):
+    for label in lambda_poset(n):
+        form = cached_form(label, n)
+        det = gram_det(form)
+        for v in (2, 3):
+            assert _at(det, v) == _field_det([[_at(g, v) for g in row] for row in form.rows])
+
+
+def _patched_forms(monkeypatch, text, change):
+    """Make gram_matrix return layer ``text``'s form with change(i, j, entry) in place of each entry."""
+    original = tlh.cellular.gram_matrix
+
+    def patched(label, n):
+        form = original(label, n)
+        if str(label) != text:
+            return form
+        return RingMatrix([[change(i, j, g) for j, g in enumerate(row)] for i, row in enumerate(form.rows)])
+
+    monkeypatch.setattr(tlh.cellular, "gram_matrix", patched)
+
+
+def test_semisimplicity_reports_an_asymmetric_entry(monkeypatch):
+    v = LaurentPoly.v_pow(1)
+    _patched_forms(monkeypatch, "1", lambda i, j, g: g + v if i == j == 0 else g)
+    problems = semisimplicity_check(2)
+    assert len(problems) == 1
+    assert problems[0].startswith("layer 1: ") and "not symmetric under v -> 1/v" in problems[0]
+
+
+def test_semisimplicity_reports_a_wrong_diagonal_constant(monkeypatch):
+    delta = LaurentPoly.delta()
+    _patched_forms(monkeypatch, "1b", lambda i, j, g: g + delta if i == j == 1 else g)
+    assert semisimplicity_check(2) == [
+        f"layer 1b: diagonal constant at {tableaux(CellLabel('bullet', 1), 2)[1]} is 2*phi, not -1 + 2*phi",
+        "layer 1b: determinant's top term is 4 + 2*phi at delta^2, not 5 at delta^2",
+    ]
+
+
+def test_semisimplicity_reports_an_off_diagonal_constant_and_degree(monkeypatch):
+    delta = LaurentPoly.delta()
+    _patched_forms(monkeypatch, "1", lambda i, j, g: g + delta**2 if i != j else g)
+    tabs = tableaux(CellLabel("plain", 1), 2)
+    assert semisimplicity_check(2) == [
+        f"layer 1: <{tabs[0]}, {tabs[1]}> exceeds degree 1 in delta",
+        f"layer 1: <{tabs[1]}, {tabs[0]}> exceeds degree 1 in delta",
+        "layer 1: determinant's top term is -1 at delta^4, not 5 at delta^2",
+    ]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda det: LaurentPoly.zero(), "form determinant vanishes"),
+        (lambda det: det * 2, "determinant's top term is 10 at delta^2, not 5 at delta^2"),
+        (lambda det: det * LaurentPoly.delta(), "determinant's top term is 5 at delta^3, not 5 at delta^2"),
+    ],
+)
+def test_semisimplicity_checks_the_leading_term(monkeypatch, change, message):
+    original = tlh.cellular.gram_det
+
+    def patched(form):  # the 2x2 forms are layers 1 and 1b
+        return change(original(form)) if form.n_rows == 2 else original(form)
+
+    monkeypatch.setattr(tlh.cellular, "gram_det", patched)
+    assert semisimplicity_check(2) == [f"layer 1: {message}", f"layer 1b: {message}"]
 
 
 def test_verify_cellular_axioms():

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from tlh.algebra import AlgebraElement, ClosureViolation, evaluate_word
-from tlh.cellular import IndependenceViolation
+from tlh.cellular import IndependenceViolation, RingMatrix
 from tlh.cli import DEFAULT_SEED, _build_parser, main
 from tlh.diagram import Diagram, generator_U
 from tlh.factor import FactorizationError
@@ -303,6 +303,22 @@ def test_verify_under_python_O_matches_golden():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / "verify_all_n3.jsonl").read_text()
+
+
+def test_gram_n5_matches_the_benchmark_reference(capsys):
+    code, out, _ = run(capsys, "gram", "--n", "5", "--format", "structured")
+    assert code == 0
+    assert out == (pathlib.Path(__file__).parent.parent / "perfbench" / "ref" / "gram_n5.jsonl").read_text()
+
+
+def test_asymmetric_form_entry_exits_one(capsys, monkeypatch):
+    import tlh.cli
+
+    monkeypatch.setattr(tlh.cli, "gram_matrix", lambda label, n: RingMatrix(((LaurentPoly.v_pow(1),),)))
+    code, out, err = run(capsys, "gram", "--n", "2", "--format", "structured")
+    assert code == 1 and err == ""
+    failure = {"kind": "failure", "error": "ValueError", "detail": "v is not symmetric under v -> 1/v"}
+    assert records(out) == [failure]
 
 
 COMMON_OPTIONS = ("--n", "--cap", "--format", "--out")

@@ -102,6 +102,14 @@ def test_half_constructor_rejects():
         HalfDiagram(2, ((2, 1, 0),))
 
 
+def test_half_constructor_checks_every_cap_before_sorting():
+    # sorting compares the caps, so a malformed one must be caught first
+    with pytest.raises(ValueError, match=r"bad cap endpoints \(1, x\)"):
+        HalfDiagram(3, ((1, "x", 0), (1, 2, 0)))
+    with pytest.raises(ValueError, match="cap must be"):
+        HalfDiagram(3, ((1, 2, 0), 5))
+
+
 def test_half_free_points_and_exposure():
     h = HalfDiagram(7, ((2, 3, 0), (4, 7, 0), (5, 6, 0)))
     assert h.free_points == (1,)

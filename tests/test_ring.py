@@ -20,6 +20,8 @@ from tlh.ring import (
     LaurentPoly,
     fib_pair,
     fib_reduce,
+    from_delta,
+    to_delta,
 )
 
 
@@ -291,3 +293,59 @@ def test_shared_operators_property(pair, k):
         with pytest.raises(ValueError, match=re.escape(f"nonnegative integer power expected, got {bad!r}")):
             x ** bad
     assert bool(x) == (not x.is_zero())
+
+
+# The v <-> delta conversion: exact both ways on polynomials fixed by v -> 1/v.
+
+coordinate = st.one_of(st.integers(-20, 20), st.fractions(-9, 9, max_denominator=12))
+rational_golden = st.builds(GoldenScalar, coordinate, coordinate)
+rational_laurent = st.dictionaries(st.integers(-6, 6), rational_golden, max_size=5).map(LaurentPoly)
+delta_poly = st.dictionaries(st.integers(0, 6), rational_golden, max_size=5).map(LaurentPoly)
+
+
+def flip(p: LaurentPoly) -> LaurentPoly:
+    """p(1/v)."""
+    return LaurentPoly({-e: c for e, c in p.items()})
+
+
+def test_delta_conversion_frozen():
+    v = LaurentPoly.v_pow
+    assert to_delta(LaurentPoly.delta()) == v(1)
+    assert to_delta(v(2) + v(-2)) == v(2) - 2
+    assert to_delta(v(3) + v(-3) + 5 * LaurentPoly.one()) == v(3) - 3 * v(1) + 5
+    assert to_delta(LaurentPoly.zero()).is_zero() and from_delta(LaurentPoly.zero()).is_zero()
+    assert from_delta(v(2) - 2) == v(2) + v(-2)
+    for asymmetric in (v(1), v(-1), v(2) + v(-1), v(1) + 2 * v(-1)):
+        with pytest.raises(ValueError, match="not symmetric"):
+            to_delta(asymmetric)
+    with pytest.raises(ValueError, match="negative power of delta"):
+        from_delta(v(-1))
+
+
+@properties
+@given(rational_laurent)
+def test_delta_round_trip_property(half):
+    p = half + flip(half)  # every polynomial fixed by v -> 1/v has this form
+    q = to_delta(p)
+    assert q.is_zero() or q.min_exp >= 0
+    assert from_delta(q) == p
+    # oracle for from_delta: sum c * delta^e power by power
+    assert sum((LaurentPoly.delta() ** e * c for e, c in q.items()), LaurentPoly.zero()) == p
+
+
+@properties
+@given(delta_poly)
+def test_delta_polynomials_convert_back_property(q):
+    p = from_delta(q)
+    assert flip(p) == p
+    assert to_delta(p) == q
+
+
+@properties
+@given(rational_laurent)
+def test_asymmetric_polynomials_raise_property(p):
+    if flip(p) == p:
+        assert from_delta(to_delta(p)) == p
+    else:
+        with pytest.raises(ValueError, match="not symmetric"):
+            to_delta(p)

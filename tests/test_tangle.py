@@ -40,6 +40,12 @@ def test_noderef_parse_and_str():
             NodeRef.parse(bad)
 
 
+@pytest.mark.parametrize("widths", [(1.0, 1), (1, 2.0), (True, 1), (1, False), (1, "1")])
+def test_constructor_rejects_non_integer_widths(widths):
+    with pytest.raises(ValueError, match="boundary widths must be integers"):
+        DecoratedTangle(*widths)
+
+
 def test_linearized_positions_frozen():
     t = DecoratedTangle(3, 2)
     assert [t.position(r) for r in [N(1), N(2), N(3), S(2), S(1)]] == [0, 1, 2, 3, 4]
