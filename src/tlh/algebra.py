@@ -22,7 +22,7 @@ import dataclasses
 import itertools
 import random
 
-from tlh.diagram import Diagram, enumerate_diagrams, generator_U
+from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
 from tlh.ring import LaurentPoly, fib_pair
 from tlh.tangle import DecoratedTangle, random_tangle
 
@@ -117,7 +117,7 @@ class AlgebraElement:
 
     @classmethod
     def one(cls, m: int) -> "AlgebraElement":
-        return cls.from_diagram(Diagram.from_tangle(DecoratedTangle.identity(m)))
+        return cls.from_diagram(Diagram(HalfDiagram(m), HalfDiagram(m)))
 
     @classmethod
     def from_diagram(cls, d: Diagram, coeff=1) -> "AlgebraElement":

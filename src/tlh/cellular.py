@@ -65,6 +65,8 @@ class CellLabel:
     def __post_init__(self):
         if self.kind not in ("zero", "plain", "bullet", "middle"):
             raise ValueError(f"unknown label kind {self.kind!r}")
+        if type(self.k) is not int:  # no bools
+            raise ValueError(f"cap count must be an integer, got {self.k!r}")
         if (self.kind == "zero") != (self.k == 0) or self.k < 0:
             raise ValueError(f"label kind {self.kind!r} cannot have cap count {self.k}")
 

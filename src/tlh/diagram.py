@@ -20,7 +20,7 @@ import dataclasses
 import functools
 from math import comb
 
-from tlh.tangle import DecoratedTangle, NodeRef
+from tlh.tangle import DecoratedTangle, NodeRef, _iterable
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,7 +39,7 @@ class HalfDiagram:
     def __post_init__(self):
         if type(self.m) is not int or self.m < 0:
             raise ValueError(f"strand count must be a nonnegative integer, got {self.m!r}")
-        pairs = tuple(self.pairs)
+        pairs = tuple(_iterable("pairs", self.pairs))
         for p in pairs:  # every type before the sort compares them
             if not isinstance(p, (tuple, list)) or len(p) != 3:
                 raise ValueError(f"cap must be (west, east, dec), got {p!r}")
@@ -79,11 +79,6 @@ class HalfDiagram:
     @property
     def k(self) -> int:
         return len(self.pairs)
-
-    def exposed_caps(self) -> tuple:
-        """The caps west of every free node and inside no other cap."""
-        west = min(self.free_points, default=self.m + 1)
-        return tuple(p for p in self.pairs if p[1] < west and not any(c < p[0] < d for c, d, _ in self.pairs))
 
     def admissible(self) -> bool:
         """The face condition: no caps, or a decorated {1,2}, or a plain {i,i+1}, i > 1."""

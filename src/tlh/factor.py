@@ -143,9 +143,8 @@ def _seed_word(k: int, r: int, north_free: bool, south_free: bool, bullet: bool)
 def factorize(d: Diagram) -> list:
     """A generator word evaluating exactly to the given basis diagram."""
     word: list = []
-    gen = next((i for i in range(1, d.m) if d == generator_U(i, d.m)), None)
-    if gen is not None:
-        word = [f"U{gen}"]
+    if d.k == 1 and d == generator_U(d.north.pairs[0][0], d.m):  # the only candidate generator
+        word = [f"U{d.north.pairs[0][0]}"]
     elif d.k > 0:
         prefix, north_flat = _unnest(d.north)
         post, south_flat = _unnest(d.south)

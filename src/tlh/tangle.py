@@ -40,6 +40,13 @@ class NodeRef(NamedTuple):
 Arc = tuple[NodeRef, NodeRef, int]
 
 
+def _iterable(name: str, value):
+    """value itself, or ValueError naming the argument if it cannot be iterated."""
+    if not hasattr(value, "__iter__"):
+        raise ValueError(f"{name} must be iterable, got {value!r}")
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class DecoratedTangle:
     """An immutable decorated tangle.
@@ -47,8 +54,10 @@ class DecoratedTangle:
     ``arcs`` holds triples (a, b, dec) with endpoints in linearized order and
     dec the number of decorations on that arc; ``loops`` holds the decoration
     count of each closed loop.  The constructor enforces structural sanity
-    (nodes in range, each node on at most one arc) but not geometry: use
-    :meth:`validate` to check planarity and west-exposure.
+    (nodes in range, each node on at most one arc) but not geometry.  Tangles
+    serve gluing, JSON input and the confluence suite; a tangle becomes a
+    basis diagram only through ``Diagram.from_tangle``, whose faces check
+    planarity and west-exposure.
     """
 
     n_top: int
@@ -62,7 +71,7 @@ class DecoratedTangle:
         if self.n_top < 0 or self.n_bottom < 0:
             raise ValueError(f"negative boundary width: {self.n_top}, {self.n_bottom}")
         norm, seen, dup = set(), set(), set()
-        for a, b, dec in self.arcs:
+        for a, b, dec in _iterable("arcs", self.arcs):
             for ref in (a, b):
                 if not isinstance(ref, NodeRef):
                     raise ValueError(f"arc endpoint {ref!r} is not a NodeRef")
@@ -80,7 +89,7 @@ class DecoratedTangle:
             norm.add((a, b, dec))
         if dup:
             raise ValueError(f"nodes on more than one arc: {', '.join(map(str, sorted(dup)))}")
-        if any(not isinstance(r, int) or r < 0 for r in self.loops):
+        if any(not isinstance(r, int) or r < 0 for r in _iterable("loops", self.loops)):
             raise ValueError(f"bad loop decoration counts {self.loops!r}")
         object.__setattr__(self, "arcs", frozenset(norm))
         object.__setattr__(self, "loops", tuple(sorted(self.loops)))
@@ -109,41 +118,11 @@ class DecoratedTangle:
                 return False
         return True
 
-    def validate(self) -> list[str]:
-        """All geometric violations, as human-readable strings; [] if valid."""
-        problems = []
-        covered = {ref for arc in self.arcs for ref in arc[:2]}
-        for face, width in (("N", self.n_top), ("S", self.n_bottom)):
-            for i in range(1, width + 1):
-                if NodeRef(face, i) not in covered:
-                    problems.append(f"node {face}{i} is not on any arc")
-        arcs = self.sorted_arcs()
-        for i, x in enumerate(arcs):
-            a, b = self.position(x[0]), self.position(x[1])
-            for y in arcs[i + 1 :]:
-                c, d = self.position(y[0]), self.position(y[1])
-                if a < c < b < d or c < a < d < b:
-                    problems.append(f"arcs {x[0]}-{x[1]} and {y[0]}-{y[1]} cross")
-        for arc in arcs:
-            if arc[2] > 0 and not self.west_exposed(arc):
-                problems.append(f"decorated arc {arc[0]}-{arc[1]} is not west-exposed")
-        return problems
-
     # -- construction helpers ---------------------------------------------
 
     @classmethod
     def identity(cls, m: int) -> "DecoratedTangle":
         return cls(m, m, frozenset((NodeRef("N", i), NodeRef("S", i), 0) for i in range(1, m + 1)))
-
-    def flip(self) -> "DecoratedTangle":
-        """Reflect top-to-bottom (the * operation on diagrams)."""
-        swap = lambda r: NodeRef("S" if r.face == "N" else "N", r.index)
-        return DecoratedTangle(
-            self.n_bottom,
-            self.n_top,
-            frozenset((swap(a), swap(b), dec) for a, b, dec in self.arcs),
-            self.loops,
-        )
 
     # -- composition -------------------------------------------------------
 

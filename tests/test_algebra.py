@@ -225,6 +225,16 @@ def test_element_api():
         AlgebraElement(4, {generator_U(1, 3): LaurentPoly.one()})
 
 
+def test_one_is_the_identity_diagram_built_in_dyadic_form(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the identity element must not go through a tangle")
+
+    monkeypatch.setattr(Diagram, "from_tangle", forbidden)
+    monkeypatch.setattr(DecoratedTangle, "identity", forbidden)
+    for m in range(1, 9):
+        assert AlgebraElement.one(m) == AlgebraElement.from_diagram(enumerate_diagrams(m)[0])
+
+
 def test_element_strings():
     assert str(AlgebraElement.zero(3)) == "0"
     assert str(evaluate_word(["U1"], 3)) == "|1-2*><1-2*|"

@@ -59,6 +59,12 @@ def test_poset_is_frozen():
         lambda_poset(1)
 
 
+@pytest.mark.parametrize("kind, k", [("plain", 1.0), ("plain", True), ("bullet", "1"), ("zero", False), ("middle", None)])
+def test_label_cap_count_must_be_an_int(kind, k):
+    with pytest.raises(ValueError, match="cap count must be an integer"):
+        CellLabel(kind, k)
+
+
 def test_label_parsing_and_order():
     for n in (3, 4, 7):
         for label in lambda_poset(n):

@@ -19,6 +19,7 @@ from tlh.diagram import (
     generator_U,
 )
 from tlh.tangle import DecoratedTangle, NodeRef
+from test_tangle import flip, validate
 
 N = lambda i: NodeRef("N", i)
 S = lambda i: NodeRef("S", i)
@@ -58,7 +59,7 @@ def all_square_tangles(m: int):
 
 def oracle_accepts(t: DecoratedTangle) -> bool:
     """Independent oracle: the general geometry check plus the basis rules, written out."""
-    if t.validate() or any(dec > 1 for _, _, dec in t.arcs):
+    if validate(t) or any(dec > 1 for _, _, dec in t.arcs):
         return False
     caps = [arc for arc in t.arcs if arc[0].face == arc[1].face]
     if not caps:
@@ -102,6 +103,11 @@ def test_half_constructor_rejects():
         HalfDiagram(2, ((2, 1, 0),))
 
 
+def test_half_constructor_rejects_a_non_iterable_pairs_argument():
+    with pytest.raises(ValueError, match="^pairs must be iterable, got 5$"):
+        HalfDiagram(3, 5)
+
+
 def test_half_constructor_checks_every_cap_before_sorting():
     # sorting compares the caps, so a malformed one must be caught first
     with pytest.raises(ValueError, match=r"bad cap endpoints \(1, x\)"):
@@ -114,12 +120,13 @@ def test_half_free_points_and_exposure():
     h = HalfDiagram(7, ((2, 3, 0), (4, 7, 0), (5, 6, 0)))
     assert h.free_points == (1,)
     assert h.k == 3
-    # free node 1 hides everything; nesting hides (5,6)
-    assert h.exposed_caps() == ()
-    g = HalfDiagram(6, ((1, 6, 1), (2, 3, 0), (4, 5, 0)))
-    assert g.exposed_caps() == ((1, 6, 1),)
-    flat = HalfDiagram(6, ((1, 2, 1), (3, 4, 0), (5, 6, 0)))
-    assert flat.exposed_caps() == flat.pairs
+    # free node 1 hides everything and nesting hides (5,6), so no cap of h may be decorated
+    for i, (a, b, _) in enumerate(h.pairs):
+        with pytest.raises(ValueError, match=rf"^decorated cap \({a},{b}\) is not west-exposed$"):
+            HalfDiagram(7, h.pairs[:i] + ((a, b, 1),) + h.pairs[i + 1 :])
+    # an outer cap at the west wall, and every cap of a flat face, may be
+    assert HalfDiagram(6, ((1, 6, 1), (2, 3, 0), (4, 5, 0))).free_points == ()
+    assert HalfDiagram(6, ((1, 2, 1), (3, 4, 1), (5, 6, 1))).free_points == ()
 
 
 def test_admissibility_of_faces():
@@ -268,7 +275,7 @@ def test_dyadic_round_trip():
 def test_star_swaps_faces():
     for d in enumerate_diagrams(4):
         assert d.star() == Diagram(d.south, d.north, d.bullet)
-        assert d.star().tangle == d.tangle.flip()
+        assert d.star().tangle == flip(d.tangle)
         assert d.star().star() == d
     assert generator_U(1, 5).star() == generator_U(1, 5)
 
@@ -408,13 +415,12 @@ def test_enumeration_matches_the_decoration_bits_oracle():
             ]
 
 
-def test_free_points_and_exposed_caps_match_the_oracle():
+def test_free_points_match_the_oracle():
     for m in range(0, 9):
         for k in range(0, m // 2 + 1):
             for h in enumerate_generalized_half(m, k):
                 faults, free = pairwise_face_check(m, h.pairs)
                 assert faults == [] and h.free_points == free
-                assert h.exposed_caps() == tuple(p for p in h.pairs if pairwise_exposed(p[0], p[1], h.pairs, free))
 
 
 @st.composite

@@ -3,7 +3,9 @@
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
 import sys
 import types
 
@@ -73,3 +75,15 @@ def test_the_benchmark_tracer_finds_every_traced_name_and_restores_it():
     after = tlh_bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_the_benchmark_own_tests_pass():
+    # perfbench's pins (hand counts, reference digests, exit codes) guard the product path;
+    # run them read-only: no pytest cache, no bytecode and no optimization stripping their asserts
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONOPTIMIZE", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
