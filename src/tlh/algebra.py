@@ -242,7 +242,7 @@ def reduce_tangle(t: DecoratedTangle) -> AlgebraElement:
             d = Diagram.from_tangle(tang)
         except ValueError as exc:
             raise ClosureViolation(f"reduction left a non-basis tangle {tang}: {exc}") from exc
-        terms[d] = terms.get(d, LaurentPoly.zero()) + coeff
+        terms[d] = terms[d] + coeff if d in terms else coeff
     return AlgebraElement(t.n_top, terms)
 
 
@@ -254,47 +254,51 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         for d2, c2 in y._terms.items():
             c = c1 * c2
             for d, k in reduce_tangle(d1.tangle.concat(d2.tangle))._terms.items():
-                terms[d] = terms.get(d, LaurentPoly.zero()) + k * c
+                kc = k * c
+                terms[d] = terms[d] + kc if d in terms else kc
     return AlgebraElement(x.m, terms)
 
 
 def special_elements(m: int) -> dict:
-    """alpha, beta, epsilon, zeta as elements on m strands."""
+    """alpha, beta, epsilon, zeta on m strands, each one bulleted diagram minus one plain diagram.
+
+    With W the decorated cap {1, 2} and C the plain cap {2, 3}: alpha = U1U2 - 1 = |W><C|* - 1,
+    beta = U2U1 - 1 = |C><W|* - 1, epsilon = U1U2U1 - 2U1 = |W><W|* - |W><W| and zeta = U2U1U2 - 2U2
+    = |C><C|* - |C><C|.  No product is taken; ``verify_presentation`` checks these against the products."""
     if m < 3:
         raise ValueError(f"the special elements need at least 3 strands, got {m}")
-    one = AlgebraElement.one(m)
-    u1 = AlgebraElement.from_diagram(generator_U(1, m))
-    u2 = AlgebraElement.from_diagram(generator_U(2, m))
-    u12, u21 = u1 * u2, u2 * u1
+    wall, cap2 = HalfDiagram(m, ((1, 2, 1),)), HalfDiagram(m, ((2, 3, 0),))
+    ident = Diagram(HalfDiagram(m), HalfDiagram(m))
     return {
-        "alpha": u12 - one,
-        "beta": u21 - one,
-        "epsilon": u12 * u1 - u1.scale(2),
-        "zeta": u21 * u2 - u2.scale(2),
+        "alpha": AlgebraElement(m, {Diagram(wall, cap2, True): 1, ident: -1}),
+        "beta": AlgebraElement(m, {Diagram(cap2, wall, True): 1, ident: -1}),
+        "epsilon": AlgebraElement(m, {Diagram(wall, wall, True): 1, Diagram(wall, wall): -1}),
+        "zeta": AlgebraElement(m, {Diagram(cap2, cap2, True): 1, Diagram(cap2, cap2): -1}),
     }
 
 
 def evaluate_word(tokens, m: int) -> AlgebraElement:
-    """The product of generator tokens: '1', 'U3', 'alpha', 'beta', 'epsilon', 'zeta'."""
-    acc = AlgebraElement.one(m)
-    specials = None
+    """The product of generator tokens '1', 'U3', 'alpha', 'beta', 'epsilon', 'zeta': one product per token
+    from the identity, with a table local to the call that builds each distinct token's factor once."""
+    acc, factors = AlgebraElement.one(m), {}
     for tok in tokens:
+        if not isinstance(tok, str):
+            raise ValueError(f"unknown generator token {tok!r}")
         if tok == "1":
             continue
-        if tok.startswith("U") and tok[1:].isdigit():
-            factor = AlgebraElement.from_diagram(generator_U(int(tok[1:]), m))
-        elif tok in ("alpha", "beta", "epsilon", "zeta"):
-            if specials is None:
-                specials = special_elements(m)
-            factor = specials[tok]
-        else:
-            raise ValueError(f"unknown generator token {tok!r}")
-        acc = acc * factor
+        if tok not in factors:
+            if tok.startswith("U") and tok[1:].isdigit():
+                factors[tok] = AlgebraElement.from_diagram(generator_U(int(tok[1:]), m))
+            elif tok in ("alpha", "beta", "epsilon", "zeta"):
+                factors.update(special_elements(m))
+            else:
+                raise ValueError(f"unknown generator token {tok!r}")
+        acc = acc * factors[tok]
     return acc
 
 
 def verify_presentation(m: int) -> list:
-    """Check every defining relation among the generators; [] means all hold."""
+    """Check every defining relation and special-element identity; [] means all hold."""
     problems = []
     n = m - 1
     delta = LaurentPoly.delta()
@@ -313,11 +317,13 @@ def verify_presentation(m: int) -> list:
         for a, b in ((i, i + 1), (i + 1, i)):
             check(f"U{a}U{b}U{a} = U{a}", u[a] * u[b] * u[a], u[a])
     if n >= 2:
-        for a, b in ((1, 2), (2, 1)):
-            lhs = u[a] * u[b] * u[a] * u[b] * u[a]
-            rhs = (u[a] * u[b] * u[a]).scale(3) - u[a]
-            check(f"U{a}U{b}U{a}U{b}U{a} = 3U{a}U{b}U{a} - U{a}", lhs, rhs)
-        s = special_elements(m)
+        s, one = special_elements(m), AlgebraElement.one(m)
+        for a, b, quadratic, cubic in ((1, 2, "alpha", "epsilon"), (2, 1, "beta", "zeta")):
+            ab = u[a] * u[b]
+            aba = ab * u[a]
+            check(f"U{a}U{b}U{a}U{b}U{a} = 3U{a}U{b}U{a} - U{a}", aba * u[b] * u[a], aba.scale(3) - u[a])
+            check(f"{quadratic} = U{a}U{b} - 1", s[quadratic], ab - one)
+            check(f"{cubic} = U{a}U{b}U{a} - 2U{a}", s[cubic], aba - u[a].scale(2))
         check("epsilon*beta = U1", s["epsilon"] * s["beta"], u[1])
         check("zeta*alpha = U2", s["zeta"] * s["alpha"], u[2])
         check("U2*epsilon = zeta*U1", u[2] * s["epsilon"], s["zeta"] * u[1])

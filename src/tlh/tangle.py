@@ -71,10 +71,13 @@ class DecoratedTangle:
         if self.n_top < 0 or self.n_bottom < 0:
             raise ValueError(f"negative boundary width: {self.n_top}, {self.n_bottom}")
         norm, seen, dup = set(), set(), set()
-        for a, b, dec in _iterable("arcs", self.arcs):
+        for arc in _iterable("arcs", self.arcs):
+            if not isinstance(arc, (tuple, list)) or len(arc) != 3:
+                raise ValueError(f"arc must be (a, b, dec), got {arc!r}")
+            a, b, dec = arc
             for ref in (a, b):
-                if not isinstance(ref, NodeRef):
-                    raise ValueError(f"arc endpoint {ref!r} is not a NodeRef")
+                if not isinstance(ref, NodeRef) or type(ref.index) is not int:  # no bools
+                    raise ValueError(f"arc endpoint {ref!r} is not a NodeRef with an integer index")
                 width = self.n_top if ref.face == "N" else self.n_bottom if ref.face == "S" else None
                 if width is None or not 1 <= ref.index <= width:
                     raise ValueError(f"node {ref} out of range for widths ({self.n_top}, {self.n_bottom})")

@@ -114,6 +114,55 @@ def test_frozen_products_on_three_strands():
     assert (u1 * u2) * mixed == mixed + AlgebraElement.from_diagram(D3(H_STAR, H_PLAIN, True))
 
 
+def special_elements_reference(m: int) -> dict:
+    """The special elements as products of the generators: the oracle for the closed forms."""
+    one = AlgebraElement.one(m)
+    u1 = AlgebraElement.from_diagram(generator_U(1, m))
+    u2 = AlgebraElement.from_diagram(generator_U(2, m))
+    u12, u21 = u1 * u2, u2 * u1
+    return {
+        "alpha": u12 - one,
+        "beta": u21 - one,
+        "epsilon": u12 * u1 - u1.scale(2),
+        "zeta": u21 * u2 - u2.scale(2),
+    }
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_special_elements_match_the_product_reference(m):
+    assert special_elements(m) == special_elements_reference(m)
+
+
+def counting(monkeypatch, name):
+    """Wrap tlh.algebra.<name> and return the list its calls are appended to."""
+    calls, real = [], getattr(tlh.algebra, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tlh.algebra, name, wrapper)
+    return calls
+
+
+def test_special_elements_take_no_product(monkeypatch):
+    calls = counting(monkeypatch, "multiply")
+    special_elements(5)
+    assert calls == []
+
+
+def test_evaluate_word_builds_one_factor_per_distinct_generator(monkeypatch):
+    word = "U1 U2 U1 U2 alpha U2".split()
+    factors = {f"U{i}": AlgebraElement.from_diagram(generator_U(i, 4)) for i in (1, 2)}
+    factors["alpha"] = special_elements_reference(4)["alpha"]
+    expected = AlgebraElement.one(4)
+    for tok in word:
+        expected = expected * factors[tok]
+    calls = counting(monkeypatch, "generator_U")
+    assert evaluate_word(word, 4) == expected
+    assert sorted(calls) == [(1, 4), (2, 4)]
+
+
 def test_special_elements_frozen():
     s = special_elements(3)
     assert s["epsilon"].items() == [
@@ -158,6 +207,20 @@ def test_zeta_u1_equals_u2_epsilon():
 def test_presentation_holds():
     for m in (3, 4, 5):
         assert verify_presentation(m) == []
+
+
+def test_presentation_reports_a_wrong_special_element(monkeypatch):
+    real = tlh.algebra.special_elements
+
+    def special_elements(m):  # epsilon with the sign of its plain term flipped
+        s = real(m)
+        u1 = AlgebraElement.from_diagram(generator_U(1, m))
+        return dict(s, epsilon=s["epsilon"] + u1.scale(2))
+
+    monkeypatch.setattr(tlh.algebra, "special_elements", special_elements)
+    problems = verify_presentation(4)
+    assert any(p.startswith("epsilon = U1U2U1 - 2U1: ") for p in problems)
+    assert not any(p.startswith(("alpha =", "beta =", "zeta =")) for p in problems)
 
 
 def test_undecorated_cap_fails_the_quintic_relation():
@@ -259,8 +322,9 @@ def test_element_json_round_trip():
 
 
 def test_evaluate_word_errors():
-    with pytest.raises(ValueError, match="unknown generator token"):
-        evaluate_word(["U1", "Q"], 3)
+    for bad in ("Q", 1, None, ["U1"], b"U1"):
+        with pytest.raises(ValueError, match="unknown generator token"):
+            evaluate_word(["U1", bad], 3)
     with pytest.raises(ValueError, match="at least 3 strands"):
         evaluate_word(["alpha"], 2)
     with pytest.raises(ValueError, match="out of range"):

@@ -85,6 +85,21 @@ def test_constructor_rejects_non_iterable_arcs_and_loops(kwargs, name):
         DecoratedTangle(1, 1, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "arc, message",
+    [
+        (5, "arc must be"),
+        ((N(1), S(1)), "arc must be"),
+        ((N(1), NodeRef("S", "x"), 0), "integer index"),
+        ((N(1), NodeRef("S", True), 0), "integer index"),
+    ],
+    ids=["int", "pair", "str-index", "bool-index"],
+)
+def test_constructor_rejects_malformed_arc_entries(arc, message):
+    with pytest.raises(ValueError, match=message):
+        DecoratedTangle(1, 1, [arc])
+
+
 def test_linearized_positions_frozen():
     t = DecoratedTangle(3, 2)
     assert [t.position(r) for r in [N(1), N(2), N(3), S(2), S(1)]] == [0, 1, 2, 3, 4]
