@@ -95,6 +95,8 @@ class AlgebraElement:
     __slots__ = ("m", "_terms")
 
     def __init__(self, m: int, terms=None):
+        if type(m) is not int or m < 1:  # no bools
+            raise ValueError(f"strand count 'm' must be a positive integer, got {m!r}")
         clean: dict[Diagram, LaurentPoly] = {}
         for d, c in (terms or {}).items():
             if not isinstance(d, Diagram):
@@ -218,9 +220,6 @@ class AlgebraElement:
     def from_json(cls, obj: dict) -> "AlgebraElement":
         if not isinstance(obj, dict) or "m" not in obj:
             raise ValueError(f"algebra element must be an object with 'm', got {obj!r}")
-        m = obj["m"]
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"strand count 'm' must be a positive integer, got {m!r}")
         terms: dict[Diagram, LaurentPoly] = {}
         try:
             for entry in obj.get("terms", []):
@@ -229,7 +228,7 @@ class AlgebraElement:
                 terms[d] = terms.get(d, LaurentPoly.zero()) + c
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed algebra element terms: {exc!r}") from exc
-        return cls(m, terms)
+        return cls(obj["m"], terms)
 
 
 def reduce_tangle(t: DecoratedTangle) -> AlgebraElement:
@@ -287,7 +286,7 @@ def evaluate_word(tokens, m: int) -> AlgebraElement:
         if tok == "1":
             continue
         if tok not in factors:
-            if tok.startswith("U") and tok[1:].isdigit():
+            if tok.startswith("U") and tok[1:].isascii() and tok[1:].isdigit():
                 factors[tok] = AlgebraElement.from_diagram(generator_U(int(tok[1:]), m))
             elif tok in ("alpha", "beta", "epsilon", "zeta"):
                 factors.update(special_elements(m))

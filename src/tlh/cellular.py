@@ -446,13 +446,6 @@ def semisimplicity_check(n: int) -> list:
     return problems
 
 
-def label_minus_one(label: CellLabel, n: int) -> CellLabel:
-    """The factor label one cap down in the rank-(n-1) poset."""
-    if not 0 < 2 * label.k < n + 1:
-        raise ValueError(f"no reduced label for {label} at rank {n}")
-    return CellLabel(label.kind if label.k > 1 else "zero", label.k - 1)
-
-
 def _restricted_blocks(label: CellLabel, n: int, problems: list) -> list:
     """A layer's new basis, placed by what each tableau S does at its east point.
 

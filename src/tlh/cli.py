@@ -111,7 +111,7 @@ def _parse_label(text: str, n: int) -> CellLabel:
 def _load_element(operand: str, n) -> AlgebraElement:
     """An operand: a JSON file path, or a word like 'U1 U2' or 'epsilon*beta'."""
     path = pathlib.Path(operand)
-    if path.exists():
+    if path.is_file():
         try:
             return AlgebraElement.from_json(json.loads(path.read_text()))
         except (ValueError, KeyError, TypeError) as exc:

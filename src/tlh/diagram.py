@@ -106,15 +106,6 @@ class HalfDiagram:
     def to_json(self) -> dict:
         return {"m": self.m, "caps": [list(p) for p in self.pairs]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "HalfDiagram":
-        if not isinstance(obj, dict) or "m" not in obj:
-            raise ValueError(f"half-diagram must be an object with 'm', got {obj!r}")
-        caps = obj.get("caps", [])
-        if not isinstance(caps, list) or not all(isinstance(p, list) and all(type(c) is int for c in p) for p in caps):
-            raise ValueError(f"half-diagram caps must be a list of integer lists, got {caps!r}")
-        return cls(obj["m"], tuple(map(tuple, caps)))
-
 
 @dataclasses.dataclass(frozen=True)
 class Diagram:

@@ -91,10 +91,6 @@ class GoldenScalar(_Ring):
             return GoldenScalar(x, 0)
         return None
 
-    @property
-    def is_integral(self) -> bool:
-        return isinstance(self.a, int) and isinstance(self.b, int)
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
@@ -193,17 +189,6 @@ def fib_pair(r: int) -> tuple[int, int]:
     for _ in range(r):
         a, b = b, a + b
     return a, b
-
-
-def fib_reduce(r: int) -> GoldenScalar:
-    """gamma^r as an element of Z[phi]: F(r-1) + F(r)*phi.
-
-    >>> fib_reduce(5)
-    GoldenScalar(a=3, b=5)
-    >>> fib_reduce(2) == PHI * PHI
-    True
-    """
-    return GoldenScalar(*fib_pair(r))
 
 
 class LaurentPoly(_Ring):

@@ -29,7 +29,7 @@ class NodeRef(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "NodeRef":
-        if len(text) >= 2 and text[0] in "NS" and text[1:].isdigit():
+        if len(text) >= 2 and text[0] in "NS" and text[1:].isascii() and text[1:].isdigit():
             return cls(text[0], int(text[1:]))
         raise ValueError(f"bad node reference {text!r} (expected e.g. 'N3' or 'S1')")
 
@@ -83,7 +83,7 @@ class DecoratedTangle:
                     raise ValueError(f"node {ref} out of range for widths ({self.n_top}, {self.n_bottom})")
             if a == b:
                 raise ValueError(f"arc joins node {a} to itself")
-            if not isinstance(dec, int) or dec < 0:
+            if type(dec) is not int or dec < 0:  # no bools
                 raise ValueError(f"bad decoration count {dec!r} on arc {a}-{b}")
             dup.update(seen.intersection((a, b)))
             seen.update((a, b))
@@ -92,7 +92,7 @@ class DecoratedTangle:
             norm.add((a, b, dec))
         if dup:
             raise ValueError(f"nodes on more than one arc: {', '.join(map(str, sorted(dup)))}")
-        if any(not isinstance(r, int) or r < 0 for r in _iterable("loops", self.loops)):
+        if any(type(r) is not int or r < 0 for r in _iterable("loops", self.loops)):
             raise ValueError(f"bad loop decoration counts {self.loops!r}")
         object.__setattr__(self, "arcs", frozenset(norm))
         object.__setattr__(self, "loops", tuple(sorted(self.loops)))

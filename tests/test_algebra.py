@@ -309,7 +309,7 @@ def test_element_json_round_trip():
     s = special_elements(3)
     for x in [AlgebraElement.zero(3), evaluate_word(["U1", "U2"], 3), s["epsilon"], s["zeta"]]:
         assert AlgebraElement.from_json(x.to_json()) == x
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="object with 'm'"):
         AlgebraElement.from_json({"terms": []})
     u1 = evaluate_word(["U1"], 3).to_json()
     (term,) = u1["terms"]
@@ -321,8 +321,17 @@ def test_element_json_round_trip():
             AlgebraElement.from_json({"m": 3, "terms": [dict(term, **bad)]})
 
 
+def test_strand_count_must_be_a_positive_integer():
+    # one check in the constructor serves direct callers and from_json alike
+    for m in (0, -3, "x", True, 2.0):
+        with pytest.raises(ValueError, match="strand count 'm' must be a positive integer"):
+            AlgebraElement(m)
+        with pytest.raises(ValueError, match="strand count 'm' must be a positive integer"):
+            AlgebraElement.from_json({"m": m, "terms": []})
+
+
 def test_evaluate_word_errors():
-    for bad in ("Q", 1, None, ["U1"], b"U1"):
+    for bad in ("Q", 1, None, ["U1"], b"U1", "U\u0661", "U\u00b2"):  # Arabic-Indic one, superscript two
         with pytest.raises(ValueError, match="unknown generator token"):
             evaluate_word(["U1", bad], 3)
     with pytest.raises(ValueError, match="at least 3 strands"):

@@ -21,7 +21,6 @@ from tlh.cellular import (
     expand_in_cell_basis,
     gram_det,
     gram_matrix,
-    label_minus_one,
     lambda_poset,
     semisimplicity_check,
     tableaux,
@@ -520,18 +519,6 @@ def test_semisimplicity_check():
     assert semisimplicity_check(3) == []
 
 
-def test_label_minus_one_frozen():
-    assert label_minus_one(CellLabel("plain", 1), 4) == CellLabel("zero")
-    assert label_minus_one(CellLabel("bullet", 1), 5) == CellLabel("zero")
-    assert label_minus_one(CellLabel("plain", 2), 4) == CellLabel("plain", 1)
-    assert label_minus_one(CellLabel("bullet", 2), 4) == CellLabel("bullet", 1)
-    assert label_minus_one(CellLabel("bullet", 3), 6) == CellLabel("bullet", 2)
-    with pytest.raises(ValueError):
-        label_minus_one(CellLabel("zero"), 4)
-    with pytest.raises(ValueError):
-        label_minus_one(CellLabel("middle", 2), 3)
-
-
 def test_branching_frozen_reports():
     rep = branching_report(CellLabel("plain", 1), 3)
     assert rep["problems"] == []
@@ -578,13 +565,14 @@ def _east_levels(label: CellLabel, n: int, problems: list) -> list:
 
     East-free tableaux come first, matched to the same layer one rank down;
     then the east-capped ones whose image without that cap is admissible,
-    matched to label_minus_one; last, for k >= 2, the one whose image is the
-    figure four, spanning a trivial top.
+    matched to the layer of the same kind one cap down (the zero layer when
+    k = 1); last, for k >= 2, the one whose image is the figure four,
+    spanning a trivial top.
     """
     m = n + 1
     # one rank down, the k-cap stratum may be the middle layer instead
     sub_label = next(mu for mu in _stratum(n, label.k) if mu.kind in (label.kind, "middle"))
-    lm1 = label_minus_one(label, n)
+    lm1 = CellLabel(label.kind if label.k > 1 else "zero", label.k - 1)
     sub_pos = {h: i for i, h in enumerate(tableaux(sub_label, n - 1))}
     lm1_pos = {h: i for i, h in enumerate(tableaux(lm1, n - 1))}
     free, capped, top = [], [], []

@@ -392,6 +392,8 @@ OPERAND_ERRORS = {
     "factorize_file_over_cap": (["factorize", "{on12}"], "factorize is capped at n <= 6 (got n = 11)"),
     "multiply_file_over_cap": (["multiply", "{on12}", "{on12}"], "multiply is capped at n <= 8 (got n = 11)"),
     "factorize_file_zero_cap": (["factorize", "{on3}", "--cap", "0"], "--cap must be positive, got 0"),
+    "multiply_empty_word": (["multiply", "U1", "", "--n", "2"], "empty operand"),
+    "factorize_empty_word": (["factorize", "--n", "2", ""], "empty operand"),
 }
 
 
@@ -408,6 +410,13 @@ def u1_files(tmp_path):
 def test_operands_are_checked_once_for_both_commands(capsys, u1_files, argv, message):
     code, out, err = run(capsys, *(arg.format(**u1_files) for arg in argv))
     assert code == 2 and out == "" and err.startswith(f"error: {message}")
+
+
+def test_a_directory_operand_is_read_as_a_word(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "src").mkdir()
+    code, out, err = run(capsys, "multiply", "U1", "src", "--n", "2")
+    assert code == 2 and out == "" and err == "error: unknown generator token 'src'\n"
 
 
 def test_file_operands_run_within_an_explicit_cap(capsys, u1_files):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import doctest
 import random
 import re
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlh.ring
 from tlh.ring import (
     GAMMA1,
     GAMMA2,
@@ -19,7 +21,6 @@ from tlh.ring import (
     GoldenScalar,
     LaurentPoly,
     fib_pair,
-    fib_reduce,
     from_delta,
     to_delta,
 )
@@ -42,13 +43,16 @@ def test_fib_pair_frozen_values():
         fib_pair(-1)
 
 
-def test_fib_reduce_matches_power_oracle():
-    # independent oracle: literally multiply phi together r times
-    acc = G_ONE
+def test_fib_pair_gives_the_powers_of_phi():
+    # the identity normal_form relies on: phi^r = F(r-1) + F(r)*phi
     for r in range(12):
-        assert fib_reduce(r) == acc
-        acc = acc * PHI
-    assert fib_reduce(5) == GoldenScalar(3, 5)
+        assert GoldenScalar(*fib_pair(r)) == PHI ** r
+    assert GoldenScalar(*fib_pair(5)) == GoldenScalar(3, 5)
+
+
+def test_ring_doctests_pass():
+    result = doctest.testmod(tlh.ring)
+    assert result.attempted > 0 and result.failed == 0
 
 
 def test_conjugate_and_norm():
@@ -76,8 +80,6 @@ def test_coord_normalization():
     x = GoldenScalar(Fraction(4, 2), Fraction(3, 1))
     assert isinstance(x.a, int) and isinstance(x.b, int)
     assert x == GoldenScalar(2, 3)
-    assert x.is_integral
-    assert not GoldenScalar(Fraction(1, 2), 0).is_integral
 
 
 def test_golden_random_ring_axioms():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import types
 
+import tlh
 from tlh.algebra import AlgebraElement
 from tlh.diagram import generator_U
 
@@ -25,6 +26,23 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert sorted(SRC.glob("*.py")) and found == []
+
+
+def test_the_export_list_is_the_package_namespace():
+    bound = {
+        name for name, value in vars(tlh).items()
+        if not name.startswith("_") and name != "annotations" and not isinstance(value, types.ModuleType)
+    }
+    assert len(set(tlh.__all__)) == len(tlh.__all__) and set(tlh.__all__) == bound
+    namespace = {}
+    exec("from tlh import *", namespace)
+    assert all(namespace[name] is getattr(tlh, name) for name in tlh.__all__)
+    # helpers deleted for want of a caller stay gone: fib_pair is the one Fibonacci helper,
+    # is_zero the one predicate on GoldenScalar, and a half-diagram is written but never read
+    assert [name for name in vars(tlh.ring) if name.startswith("fib_")] == ["fib_pair"]
+    assert [name for name in dir(tlh.GoldenScalar) if name.startswith("is_")] == ["is_zero"]
+    assert [name for name in vars(tlh.cellular) if name.startswith("label_")] == []
+    assert not hasattr(tlh.HalfDiagram, "from_json") and hasattr(tlh.HalfDiagram, "to_json")
 
 
 def load_benchmark_tracer():

@@ -68,8 +68,8 @@ def test_noderef_parse_and_str():
     assert NodeRef.parse("N3") == N(3)
     assert NodeRef.parse("S12") == S(12)
     assert str(S(1)) == "S1"
-    for bad in ["X3", "N", "3", "Nx", ""]:
-        with pytest.raises(ValueError):
+    for bad in ["X3", "N", "3", "Nx", "", "N\u0661", "S\u00b2"]:  # Arabic-Indic one, superscript two
+        with pytest.raises(ValueError, match="bad node reference"):
             NodeRef.parse(bad)
 
 
@@ -92,8 +92,9 @@ def test_constructor_rejects_non_iterable_arcs_and_loops(kwargs, name):
         ((N(1), S(1)), "arc must be"),
         ((N(1), NodeRef("S", "x"), 0), "integer index"),
         ((N(1), NodeRef("S", True), 0), "integer index"),
+        ((N(1), S(1), True), "bad decoration count True"),  # from_json refuses the true to_json writes
     ],
-    ids=["int", "pair", "str-index", "bool-index"],
+    ids=["int", "pair", "str-index", "bool-index", "bool-dec"],
 )
 def test_constructor_rejects_malformed_arc_entries(arc, message):
     with pytest.raises(ValueError, match=message):
@@ -118,6 +119,8 @@ def test_constructor_rejects_structural_garbage():
         DecoratedTangle(2, 2, frozenset({(N(1), N(2), -1)}))
     with pytest.raises(ValueError, match="loop"):
         DecoratedTangle(0, 0, loops=(-2,))
+    with pytest.raises(ValueError, match="loop"):
+        DecoratedTangle(0, 0, loops=(True,))
 
 
 def test_validate_reports_problems():
