@@ -21,10 +21,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from math import comb
 
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
 from tlh.ring import LaurentPoly, fib_pair
 from tlh.tangle import DecoratedTangle, random_tangle
+
+
+_ONE = LaurentPoly.one()  # shared: a LaurentPoly is never changed in place
 
 
 class ClosureViolation(Exception):
@@ -38,20 +42,25 @@ def normal_form(t: DecoratedTangle) -> list:
     they are not checked for basis membership.  An already reduced tangle
     comes back as itself.
     """
-    if not t.loops and all(r < 2 for _, _, r in t.arcs):
-        return [(t, LaurentPoly.one())]
-    coeff = LaurentPoly.one()
+    partner, dec = t.boundary
+    if not t.loops and max(dec, default=0) < 2:
+        return [(t, _ONE)]
+    weight = 1  # the loops give weight * delta^len(loops)
     for r in t.loops:
-        weight = fib_pair(r)[0]
-        if weight == 0:
-            return []
-        coeff = coeff * LaurentPoly({1: weight, -1: weight})
-    choices = [(frozenset(a for a in t.arcs if a[2] < 2), coeff)]
-    for a, b, r in t.sorted_arcs():
-        if r >= 2:
-            split = tuple(enumerate(fib_pair(r)))  # F(r-1) plain, F(r) singly decorated
-            choices = [(arcs | {(a, b, dec)}, c * f) for arcs, c in choices for dec, f in split]
-    return [(DecoratedTangle(t.n_top, t.n_bottom, arcs), c) for arcs, c in choices]
+        weight *= fib_pair(r)[0]
+    if weight == 0:
+        return []
+    choices = [(list(dec), weight)]
+    for i, j in enumerate(partner):  # each arc once, at its first position: sorted_arcs order
+        if i < j and dec[i] >= 2:
+            split = tuple(enumerate(fib_pair(dec[i])))  # F(r-1) plain, F(r) singly decorated
+            choices = [(d[:i] + [r] + d[i + 1 : j] + [r] + d[j + 1 :], w * f) for d, w in choices for r, f in split]
+    power = len(t.loops)
+    delta_power = [(power - 2 * k, comb(power, k)) for k in range(power + 1)]
+    return [
+        (DecoratedTangle._from_boundary(t.n_top, t.n_bottom, partner, d), LaurentPoly({e: w * c for e, c in delta_power}))
+        for d, w in choices
+    ]
 
 
 def normal_form_random(t: DecoratedTangle, rng) -> dict:
@@ -89,14 +98,18 @@ def normal_form_random(t: DecoratedTangle, rng) -> dict:
     return done
 
 
+def _check_strands(m):
+    if type(m) is not int or m < 1:  # no bools
+        raise ValueError(f"strand count 'm' must be a positive integer, got {m!r}")
+
+
 class AlgebraElement:
     """A linear combination of basis diagrams on a common strand count."""
 
     __slots__ = ("m", "_terms")
 
     def __init__(self, m: int, terms=None):
-        if type(m) is not int or m < 1:  # no bools
-            raise ValueError(f"strand count 'm' must be a positive integer, got {m!r}")
+        _check_strands(m)
         clean: dict[Diagram, LaurentPoly] = {}
         for d, c in (terms or {}).items():
             if not isinstance(d, Diagram):
@@ -110,6 +123,16 @@ class AlgebraElement:
                 clean[d] = poly
         self.m = m
         self._terms = clean
+
+    @classmethod
+    def _from_checked(cls, m: int, terms: dict) -> "AlgebraElement":
+        """An element from terms already checked: Diagram keys on m strands, LaurentPoly values.
+
+        Only the products build through here; zero coefficients are dropped."""
+        x = cls.__new__(cls)
+        x.m = m
+        x._terms = {d: c for d, c in terms.items() if not c.is_zero()}
+        return x
 
     # -- constructors ------------------------------------------------------
 
@@ -235,6 +258,7 @@ def reduce_tangle(t: DecoratedTangle) -> AlgebraElement:
     """Fully reduce a square tangle to an element of the diagram algebra."""
     if not t.is_square:
         raise ValueError(f"cannot reduce a non-square tangle ({t.n_top} by {t.n_bottom})")
+    _check_strands(t.n_top)
     terms: dict[Diagram, LaurentPoly] = {}
     for tang, coeff in normal_form(t):
         try:
@@ -242,7 +266,7 @@ def reduce_tangle(t: DecoratedTangle) -> AlgebraElement:
         except ValueError as exc:
             raise ClosureViolation(f"reduction left a non-basis tangle {tang}: {exc}") from exc
         terms[d] = terms[d] + coeff if d in terms else coeff
-    return AlgebraElement(t.n_top, terms)
+    return AlgebraElement._from_checked(t.n_top, terms)
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -255,7 +279,7 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
             for d, k in reduce_tangle(d1.tangle.concat(d2.tangle))._terms.items():
                 kc = k * c
                 terms[d] = terms[d] + kc if d in terms else kc
-    return AlgebraElement(x.m, terms)
+    return AlgebraElement._from_checked(x.m, terms)
 
 
 def special_elements(m: int) -> dict:

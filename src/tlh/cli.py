@@ -305,12 +305,22 @@ def cmd_verify(args, report: Report) -> int:
     return 0 if failures == 0 else 1
 
 
+def _integer(text: str) -> int:
+    """argparse type of --n, --cap and --seed: ASCII digits with an optional leading '-'.
+
+    ``int`` alone would also take other Unicode digits, '_' separators and surrounding spaces."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=None, help="Coxeter index; diagrams use n + 1 strands")
+    common.add_argument("--n", type=_integer, default=None, help="Coxeter index; diagrams use n + 1 strands")
     common.add_argument("--format", choices=("text", "structured"), default="text",
                         help="structured prints line-delimited JSON records")
-    common.add_argument("--cap", type=int, default=None, help="override the built-in size cap")
+    common.add_argument("--cap", type=_integer, default=None, help="override the built-in size cap")
     common.add_argument("--out", default=None, metavar="PATH", help="write output to a file")
     layered = argparse.ArgumentParser(add_help=False, parents=[common])
     layered.add_argument("--lambda", dest="selector", default=None, metavar="LABEL",
@@ -334,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gram)
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
     p.add_argument("suite", choices=(*SUITES, "all"))
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized checks")
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED, help="seed for randomized checks")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -20,7 +20,7 @@ import dataclasses
 import functools
 from math import comb
 
-from tlh.tangle import DecoratedTangle, NodeRef, _iterable
+from tlh.tangle import DecoratedTangle, _iterable
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,29 +136,33 @@ class Diagram:
 
     @classmethod
     def from_tangle(cls, t: DecoratedTangle) -> "Diagram":
-        """The basis diagram a square, loop-free tangle draws; ValueError if none."""
+        """The basis diagram a square, loop-free tangle draws; ValueError if none.
+
+        Reads the tangle's boundary form: on 2m positions, N i is i - 1 and S j is 2m - j."""
         try:
             if not t.is_square:
                 raise ValueError(f"not square: {t.n_top} north, {t.n_bottom} south nodes")
             if t.loops:
                 raise ValueError("contains closed loops")
-            caps = {"N": [], "S": []}
-            props = []
-            for a, b, dec in t.arcs:
-                if dec > 1:
-                    raise ValueError("an edge carries more than one decoration")
-                if a.face != b.face:
-                    props.append((a.index, b.index, dec))
-                else:
-                    caps[a.face].append((min(a.index, b.index), max(a.index, b.index), dec))
-            if 2 * len(t.arcs) != t.n_top + t.n_bottom:  # an uncovered node; checked before any half is built
+            partner, dec = t.boundary
+            if max(dec, default=0) > 1:
+                raise ValueError("an edge carries more than one decoration")
+            if -1 in partner:  # an uncovered node; checked before any half is built
                 raise ValueError("propagating edges do not join the free nodes in order")
-            north = HalfDiagram(t.n_top, tuple(caps["N"]))
-            south = HalfDiagram(t.n_top, tuple(caps["S"]))
-            props.sort()
+            m, size = t.n_top, 2 * t.n_top
+            north, south, props = [], [], []  # props in west-to-east order of their north ends
+            for i, j in enumerate(partner):
+                if i < j:
+                    if j < m:
+                        north.append((i + 1, j + 1, dec[i]))
+                    elif i >= m:
+                        south.append((size - j, size - i, dec[i]))
+                    else:
+                        props.append((i + 1, size - j, dec[i]))
+            north, south = HalfDiagram(m, tuple(north)), HalfDiagram(m, tuple(south))
             if [(x, y) for x, y, _ in props] != list(zip(north.free_points, south.free_points)):
                 raise ValueError("propagating edges do not join the free nodes in order")
-            if any(dec for _, _, dec in props[1:]):
+            if any(r for _, _, r in props[1:]):
                 raise ValueError("a propagating edge east of the westmost one is decorated")
             d = cls(north, south, bool(props) and props[0][2] == 1)
         except ValueError as exc:
@@ -168,14 +172,18 @@ class Diagram:
 
     @functools.cached_property
     def tangle(self) -> DecoratedTangle:
-        north, south = self.north, self.south
-        arcs = {(NodeRef("N", a), NodeRef("N", b), dec) for a, b, dec in north.pairs}
-        arcs |= {(NodeRef("S", a), NodeRef("S", b), dec) for a, b, dec in south.pairs}
-        arcs |= {
-            (NodeRef("N", x), NodeRef("S", y), 1 if self.bullet and i == 0 else 0)
-            for i, (x, y) in enumerate(zip(north.free_points, south.free_points))
-        }
-        return DecoratedTangle(self.m, self.m, frozenset(arcs))
+        """The diagram as a tangle, built straight from the dyadic form into the boundary form."""
+        m, size = self.m, 2 * self.m
+        partner, dec = [-1] * size, [0] * size
+        ends = [(a - 1, b - 1, r) for a, b, r in self.north.pairs]
+        ends += [(size - a, size - b, r) for a, b, r in self.south.pairs]
+        ends += [
+            (x - 1, size - y, 1 if self.bullet and i == 0 else 0)
+            for i, (x, y) in enumerate(zip(self.north.free_points, self.south.free_points))
+        ]
+        for i, j, r in ends:
+            partner[i], partner[j], dec[i], dec[j] = j, i, r, r
+        return DecoratedTangle._from_boundary(m, m, partner, dec)
 
     @property
     def m(self) -> int:

@@ -18,6 +18,7 @@ add along glued paths, and closed loops record their total decoration count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import NamedTuple
 
 
@@ -57,7 +58,9 @@ class DecoratedTangle:
     (nodes in range, each node on at most one arc) but not geometry.  Tangles
     serve gluing, JSON input and the confluence suite; a tangle becomes a
     basis diagram only through ``Diagram.from_tangle``, whose faces check
-    planarity and west-exposure.
+    planarity and west-exposure.  ``boundary`` holds the same arcs as two
+    arrays over the linearized positions; gluing, reduction and the basis
+    read-back run on it.
     """
 
     n_top: int
@@ -97,6 +100,55 @@ class DecoratedTangle:
         object.__setattr__(self, "arcs", frozenset(norm))
         object.__setattr__(self, "loops", tuple(sorted(self.loops)))
 
+    @classmethod
+    def _from_boundary(cls, n_top: int, n_bottom: int, partner, dec, loops=()) -> "DecoratedTangle":
+        """The tangle with this boundary form, checked in one pass.
+
+        ``partner`` must be an involution without fixed points on the covered
+        positions (-1 marks an uncovered one), ``dec`` must hold the same
+        non-negative int at both ends of each arc, and every loop count must
+        be a non-negative int: the constructor's invariants on the arrays.
+        """
+        size = n_top + n_bottom
+        if len(partner) != size or len(dec) != size:
+            raise ValueError(f"boundary form of length {len(partner)}, {len(dec)} for widths ({n_top}, {n_bottom})")
+        refs = _refs(n_top, n_bottom)
+        arcs = []
+        for i, j in enumerate(partner):
+            if i < j < size and partner[j] == i:  # the first end of an arc
+                r = dec[i]
+                if type(r) is not int or r < 0 or dec[j] != r:  # no bools
+                    raise ValueError(f"bad decoration count {r!r} on arc {refs[i]}-{refs[j]}")
+                arcs.append((refs[i], refs[j], r))
+            elif j == -1:
+                if dec[i] != 0:
+                    raise ValueError(f"decoration count {dec[i]!r} on node {refs[i]}, which is on no arc")
+            elif not (0 <= j < i and partner[j] == i):  # unless the second end of an arc
+                raise ValueError(
+                    f"arc joins node {refs[i]} to itself" if j == i
+                    else f"nodes on more than one arc: {refs[j]}" if 0 <= j < size
+                    else f"node {refs[i]} is joined to position {j!r}, outside the frame"
+                )
+        if any(type(r) is not int or r < 0 for r in loops):
+            raise ValueError(f"bad loop decoration counts {tuple(loops)!r}")
+        t = cls.__new__(cls)
+        t.__dict__.update(
+            n_top=n_top, n_bottom=n_bottom, arcs=frozenset(arcs), loops=tuple(sorted(loops)),
+            boundary=(tuple(partner), tuple(dec)),
+        )
+        return t
+
+    @functools.cached_property
+    def boundary(self) -> tuple:
+        """(partner, dec) by linearized position: the position at the other end
+        of the node's arc (-1 if the node is on none) and that arc's decoration
+        count (0 if none).  Built once from ``arcs``, or handed over by ``_from_boundary``."""
+        partner, dec = [-1] * (self.n_top + self.n_bottom), [0] * (self.n_top + self.n_bottom)
+        for a, b, r in self.arcs:
+            i, j = self.position(a), self.position(b)
+            partner[i], partner[j], dec[i], dec[j] = j, i, r, r
+        return tuple(partner), tuple(dec)
+
     # -- geometry ----------------------------------------------------------
 
     def position(self, ref: NodeRef) -> int:
@@ -134,54 +186,68 @@ class DecoratedTangle:
 
         Decoration counts add along each glued path; closed paths through the
         glued layer become loops.  Both inputs must be loop-permitting valid
-        tangles whose glued boundary is perfectly matched.
+        tangles whose glued boundary is perfectly matched.  The walk runs on
+        the two boundary forms laid end to end: self's positions 0..n-1, then
+        other's shifted by n, so that glued node i sits at n - i above and at
+        n + i - 1 below, and crossing the glued layer maps q to 2n - 1 - q.
         """
         if self.n_bottom != other.n_top:
             raise ValueError(
                 f"cannot glue: top tangle has {self.n_bottom} south nodes, "
                 f"bottom tangle has {other.n_top} north nodes"
             )
-        # partner maps node -> (partner, decorations); upper is self, lower is other
-        upper, lower = {}, {}
-        for side, tangle in ((upper, self), (lower, other)):
-            for a, b, dec in tangle.arcs:
-                side[a], side[b] = (b, dec), (a, dec)
-        for i in range(1, self.n_bottom + 1):
-            halves = (NodeRef("S", i) in upper) + (NodeRef("N", i) in lower)
+        top, glued, bottom = self.n_top, self.n_bottom, other.n_bottom
+        n = top + glued
+        upper, upper_dec = self.boundary
+        lower, lower_dec = other.boundary
+        for i in range(1, glued + 1):
+            halves = (upper[n - i] >= 0) + (lower[i - 1] >= 0)
             if halves != 2:
                 raise ValueError(f"glued node {i} lies on {halves} arcs; tangles must be fully matched")
-        glued = set()  # indices of glued nodes already walked through
-
-        def walk(up, node):
-            """Follow the strand leaving node; its outer end (None for a loop) and decorations."""
-            start, total = (up, node), 0
-            while True:
-                node, dec = (upper if up else lower)[node]
-                total += dec
-                if (node.face == "S") != up:  # an outer node: N above, S below
-                    return node, total
-                glued.add(node.index)
-                up, node = not up, NodeRef("N" if up else "S", node.index)
-                if (up, node) == start:
-                    return None, total
-
-        arcs, ends = set(), set()
-        outer = [(True, NodeRef("N", i)) for i in range(1, self.n_top + 1)]
-        outer += [(False, NodeRef("S", i)) for i in range(1, other.n_bottom + 1)]
-        for up, start in outer:
-            if start in ends:
+        outer = n + glued  # glued positions run from top to outer - 1; the outer ones lie below top or from outer on
+        if -1 in upper or -1 in lower:  # an outer node, since every glued one is covered
+            for ref, q in [(NodeRef("N", i), i - 1) for i in range(1, top + 1)] + [
+                (NodeRef("S", i), outer + bottom - i) for i in range(1, bottom + 1)
+            ]:
+                if (upper[q] if q < top else lower[q - n]) < 0:
+                    raise ValueError(f"outer node {ref} is not on any arc")
+        partner = upper + tuple(q + n for q in lower)
+        dec = upper_dec + lower_dec
+        mirror, shift = 2 * n - 1, outer - top  # q -> mirror - q crosses the glued layer; q - shift places a bottom node
+        walked = bytearray(outer)
+        out, out_dec = [-1] * (top + bottom), [0] * (top + bottom)
+        for start in (*range(top), *range(outer, outer + bottom)):
+            s = start if start < top else start - shift
+            if out[s] >= 0:  # the far end of a strand already walked
                 continue
-            if start not in (upper if up else lower):
-                raise ValueError(f"outer node {start} is not on any arc")
-            end, total = walk(up, start)
-            ends.add(end)
-            arcs.add((start, end, total))
+            p, total = start, 0
+            while True:
+                q = partner[p]
+                total += dec[p]
+                if q < top or q >= outer:
+                    break
+                walked[q] = walked[mirror - q] = 1
+                p = mirror - q
+            e = q if q < top else q - shift
+            out[s], out[e], out_dec[s], out_dec[e] = e, s, total, total
         loops = list(self.loops) + list(other.loops)
-        loops += [walk(True, NodeRef("S", i))[1] for i in range(1, self.n_bottom + 1) if i not in glued]
-        result = DecoratedTangle(self.n_top, other.n_bottom, frozenset(arcs), tuple(loops))
-        for arc in sorted(arc for arc in result.arcs if arc[2]):  # sorted: not in hash-seeded set order
-            if not result.west_exposed(arc):
-                raise ValueError(f"gluing produced a trapped decoration on {arc[0]}-{arc[1]}")
+        for start in range(top, n):
+            if not walked[start]:  # a glued node no strand passed: a new loop
+                p, total = start, 0
+                while True:
+                    q = partner[p]
+                    total += dec[p]
+                    walked[q] = walked[mirror - q] = 1
+                    p = mirror - q
+                    if p == start:
+                        break
+                loops.append(total)
+        result = DecoratedTangle._from_boundary(top, bottom, out, out_dec, loops)
+        trapped = _trapped(result.boundary)
+        if trapped:
+            refs = _refs(top, bottom)
+            i = min(trapped, key=refs.__getitem__)  # the arc that sorted(result.arcs) lists first
+            raise ValueError(f"gluing produced a trapped decoration on {refs[i]}-{refs[out[i]]}")
         return result
 
     # -- presentation ------------------------------------------------------
@@ -217,6 +283,30 @@ class DecoratedTangle:
         if any(type(c) is not int for c in (n_top, n_bottom, *(dec for _, _, dec in arcs), *loops)):
             raise ValueError("tangle widths, decorations and loop counts must be integers (not booleans)")
         return cls(n_top, n_bottom, arcs, loops)
+
+
+@functools.cache
+def _refs(n_top: int, n_bottom: int) -> tuple:
+    """The node at each linearized position of a frame: N1..N{n_top}, then S{n_bottom}..S1."""
+    return tuple(NodeRef("N", i) for i in range(1, n_top + 1)) + tuple(NodeRef("S", j) for j in range(n_bottom, 0, -1))
+
+
+def _trapped(boundary: tuple) -> list:
+    """First positions of the decorated arcs that another arc strictly encloses, in one prefix-max scan.
+
+    An arc (a, b), a < b, is enclosed iff some arc (c, d) has c < a < b < d,
+    that is, iff the largest partner of a position before a exceeds b: a
+    position c < a whose partner lies below c cannot exceed b.  This is
+    ``west_exposed``'s verdict, whether or not the arcs cross.
+    """
+    partner, dec = boundary
+    trapped, reach = [], -1
+    for i, j in enumerate(partner):
+        if i < j and dec[i] and reach > j:
+            trapped.append(i)
+        if j > reach:
+            reach = j
+    return trapped
 
 
 def random_matching(rng, points: list) -> list[tuple]:

@@ -258,6 +258,34 @@ def test_products_are_associative_random():
         assert (x * y) * z == x * (y * z)
 
 
+def rebuilt(x: AlgebraElement) -> AlgebraElement:
+    """x passed through the public constructor, which checks every key and coefficient."""
+    assert all(type(c) is LaurentPoly and not c.is_zero() for c in x._terms.values())
+    return AlgebraElement(x.m, dict(x._terms))
+
+
+def test_products_pass_the_public_constructor_checks():
+    # multiply and reduce_tangle build their results unchecked; the public constructor must accept them as they are
+    rng = random.Random(20261019)
+    for m in (2, 3, 4, 5):
+        diagrams = enumerate_diagrams(m)
+        for _ in range(40):
+            x, y = (
+                AlgebraElement(m, {rng.choice(diagrams): rng.choice([1, -2, DELTA]) for _ in range(rng.randint(1, 3))})
+                for _ in range(2)
+            )
+            product = x * y
+            assert rebuilt(product) == product
+            d1, d2 = rng.choice(diagrams), rng.choice(diagrams)
+            reduced = reduce_tangle(d1.tangle.concat(d2.tangle))
+            assert rebuilt(reduced) == reduced
+    u1, one = evaluate_word(["U1"], 3), AlgebraElement.one(3)
+    cancelled = (one.scale(DELTA) - u1) * u1  # delta U1 - delta U1: one diagram, coefficient zero
+    assert cancelled._terms == {} and rebuilt(cancelled) == cancelled
+    s = special_elements(3)
+    assert rebuilt(s["epsilon"] * s["beta"]) == s["epsilon"] * s["beta"] == u1  # the bulleted term sums to 0
+
+
 def test_star_is_an_anti_automorphism():
     rng = random.Random(31)
     diagrams = enumerate_diagrams(4)

@@ -361,6 +361,17 @@ def test_unread_options_exit_two(capsys, command, option):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["\u0663", "3_0", " 3"], ids=["arabic-indic-three", "underscore", "space"])
+def test_integer_options_take_ascii_digits_only(capsys, value):
+    # int() takes all three; each must be a usage error on every integer option
+    for argv in (["dims", "--n", value], ["dims", "--n", "3", "--cap", value], ["verify", "presentation", "--n", "2", "--seed", value]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"invalid int value: {value!r}" in capsys.readouterr().err
+    assert _build_parser().parse_args(["verify", "all", "--n", "12", "--cap", "30", "--seed", "-7"]).seed == -7
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "verify", "positivity", "--n", "5")
     assert code == 2 and "--cap" in err

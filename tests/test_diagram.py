@@ -279,6 +279,27 @@ def test_dyadic_round_trip():
     assert Diagram.from_tangle(d.tangle) == d
 
 
+def tangle_reference(d: Diagram) -> DecoratedTangle:
+    """The diagram's tangle built from NodeRef arcs, the way Diagram.tangle did before the
+    boundary form; kept as its oracle."""
+    arcs = {(N(a), N(b), dec) for a, b, dec in d.north.pairs}
+    arcs |= {(S(a), S(b), dec) for a, b, dec in d.south.pairs}
+    arcs |= {
+        (N(x), S(y), 1 if d.bullet and i == 0 else 0)
+        for i, (x, y) in enumerate(zip(d.north.free_points, d.south.free_points))
+    }
+    return DecoratedTangle(d.m, d.m, frozenset(arcs))
+
+
+def test_every_diagram_tangle_matches_the_noderef_reference():
+    for m in range(1, 7):
+        for d in enumerate_diagrams(m):
+            reference = tangle_reference(d)
+            assert d.tangle == reference and d.tangle.boundary == reference.boundary
+            assert Diagram.from_tangle(d.tangle) == d
+            assert Diagram.from_tangle(reference) == d
+
+
 def test_star_swaps_faces():
     for d in enumerate_diagrams(4):
         assert d.star() == Diagram(d.south, d.north, d.bullet)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlh.tangle import DecoratedTangle, NodeRef, random_matching, random_tangle
+from tlh.tangle import DecoratedTangle, NodeRef, _refs, _trapped, random_matching, random_tangle
 
 N = lambda i: NodeRef("N", i)
 S = lambda i: NodeRef("S", i)
@@ -272,6 +272,64 @@ def test_glue_matches_the_reference_walk():
             seen["stacked"] += any(dec >= 2 for *_, dec in expected.arcs)
     # the sample covers new loops, stacked decorations and each gluing error
     assert min(seen.values()) >= 10, seen
+
+
+def glue_sample():
+    """The (top, bottom) pairs of test_glue_matches_the_reference_walk, drawn the same way."""
+    rng = random.Random(20261018)
+    widths = range(0, 7)
+    for _ in range(400):
+        nt, mid = rng.choice(widths), rng.choice(widths)
+        nb = rng.choice([k for k in widths if (k + mid) % 2 == 0])
+        if (nt + mid) % 2:
+            nt += 1
+        top = damaged(rng, random_tangle(rng, nt, mid, max_dec=3, n_loops=rng.randint(0, 2)))
+        bottom = damaged(rng, random_tangle(rng, mid, nb, max_dec=3, n_loops=rng.randint(0, 1)))
+        yield top, bottom
+
+
+def test_glued_tangles_equal_the_constructor_built_ones():
+    # concat builds its result from the boundary form; the public constructor must agree on it
+    glued = 0
+    for top, bottom in glue_sample():
+        r = glue_outcome(DecoratedTangle.concat, top, bottom)
+        if isinstance(r, str):
+            continue
+        rebuilt = DecoratedTangle(r.n_top, r.n_bottom, r.arcs, r.loops)
+        assert r == rebuilt and hash(r) == hash(rebuilt)
+        assert (str(r), r.to_json()) == (str(rebuilt), rebuilt.to_json())
+        assert r.boundary == rebuilt.boundary  # the handed-over form is the one arcs give
+        glued += 1
+    assert glued >= 200
+
+
+@pytest.mark.parametrize(
+    "widths, arcs, partner, dec, loops, message",
+    [
+        ((1, 1), {(N(1), N(1), 0)}, (0, -1), (0, 0), (), "^arc joins node N1 to itself$"),
+        ((2, 1), {(N(1), N(2), 0), (N(2), S(1), 0)}, (1, 2, 1), (0, 0, 0), (), "^nodes on more than one arc: N2$"),
+        ((1, 1), {(N(1), S(1), -1)}, (1, 0), (-1, -1), (), "^bad decoration count -1 on arc N1-S1$"),
+        ((1, 1), {(N(1), S(1), True)}, (1, 0), (True, True), (), "^bad decoration count True on arc N1-S1$"),
+        ((1, 1), {(N(1), S(1), 0)}, (1, 0), (0, 0), (-2,), r"^bad loop decoration counts \(-2,\)$"),
+        ((1, 1), {(N(1), S(1), 0)}, (1, 0), (0, 0), (True,), r"^bad loop decoration counts \(True,\)$"),
+    ],
+    ids=["self-joined", "two-arcs", "negative-dec", "bool-dec", "negative-loop", "bool-loop"],
+)
+def test_the_boundary_check_rejects_what_the_constructor_rejects(widths, arcs, partner, dec, loops, message):
+    with pytest.raises(ValueError, match=message):
+        DecoratedTangle(*widths, frozenset(arcs), loops)
+    with pytest.raises(ValueError, match=message):
+        DecoratedTangle._from_boundary(*widths, partner, dec, loops)
+
+
+@pytest.mark.parametrize(
+    "partner, dec",
+    [((1, 0), (1, 0)), ((1, 0, -1), (0, 0, 0)), ((3, 0), (0, 0)), ((-1, -1), (1, 0))],
+    ids=["ends-disagree", "too-long", "out-of-frame", "decorated-uncovered"],
+)
+def test_the_boundary_check_rejects_inconsistent_arrays(partner, dec):
+    with pytest.raises(ValueError):
+        DecoratedTangle._from_boundary(1, 1, partner, dec)
 
 
 def test_glue_decorated_loop_crossing_the_glued_layer_four_times():
@@ -539,3 +597,20 @@ def test_tangle_check_matches_the_counter_oracle(raw):
     expected = check_outcome(counter_tangle_check, *raw)
     assert check_outcome(constructor_check, *raw) == expected
 
+
+@st.composite
+def crossing_tangles(draw):
+    """Tangles on widths up to 4 whose arcs may cross and may leave nodes uncovered."""
+    n_top, n_bottom = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    refs = [NodeRef("N", i) for i in range(1, n_top + 1)] + [NodeRef("S", i) for i in range(1, n_bottom + 1)]
+    refs = draw(st.permutations(refs))
+    pairs = max(len(refs) // 2 - draw(st.integers(0, 1)), 0)
+    decs = draw(st.lists(st.integers(0, 2), min_size=pairs, max_size=pairs))
+    return DecoratedTangle(n_top, n_bottom, frozenset((refs[2 * k], refs[2 * k + 1], decs[k]) for k in range(pairs)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(crossing_tangles())
+def test_the_trapped_scan_gives_the_west_exposed_verdict(t):
+    expected = {arc[0] for arc in t.arcs if arc[2] and not t.west_exposed(arc)}
+    assert {_refs(t.n_top, t.n_bottom)[i] for i in _trapped(t.boundary)} == expected
