@@ -18,7 +18,6 @@ random order so tests can confirm the rewriting system is confluent.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from math import comb
@@ -42,7 +41,7 @@ def normal_form(t: DecoratedTangle) -> list:
     they are not checked for basis membership.  An already reduced tangle
     comes back as itself.
     """
-    partner, dec = t.boundary
+    partner, dec = t.partner, t.dec
     if not t.loops and max(dec, default=0) < 2:
         return [(t, _ONE)]
     weight = 1  # the loops give weight * delta^len(loops)
@@ -51,7 +50,7 @@ def normal_form(t: DecoratedTangle) -> list:
     if weight == 0:
         return []
     choices = [(list(dec), weight)]
-    for i, j in enumerate(partner):  # each arc once, at its first position: sorted_arcs order
+    for i, j in enumerate(partner):  # each arc once, at its first position
         if i < j and dec[i] >= 2:
             split = tuple(enumerate(fib_pair(dec[i])))  # F(r-1) plain, F(r) singly decorated
             choices = [(d[:i] + [r] + d[i + 1 : j] + [r] + d[j + 1 :], w * f) for d, w in choices for r, f in split]
@@ -73,28 +72,28 @@ def normal_form_random(t: DecoratedTangle, rng) -> dict:
     done: dict[DecoratedTangle, LaurentPoly] = {}
     while pending:
         tang, coeff = pending.pop()
-        redexes = [("loop", i) for i in range(len(tang.loops))]
-        redexes += [("edge", a) for a in tang.sorted_arcs() if a[2] >= 2]
+        partner, dec, loops = tang.partner, tang.dec, tang.loops
+        redexes = [("loop", i) for i in range(len(loops))]
+        redexes += [("edge", i) for i, j in enumerate(partner) if i < j and dec[i] >= 2]  # arcs in order
         if not redexes:
             done[tang] = done.get(tang, LaurentPoly.zero()) + coeff
             if done[tang].is_zero():
                 del done[tang]
             continue
         kind, x = rng.choice(redexes)
+        rebuild = lambda d, lp: DecoratedTangle._from_boundary(tang.n_top, tang.n_bottom, partner, d, lp)
         if kind == "loop":
-            r = tang.loops[x]
-            rest = tang.loops[:x] + tang.loops[x + 1 :]
+            r, rest = loops[x], loops[:x] + loops[x + 1 :]
             if r == 0:
-                pending.append((dataclasses.replace(tang, loops=rest), coeff * LaurentPoly.delta()))
+                pending.append((rebuild(dec, rest), coeff * LaurentPoly.delta()))
             elif r >= 2:
-                pending.append((dataclasses.replace(tang, loops=rest + (r - 1,)), coeff))
-                pending.append((dataclasses.replace(tang, loops=rest + (r - 2,)), coeff))
+                pending.append((rebuild(dec, rest + (r - 1,)), coeff))
+                pending.append((rebuild(dec, rest + (r - 2,)), coeff))
             # r == 1: the term vanishes
         else:
-            a, b, r = x
-            arcs = tang.arcs - {x}
-            pending.append((dataclasses.replace(tang, arcs=arcs | {(a, b, r - 1)}), coeff))
-            pending.append((dataclasses.replace(tang, arcs=arcs | {(a, b, r - 2)}), coeff))
+            j, r = partner[x], dec[x]
+            for s in (r - 1, r - 2):
+                pending.append((rebuild(dec[:x] + (s,) + dec[x + 1 : j] + (s,) + dec[j + 1 :], loops), coeff))
     return done
 
 
@@ -275,11 +274,16 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     terms: dict[Diagram, LaurentPoly] = {}
     for d1, c1 in x._terms.items():
         for d2, c2 in y._terms.items():
-            c = c1 * c2
+            c = _times(c1, c2)
             for d, k in reduce_tangle(d1.tangle.concat(d2.tangle))._terms.items():
-                kc = k * c
+                kc = _times(k, c)
                 terms[d] = terms[d] + kc if d in terms else kc
     return AlgebraElement._from_checked(x.m, terms)
+
+
+def _times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a * b, with no product when a factor is one: coefficients are never changed in place."""
+    return b if a == _ONE else a if b == _ONE else a * b
 
 
 def special_elements(m: int) -> dict:

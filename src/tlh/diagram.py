@@ -20,7 +20,7 @@ import dataclasses
 import functools
 from math import comb
 
-from tlh.tangle import DecoratedTangle, _iterable
+from tlh.tangle import DecoratedTangle, _iterable, _trapped
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,6 +76,14 @@ class HalfDiagram:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "free_points", tuple(free))
 
+    @classmethod
+    def _from_checked(cls, m: int, pairs: tuple, free_points: tuple) -> "HalfDiagram":
+        """A face whose geometry is already checked: sorted caps and their free nodes."""
+        h = object.__new__(cls)
+        for name, value in (("m", m), ("pairs", pairs), ("free_points", free_points)):
+            object.__setattr__(h, name, value)  # the fields are frozen
+        return h
+
     @property
     def k(self) -> int:
         return len(self.pairs)
@@ -113,7 +121,7 @@ class Diagram:
 
     The halves check their own planarity and west-exposure; this adds only
     what ties them together.  ``tangle`` is the diagram as a decorated
-    tangle, built on first use.
+    tangle, built on first use.  The hash, which includes m, is computed once.
     """
 
     north: HalfDiagram
@@ -133,37 +141,52 @@ class Diagram:
                 raise ValueError(
                     f"face {face} has caps but no decorated 1-2 cap and no plain adjacent cap east of node 1"
                 )
+        object.__setattr__(self, "_hash", hash((north.m, north.pairs, south.pairs, self.bullet)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_tangle(cls, t: DecoratedTangle) -> "Diagram":
         """The basis diagram a square, loop-free tangle draws; ValueError if none.
 
-        Reads the tangle's boundary form: on 2m positions, N i is i - 1 and S j is 2m - j."""
+        One walk over the boundary form (N i at i - 1, S j at 2m - j) sorts the arcs
+        into caps and propagating edges and finds crossings with a stack; ``_trapped``
+        finds decorations cut off from the west wall.  A tangle with neither has its
+        faces built with no second check; any other goes through the face constructors."""
         try:
             if not t.is_square:
                 raise ValueError(f"not square: {t.n_top} north, {t.n_bottom} south nodes")
             if t.loops:
                 raise ValueError("contains closed loops")
-            partner, dec = t.boundary
+            partner, dec = t.partner, t.dec
             if max(dec, default=0) > 1:
                 raise ValueError("an edge carries more than one decoration")
             if -1 in partner:  # an uncovered node; checked before any half is built
                 raise ValueError("propagating edges do not join the free nodes in order")
             m, size = t.n_top, 2 * t.n_top
             north, south, props = [], [], []  # props in west-to-east order of their north ends
+            opened, crossed = [], False  # the arcs cross iff one closes while another opened later is open
             for i, j in enumerate(partner):
                 if i < j:
+                    opened.append(j)
                     if j < m:
                         north.append((i + 1, j + 1, dec[i]))
                     elif i >= m:
                         south.append((size - j, size - i, dec[i]))
                     else:
                         props.append((i + 1, size - j, dec[i]))
-            north, south = HalfDiagram(m, tuple(north)), HalfDiagram(m, tuple(south))
-            if [(x, y) for x, y, _ in props] != list(zip(north.free_points, south.free_points)):
-                raise ValueError("propagating edges do not join the free nodes in order")
-            if any(r for _, _, r in props[1:]):
-                raise ValueError("a propagating edge east of the westmost one is decorated")
+                else:
+                    crossed |= opened.pop() != i
+            if crossed or _trapped(partner, dec):  # the face constructors name the first fault
+                north, south = HalfDiagram(m, tuple(north)), HalfDiagram(m, tuple(south))
+                if [(x, y) for x, y, _ in props] != list(zip(north.free_points, south.free_points)):
+                    raise ValueError("propagating edges do not join the free nodes in order")
+                if any(r for _, _, r in props[1:]):
+                    raise ValueError("a propagating edge east of the westmost one is decorated")
+            else:  # planar and west-exposed: no second check; free points from lists, as in concat
+                north = HalfDiagram._from_checked(m, tuple(north), tuple([x for x, _, _ in props]))
+                south = HalfDiagram._from_checked(m, tuple(sorted(south)), tuple([y for _, y, _ in props]))
             d = cls(north, south, bool(props) and props[0][2] == 1)
         except ValueError as exc:
             raise ValueError(f"not a basis diagram: {exc}") from None

@@ -38,9 +38,6 @@ class NodeRef(NamedTuple):
         return f"{self.face}{self.index}"
 
 
-Arc = tuple[NodeRef, NodeRef, int]
-
-
 def _iterable(name: str, value):
     """value itself, or ValueError naming the argument if it cannot be iterated."""
     if not hasattr(value, "__iter__"):
@@ -48,78 +45,79 @@ def _iterable(name: str, value):
     return value
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class DecoratedTangle:
-    """An immutable decorated tangle.
+    """An immutable decorated tangle, stored in boundary form.
 
-    ``arcs`` holds triples (a, b, dec) with endpoints in linearized order and
-    dec the number of decorations on that arc; ``loops`` holds the decoration
-    count of each closed loop.  The constructor enforces structural sanity
-    (nodes in range, each node on at most one arc) but not geometry.  Tangles
-    serve gluing, JSON input and the confluence suite; a tangle becomes a
-    basis diagram only through ``Diagram.from_tangle``, whose faces check
-    planarity and west-exposure.  ``boundary`` holds the same arcs as two
-    arrays over the linearized positions; gluing, reduction and the basis
-    read-back run on it.
+    ``partner`` and ``dec`` run over the linearized positions: the position
+    at the other end of the node's arc (-1 if the node is on none) and that
+    arc's decoration count (0 if none); ``loops`` holds the decoration count
+    of each closed loop, sorted.  Equality and hashing use this form.  The
+    public constructor takes arcs, triples (a, b, dec) of ``NodeRef``s and a
+    count, and ``arcs`` gives them back.  The checks enforce structural
+    sanity (nodes in range, each node on at most one arc) but not geometry.
+    Tangles serve gluing, JSON input and the confluence suite; a tangle
+    becomes a basis diagram only through ``Diagram.from_tangle``, which
+    checks planarity and west-exposure.
     """
 
     n_top: int
     n_bottom: int
-    arcs: frozenset = frozenset()
-    loops: tuple = ()
+    partner: tuple
+    dec: tuple
+    loops: tuple
 
-    def __post_init__(self):
-        if type(self.n_top) is not int or type(self.n_bottom) is not int:  # no bools
-            raise ValueError(f"boundary widths must be integers, got {self.n_top!r}, {self.n_bottom!r}")
-        if self.n_top < 0 or self.n_bottom < 0:
-            raise ValueError(f"negative boundary width: {self.n_top}, {self.n_bottom}")
-        norm, seen, dup = set(), set(), set()
-        for arc in _iterable("arcs", self.arcs):
+    def __init__(self, n_top: int, n_bottom: int, arcs=frozenset(), loops=()):
+        if type(n_top) is not int or type(n_bottom) is not int:  # no bools
+            raise ValueError(f"boundary widths must be integers, got {n_top!r}, {n_bottom!r}")
+        if n_top < 0 or n_bottom < 0:
+            raise ValueError(f"negative boundary width: {n_top}, {n_bottom}")
+        size = n_top + n_bottom
+        partner, dec, dup = [-1] * size, [0] * size, set()
+        for arc in _iterable("arcs", arcs):
             if not isinstance(arc, (tuple, list)) or len(arc) != 3:
                 raise ValueError(f"arc must be (a, b, dec), got {arc!r}")
-            a, b, dec = arc
+            a, b, r = arc
             for ref in (a, b):
                 if not isinstance(ref, NodeRef) or type(ref.index) is not int:  # no bools
                     raise ValueError(f"arc endpoint {ref!r} is not a NodeRef with an integer index")
-                width = self.n_top if ref.face == "N" else self.n_bottom if ref.face == "S" else None
+                width = n_top if ref.face == "N" else n_bottom if ref.face == "S" else None
                 if width is None or not 1 <= ref.index <= width:
-                    raise ValueError(f"node {ref} out of range for widths ({self.n_top}, {self.n_bottom})")
+                    raise ValueError(f"node {ref} out of range for widths ({n_top}, {n_bottom})")
             if a == b:
                 raise ValueError(f"arc joins node {a} to itself")
-            if type(dec) is not int or dec < 0:  # no bools
-                raise ValueError(f"bad decoration count {dec!r} on arc {a}-{b}")
-            dup.update(seen.intersection((a, b)))
-            seen.update((a, b))
-            if self.position(a) > self.position(b):
-                a, b = b, a
-            norm.add((a, b, dec))
+            if type(r) is not int or r < 0:  # no bools
+                raise ValueError(f"bad decoration count {r!r} on arc {a}-{b}")
+            i = a.index - 1 if a.face == "N" else size - a.index
+            j = b.index - 1 if b.face == "N" else size - b.index
+            dup.update(ref for ref, p in ((a, i), (b, j)) if partner[p] >= 0)  # on an earlier arc
+            partner[i], partner[j], dec[i], dec[j] = j, i, r, r
         if dup:
             raise ValueError(f"nodes on more than one arc: {', '.join(map(str, sorted(dup)))}")
-        if any(type(r) is not int or r < 0 for r in _iterable("loops", self.loops)):
-            raise ValueError(f"bad loop decoration counts {self.loops!r}")
-        object.__setattr__(self, "arcs", frozenset(norm))
-        object.__setattr__(self, "loops", tuple(sorted(self.loops)))
+        self._fill(n_top, n_bottom, partner, dec, loops)
 
     @classmethod
     def _from_boundary(cls, n_top: int, n_bottom: int, partner, dec, loops=()) -> "DecoratedTangle":
-        """The tangle with this boundary form, checked in one pass.
+        """The tangle with this boundary form, checked in one pass."""
+        return object.__new__(cls)._fill(n_top, n_bottom, partner, dec, loops)
+
+    def _fill(self, n_top, n_bottom, partner, dec, loops) -> "DecoratedTangle":
+        """Check the boundary form and store it in self: the one check of both constructors.
 
         ``partner`` must be an involution without fixed points on the covered
         positions (-1 marks an uncovered one), ``dec`` must hold the same
-        non-negative int at both ends of each arc, and every loop count must
-        be a non-negative int: the constructor's invariants on the arrays.
+        non-negative int at both ends of each arc and 0 on an uncovered node,
+        and every loop count must be a non-negative int.
         """
         size = n_top + n_bottom
         if len(partner) != size or len(dec) != size:
             raise ValueError(f"boundary form of length {len(partner)}, {len(dec)} for widths ({n_top}, {n_bottom})")
         refs = _refs(n_top, n_bottom)
-        arcs = []
         for i, j in enumerate(partner):
             if i < j < size and partner[j] == i:  # the first end of an arc
                 r = dec[i]
                 if type(r) is not int or r < 0 or dec[j] != r:  # no bools
                     raise ValueError(f"bad decoration count {r!r} on arc {refs[i]}-{refs[j]}")
-                arcs.append((refs[i], refs[j], r))
             elif j == -1:
                 if dec[i] != 0:
                     raise ValueError(f"decoration count {dec[i]!r} on node {refs[i]}, which is on no arc")
@@ -129,49 +127,25 @@ class DecoratedTangle:
                     else f"nodes on more than one arc: {refs[j]}" if 0 <= j < size
                     else f"node {refs[i]} is joined to position {j!r}, outside the frame"
                 )
-        if any(type(r) is not int or r < 0 for r in loops):
-            raise ValueError(f"bad loop decoration counts {tuple(loops)!r}")
-        t = cls.__new__(cls)
-        t.__dict__.update(
-            n_top=n_top, n_bottom=n_bottom, arcs=frozenset(arcs), loops=tuple(sorted(loops)),
-            boundary=(tuple(partner), tuple(dec)),
-        )
-        return t
+        if any(type(r) is not int or r < 0 for r in _iterable("loops", loops)):
+            raise ValueError(f"bad loop decoration counts {loops!r}")
+        fields = (n_top, n_bottom, tuple(partner), tuple(dec), tuple(sorted(loops)))
+        for name, value in zip(("n_top", "n_bottom", "partner", "dec", "loops"), fields):
+            object.__setattr__(self, name, value)  # the fields are frozen
+        return self
 
-    @functools.cached_property
-    def boundary(self) -> tuple:
-        """(partner, dec) by linearized position: the position at the other end
-        of the node's arc (-1 if the node is on none) and that arc's decoration
-        count (0 if none).  Built once from ``arcs``, or handed over by ``_from_boundary``."""
-        partner, dec = [-1] * (self.n_top + self.n_bottom), [0] * (self.n_top + self.n_bottom)
-        for a, b, r in self.arcs:
-            i, j = self.position(a), self.position(b)
-            partner[i], partner[j], dec[i], dec[j] = j, i, r, r
-        return tuple(partner), tuple(dec)
+    @property
+    def arcs(self) -> frozenset:
+        """The arcs (a, b, dec), each with a before b in linearized order."""
+        return frozenset(self._arc_list())
 
-    # -- geometry ----------------------------------------------------------
-
-    def position(self, ref: NodeRef) -> int:
-        """Linearized boundary position, clockwise from the west cut."""
-        if ref.face == "N":
-            return ref.index - 1
-        return self.n_top + self.n_bottom - ref.index
+    def _arc_list(self) -> list:  # in linearized order of their first, then second, ends
+        refs = _refs(self.n_top, self.n_bottom)
+        return [(refs[i], refs[j], self.dec[i]) for i, j in enumerate(self.partner) if i < j]
 
     @property
     def is_square(self) -> bool:
         return self.n_top == self.n_bottom
-
-    def sorted_arcs(self) -> list[Arc]:
-        return sorted(self.arcs, key=lambda arc: (self.position(arc[0]), self.position(arc[1])))
-
-    def west_exposed(self, arc: Arc) -> bool:
-        """True if the arc can be joined to the west wall: no arc strictly encloses it."""
-        a, b = self.position(arc[0]), self.position(arc[1])
-        for other in self.arcs:
-            c, d = self.position(other[0]), self.position(other[1])
-            if c < a and b < d:
-                return False
-        return True
 
     # -- construction helpers ---------------------------------------------
 
@@ -198,20 +172,19 @@ class DecoratedTangle:
             )
         top, glued, bottom = self.n_top, self.n_bottom, other.n_bottom
         n = top + glued
-        upper, upper_dec = self.boundary
-        lower, lower_dec = other.boundary
+        upper, upper_dec = self.partner, self.dec
+        lower, lower_dec = other.partner, other.dec
         for i in range(1, glued + 1):
             halves = (upper[n - i] >= 0) + (lower[i - 1] >= 0)
             if halves != 2:
                 raise ValueError(f"glued node {i} lies on {halves} arcs; tangles must be fully matched")
         outer = n + glued  # glued positions run from top to outer - 1; the outer ones lie below top or from outer on
         if -1 in upper or -1 in lower:  # an outer node, since every glued one is covered
-            for ref, q in [(NodeRef("N", i), i - 1) for i in range(1, top + 1)] + [
-                (NodeRef("S", i), outer + bottom - i) for i in range(1, bottom + 1)
-            ]:
-                if (upper[q] if q < top else lower[q - n]) < 0:
-                    raise ValueError(f"outer node {ref} is not on any arc")
-        partner = upper + tuple(q + n for q in lower)
+            for p in (*range(top), *range(top + bottom - 1, top - 1, -1)):  # N1, N2, ..., then S1, S2, ...
+                if (upper[p] if p < top else lower[p - top + glued]) < 0:
+                    raise ValueError(f"outer node {_refs(top, bottom)[p]} is not on any arc")
+        # from a list: a tuple grown from a generator skips CPython's tuple free list, but is freed onto it
+        partner = upper + tuple([q + n for q in lower])
         dec = upper_dec + lower_dec
         mirror, shift = 2 * n - 1, outer - top  # q -> mirror - q crosses the glued layer; q - shift places a bottom node
         walked = bytearray(outer)
@@ -243,7 +216,7 @@ class DecoratedTangle:
                         break
                 loops.append(total)
         result = DecoratedTangle._from_boundary(top, bottom, out, out_dec, loops)
-        trapped = _trapped(result.boundary)
+        trapped = _trapped(out, out_dec)
         if trapped:
             refs = _refs(top, bottom)
             i = min(trapped, key=refs.__getitem__)  # the arc that sorted(result.arcs) lists first
@@ -253,7 +226,7 @@ class DecoratedTangle:
     # -- presentation ------------------------------------------------------
 
     def __str__(self) -> str:
-        bits = [f"{a}-{b}" + "*" * dec for a, b, dec in self.sorted_arcs()]
+        bits = [f"{a}-{b}" + "*" * dec for a, b, dec in self._arc_list()]
         bits += [f"(loop{'*' * r})" for r in self.loops]
         return f"[{self.n_top}|{self.n_bottom}] " + " ".join(bits) if bits else f"[{self.n_top}|{self.n_bottom}] empty"
 
@@ -262,7 +235,7 @@ class DecoratedTangle:
             "n_top": self.n_top,
             "n_bottom": self.n_bottom,
             "arcs": [
-                {"from": str(a), "to": str(b), "dec": dec} for a, b, dec in self.sorted_arcs()
+                {"from": str(a), "to": str(b), "dec": dec} for a, b, dec in self._arc_list()
             ],
             "loops": list(self.loops),
         }
@@ -291,15 +264,14 @@ def _refs(n_top: int, n_bottom: int) -> tuple:
     return tuple(NodeRef("N", i) for i in range(1, n_top + 1)) + tuple(NodeRef("S", j) for j in range(n_bottom, 0, -1))
 
 
-def _trapped(boundary: tuple) -> list:
+def _trapped(partner, dec) -> list:
     """First positions of the decorated arcs that another arc strictly encloses, in one prefix-max scan.
 
     An arc (a, b), a < b, is enclosed iff some arc (c, d) has c < a < b < d,
     that is, iff the largest partner of a position before a exceeds b: a
-    position c < a whose partner lies below c cannot exceed b.  This is
-    ``west_exposed``'s verdict, whether or not the arcs cross.
+    position c < a whose partner lies below c cannot exceed b.  This is the
+    pairwise west-exposure verdict, whether or not the arcs cross.
     """
-    partner, dec = boundary
     trapped, reach = [], -1
     for i, j in enumerate(partner):
         if i < j and dec[i] and reach > j:
@@ -326,14 +298,15 @@ def random_tangle(rng, n_top: int, n_bottom: int, max_dec: int = 2, n_loops: int
     """A random valid decorated tangle, for property tests."""
     if (n_top + n_bottom) % 2:
         raise ValueError(f"odd boundary ({n_top} + {n_bottom}) admits no tangle")
-    refs = [NodeRef("N", i) for i in range(1, n_top + 1)] + [
-        NodeRef("S", i) for i in range(n_bottom, 0, -1)
-    ]  # boundary order
-    pairs = random_matching(rng, refs)
-    bare = DecoratedTangle(n_top, n_bottom, frozenset((a, b, 0) for a, b in pairs))
-    arcs = frozenset(  # in matching order, since a frozenset's order follows string hashing
-        (a, b, rng.choice([0, 0, 1, 1, rng.randint(0, max_dec)]) if bare.west_exposed((a, b, 0)) else 0)
-        for a, b in pairs
-    )
+    size = n_top + n_bottom
+    pairs = random_matching(rng, list(range(size)))  # positions, each pair in boundary order
+    partner, dec = [0] * size, [0] * size
+    for i, j in pairs:
+        partner[i], partner[j] = j, i
+    hidden = set(_trapped(partner, [1] * size))  # the first ends of the arcs another arc encloses
+    for i, j in pairs:  # in matching order, so that the draws do not depend on hashing
+        if i not in hidden:
+            dec[i] = dec[j] = rng.choice([0, 0, 1, 1, rng.randint(0, max_dec)])
     loops = tuple(rng.randint(0, max_dec) for _ in range(n_loops))
-    return DecoratedTangle(n_top, n_bottom, arcs, loops)
+    refs = _refs(n_top, n_bottom)  # the public constructor checks the widths
+    return DecoratedTangle(n_top, n_bottom, frozenset((refs[i], refs[j], dec[i]) for i, j in pairs), loops)

@@ -24,7 +24,7 @@ from tlh.algebra import (
     verify_presentation,
 )
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
-from tlh.ring import GoldenScalar, LaurentPoly
+from tlh.ring import PHI, GoldenScalar, LaurentPoly
 from tlh.tangle import DecoratedTangle, NodeRef, random_tangle
 
 N = lambda i: NodeRef("N", i)
@@ -284,6 +284,33 @@ def test_products_pass_the_public_constructor_checks():
     assert cancelled._terms == {} and rebuilt(cancelled) == cancelled
     s = special_elements(3)
     assert rebuilt(s["epsilon"] * s["beta"]) == s["epsilon"] * s["beta"] == u1  # the bulleted term sums to 0
+
+
+def bilinear_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """The product expanded term by term, every coefficient multiplied out: the oracle for multiply."""
+    total = AlgebraElement.zero(x.m)
+    for d1, c1 in x.items():
+        for d2, c2 in y.items():
+            total = total + reduce_tangle(d1.tangle.concat(d2.tangle)).scale(c1 * c2)
+    return total
+
+
+def test_multiply_with_non_unit_coefficients_matches_the_bilinear_expansion():
+    coefficients = [LaurentPoly.one(), LaurentPoly.v_pow(1), DELTA, LaurentPoly.const(2 + PHI), LaurentPoly.const(-1)]
+    rng = random.Random(20261019)
+    for m in range(2, 7):
+        basis = enumerate_diagrams(m)
+        for _ in range(40):
+            x, y = (
+                AlgebraElement(m, {rng.choice(basis): rng.choice(coefficients) for _ in range(rng.randint(1, 3))})
+                for _ in range(2)
+            )
+            assert multiply(x, y) == bilinear_product(x, y)
+    # loops give the reduced terms coefficients other than one, on both sides of the unit
+    u1 = AlgebraElement.from_diagram(generator_U(1, 4))
+    for c in coefficients:
+        expected = u1.scale(c * DELTA)
+        assert multiply(u1.scale(c), u1) == multiply(u1, u1.scale(c)) == expected == bilinear_product(u1.scale(c), u1)
 
 
 def test_star_is_an_anti_automorphism():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -18,7 +20,7 @@ from tlh.diagram import (
     enumerate_half,
     generator_U,
 )
-from tlh.tangle import DecoratedTangle, NodeRef
+from tlh.tangle import DecoratedTangle, NodeRef, random_tangle
 from test_tangle import flip, validate
 
 N = lambda i: NodeRef("N", i)
@@ -216,19 +218,25 @@ def test_from_tangle_rejects_bad_propagating_edges():
 
 
 def test_from_tangle_rejects_uncovered_nodes_before_building_halves(monkeypatch):
+    # a face is built either by the checking constructor or, on the array read-back, by the checked one
     u1, built = generator_U(1, 3).tangle, []
-    post_init = HalfDiagram.__post_init__
+    post_init, from_checked = HalfDiagram.__post_init__, HalfDiagram._from_checked.__func__
 
     def counted(half):
-        built.append(half)
+        built.append("checking")
         post_init(half)
 
+    def counted_checked(cls, *args):
+        built.append("checked")
+        return from_checked(cls, *args)
+
     monkeypatch.setattr(HalfDiagram, "__post_init__", counted)
+    monkeypatch.setattr(HalfDiagram, "_from_checked", classmethod(counted_checked))
     for t in (DecoratedTangle(1000, 1000), DecoratedTangle(3, 3, frozenset({(N(1), S(1), 0), (N(2), N(3), 0)}))):
         assert rejection(t) == "not a basis diagram: propagating edges do not join the free nodes in order"
     assert built == []
     Diagram.from_tangle(u1)
-    assert len(built) == 2
+    assert built == ["checked", "checked"]
 
 
 def test_from_tangle_matches_the_oracle():
@@ -245,6 +253,93 @@ def test_from_tangle_matches_the_oracle():
             assert Diagram(d.north, d.south, d.bullet).tangle == t
             accepted.add(d)
         assert accepted == set(enumerate_diagrams(m))
+
+
+def read_back(t: DecoratedTangle, read=Diagram.from_tangle):
+    """The diagram read from t with its faces' fields, or the text of the ValueError raised."""
+    try:
+        d = read(t)
+    except ValueError as exc:
+        return str(exc)
+    return d, (d.north.pairs, d.north.free_points), (d.south.pairs, d.south.free_points), d.bullet
+
+
+def from_tangle_by_faces(t: DecoratedTangle) -> Diagram:
+    """Diagram.from_tangle as it was before the array pass: every tangle goes through the
+    face constructors, whose checks are the reference for the array read-back."""
+    try:
+        if not t.is_square:
+            raise ValueError(f"not square: {t.n_top} north, {t.n_bottom} south nodes")
+        if t.loops:
+            raise ValueError("contains closed loops")
+        partner, dec = t.partner, t.dec
+        if max(dec, default=0) > 1:
+            raise ValueError("an edge carries more than one decoration")
+        if -1 in partner:
+            raise ValueError("propagating edges do not join the free nodes in order")
+        m, size = t.n_top, 2 * t.n_top
+        north, south, props = [], [], []
+        for i, j in enumerate(partner):
+            if i < j:
+                if j < m:
+                    north.append((i + 1, j + 1, dec[i]))
+                elif i >= m:
+                    south.append((size - j, size - i, dec[i]))
+                else:
+                    props.append((i + 1, size - j, dec[i]))
+        north, south = HalfDiagram(m, tuple(north)), HalfDiagram(m, tuple(south))
+        if [(x, y) for x, y, _ in props] != list(zip(north.free_points, south.free_points)):
+            raise ValueError("propagating edges do not join the free nodes in order")
+        if any(r for _, _, r in props[1:]):
+            raise ValueError("a propagating edge east of the westmost one is decorated")
+        return Diagram(north, south, bool(props) and props[0][2] == 1)
+    except ValueError as exc:
+        raise ValueError(f"not a basis diagram: {exc}") from None
+
+
+@st.composite
+def square_crossing_tangles(draw):
+    """Square tangles on up to 6 strands whose arcs may cross and may leave nodes uncovered,
+    mostly with at most one decoration per arc so that the face checks are reached."""
+    m = draw(st.integers(0, 6))
+    refs = draw(st.permutations([N(i) for i in range(1, m + 1)] + [S(i) for i in range(1, m + 1)]))
+    pairs = max(m - draw(st.sampled_from([0] * 9 + [1])), 0)
+    decs = draw(st.lists(st.sampled_from([0, 0, 0, 0, 1, 1, 1, 2]), min_size=pairs, max_size=pairs))
+    return DecoratedTangle(m, m, frozenset((refs[2 * k], refs[2 * k + 1], decs[k]) for k in range(pairs)))
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(square_crossing_tangles())
+def test_array_read_back_matches_the_face_constructors(t):
+    assert read_back(t) == read_back(t, from_tangle_by_faces)
+
+
+def test_array_read_back_matches_the_face_constructors_on_random_tangles():
+    rng, outcomes = random.Random(20261019), Counter()
+    for _ in range(1500):
+        m = rng.randint(1, 7)
+        t = random_tangle(rng, m, m, max_dec=1)
+        expected = read_back(t, from_tangle_by_faces)
+        assert read_back(t) == expected
+        outcomes["accepted" if isinstance(expected, tuple) else expected.split(": ")[1][:12]] += 1
+    # bases, faces with no decorated 1-2 and no plain adjacent cap, and each other fault
+    assert min(outcomes.values()) >= 20 and len(outcomes) >= 4, outcomes
+
+
+def test_diagram_hash_and_equality_do_not_depend_on_how_it_was_built():
+    for m in range(1, 7):
+        for d in enumerate_diagrams(m):
+            twins = [
+                Diagram(HalfDiagram(m, d.north.pairs), HalfDiagram(m, d.south.pairs), d.bullet),
+                Diagram.from_tangle(d.tangle),
+                Diagram.from_tangle(DecoratedTangle(m, m, d.tangle.arcs)),
+                d.star().star(),
+            ]
+            assert all(x == d and hash(x) == hash(d) for x in twins)
+    ids = [Diagram(HalfDiagram(m), HalfDiagram(m)) for m in (3, 4)]
+    assert ids[0] != ids[1] and hash(ids[0]) != hash(ids[1])  # the same empty faces on 3 and 4 strands
+    every = [d for m in range(1, 7) for d in enumerate_diagrams(m)]
+    assert len(set(every)) == len(every)
 
 
 def test_diagram_constructor_rejects():
@@ -295,7 +390,7 @@ def test_every_diagram_tangle_matches_the_noderef_reference():
     for m in range(1, 7):
         for d in enumerate_diagrams(m):
             reference = tangle_reference(d)
-            assert d.tangle == reference and d.tangle.boundary == reference.boundary
+            assert d.tangle == reference and (d.tangle.partner, d.tangle.dec) == (reference.partner, reference.dec)
             assert Diagram.from_tangle(d.tangle) == d
             assert Diagram.from_tangle(reference) == d
 

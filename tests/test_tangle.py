@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -31,6 +32,22 @@ def U(i: int, m: int) -> DecoratedTangle:
     return cap_tangle(m, i, 1 if i == 1 else 0)
 
 
+def position(t: DecoratedTangle, ref: NodeRef) -> int:
+    """A node's linearized boundary position, clockwise from the west cut."""
+    return ref.index - 1 if ref.face == "N" else t.n_top + t.n_bottom - ref.index
+
+
+def sorted_arcs(t: DecoratedTangle) -> list:
+    """The arcs sorted by the positions of their ends: the order str and to_json list them in."""
+    return sorted(t.arcs, key=lambda arc: (position(t, arc[0]), position(t, arc[1])))
+
+
+def west_exposed(t: DecoratedTangle, arc) -> bool:
+    """True if no arc strictly encloses this one: the pairwise oracle for _trapped."""
+    a, b = position(t, arc[0]), position(t, arc[1])
+    return not any(position(t, c) < a and b < position(t, d) for c, d, _ in t.arcs)
+
+
 def validate(t: DecoratedTangle) -> list[str]:
     """All geometric violations of a tangle, as human-readable strings; [] if valid.
 
@@ -43,15 +60,15 @@ def validate(t: DecoratedTangle) -> list[str]:
         for i in range(1, width + 1):
             if NodeRef(face, i) not in covered:
                 problems.append(f"node {face}{i} is not on any arc")
-    arcs = t.sorted_arcs()
+    arcs = sorted_arcs(t)
     for i, x in enumerate(arcs):
-        a, b = t.position(x[0]), t.position(x[1])
+        a, b = position(t, x[0]), position(t, x[1])
         for y in arcs[i + 1 :]:
-            c, d = t.position(y[0]), t.position(y[1])
+            c, d = position(t, y[0]), position(t, y[1])
             if a < c < b < d or c < a < d < b:
                 problems.append(f"arcs {x[0]}-{x[1]} and {y[0]}-{y[1]} cross")
     for arc in arcs:
-        if arc[2] > 0 and not t.west_exposed(arc):
+        if arc[2] > 0 and not west_exposed(t, arc):
             problems.append(f"decorated arc {arc[0]}-{arc[1]} is not west-exposed")
     return problems
 
@@ -102,8 +119,10 @@ def test_constructor_rejects_malformed_arc_entries(arc, message):
 
 
 def test_linearized_positions_frozen():
-    t = DecoratedTangle(3, 2)
-    assert [t.position(r) for r in [N(1), N(2), N(3), S(2), S(1)]] == [0, 1, 2, 3, 4]
+    assert _refs(3, 2) == (N(1), N(2), N(3), S(2), S(1))
+    t = DecoratedTangle(3, 2, frozenset({(N(1), S(1), 1), (S(2), N(2), 0)}))
+    assert (t.partner, t.dec) == ((4, 3, -1, 1, 0), (1, 0, 0, 0, 1))
+    assert [position(t, r) for r in _refs(3, 2)] == [0, 1, 2, 3, 4]
 
 
 def test_constructor_rejects_structural_garbage():
@@ -143,12 +162,12 @@ def test_west_exposed():
     t = DecoratedTangle(4, 0, frozenset({(N(1), N(4), 0), (N(2), N(3), 0)}))
     outer = next(a for a in t.arcs if a[1] == N(4))
     inner = next(a for a in t.arcs if a[1] == N(3))
-    assert t.west_exposed(outer)
-    assert not t.west_exposed(inner)
+    assert west_exposed(t, outer)
+    assert not west_exposed(t, inner)
     # south arcs enclose north arcs across the cut only via the east side
     t2 = DecoratedTangle(2, 2, frozenset({(N(1), S(1), 0), (N(2), S(2), 0)}))
     for arc in t2.arcs:
-        assert t2.west_exposed(arc) == (arc[0] == N(1))
+        assert west_exposed(t2, arc) == (arc[0] == N(1))
 
 
 def test_identity_is_neutral():
@@ -209,7 +228,7 @@ def concat_reference(top: DecoratedTangle, bottom: DecoratedTangle) -> Decorated
             if node[0] != "M":
                 break
         a, b = to_ref(start), to_ref(node)
-        if out.position(a) > out.position(b):
+        if position(out, a) > position(out, b):
             a, b = b, a
         arcs.add((a, b, dec_total))
     loops = list(top.loops) + list(bottom.loops)
@@ -229,7 +248,7 @@ def concat_reference(top: DecoratedTangle, bottom: DecoratedTangle) -> Decorated
         loops.append(dec_total)
     result = DecoratedTangle(top.n_top, bottom.n_bottom, frozenset(arcs), tuple(loops))
     for arc in sorted(arc for arc in result.arcs if arc[2]):  # sorted: not in hash-seeded set order
-        if not result.west_exposed(arc):
+        if not west_exposed(result, arc):
             raise ValueError(f"gluing produced a trapped decoration on {arc[0]}-{arc[1]}")
     return result
 
@@ -298,7 +317,7 @@ def test_glued_tangles_equal_the_constructor_built_ones():
         rebuilt = DecoratedTangle(r.n_top, r.n_bottom, r.arcs, r.loops)
         assert r == rebuilt and hash(r) == hash(rebuilt)
         assert (str(r), r.to_json()) == (str(rebuilt), rebuilt.to_json())
-        assert r.boundary == rebuilt.boundary  # the handed-over form is the one arcs give
+        assert (r.partner, r.dec) == (rebuilt.partner, rebuilt.dec)  # the handed-over form is the one arcs give
         glued += 1
     assert glued >= 200
 
@@ -320,6 +339,37 @@ def test_the_boundary_check_rejects_what_the_constructor_rejects(widths, arcs, p
         DecoratedTangle(*widths, frozenset(arcs), loops)
     with pytest.raises(ValueError, match=message):
         DecoratedTangle._from_boundary(*widths, partner, dec, loops)
+
+
+def assert_alike(t: DecoratedTangle):
+    """t rebuilt by the public constructor from its arcs and by _from_boundary from its arrays
+    is the same tangle, with the same hash, str and JSON."""
+    public = DecoratedTangle(t.n_top, t.n_bottom, t.arcs, t.loops)
+    arrays = DecoratedTangle._from_boundary(t.n_top, t.n_bottom, t.partner, t.dec, t.loops)
+    assert public == arrays == t and hash(public) == hash(arrays) == hash(t)
+    assert str(public) == str(arrays) and json.dumps(public.to_json()) == json.dumps(arrays.to_json())
+    assert public.arcs == arrays.arcs == t.arcs
+    # str and to_json list the arcs by the positions of their ends
+    assert [(a["from"], a["to"], a["dec"]) for a in t.to_json()["arcs"]] == [
+        (str(a), str(b), dec) for a, b, dec in sorted_arcs(t)
+    ]
+
+
+def test_both_constructors_build_the_same_tangle():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        top = rng.randint(0, 6)
+        assert_alike(random_tangle(rng, top, rng.choice(range(top % 2, 7, 2)), max_dec=3, n_loops=rng.randint(0, 2)))
+    for top, bottom in glue_sample():
+        for t in (top, bottom):
+            assert_alike(t)
+    partial = DecoratedTangle(3, 2, frozenset({(S(1), N(2), 2)}), loops=(3, 0))
+    assert_alike(partial)
+    assert partial.partner == (-1, 4, -1, -1, 1) and partial.dec == (0, 2, 0, 0, 2) and partial.loops == (0, 3)
+    assert partial != DecoratedTangle(3, 2, frozenset({(S(1), N(2), 2)}), loops=(3,))
+    assert DecoratedTangle(1, 1) != DecoratedTangle(2, 0) and DecoratedTangle(0, 2) != DecoratedTangle(2, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        partial.loops = ()
 
 
 @pytest.mark.parametrize(
@@ -552,7 +602,7 @@ def counter_tangle_check(n_top, n_bottom, arcs, loops):
             raise ValueError(f"bad decoration count {dec!r} on arc {a}-{b}")
         used[a] += 1
         used[b] += 1
-        if frame.position(a) > frame.position(b):
+        if position(frame, a) > position(frame, b):
             a, b = b, a
         norm.add((a, b, dec))
     dup = [str(n) for n, c in sorted(used.items()) if c > 1]
@@ -612,5 +662,11 @@ def crossing_tangles(draw):
 @settings(max_examples=300, deadline=None, database=None)
 @given(crossing_tangles())
 def test_the_trapped_scan_gives_the_west_exposed_verdict(t):
-    expected = {arc[0] for arc in t.arcs if arc[2] and not t.west_exposed(arc)}
-    assert {_refs(t.n_top, t.n_bottom)[i] for i in _trapped(t.boundary)} == expected
+    expected = {arc[0] for arc in t.arcs if arc[2] and not west_exposed(t, arc)}
+    assert {_refs(t.n_top, t.n_bottom)[i] for i in _trapped(t.partner, t.dec)} == expected
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(crossing_tangles())
+def test_both_constructors_build_the_same_crossing_tangle(t):
+    assert_alike(t)
