@@ -127,7 +127,8 @@ class AlgebraElement:
     def _from_checked(cls, m: int, terms: dict) -> "AlgebraElement":
         """An element from terms already checked: Diagram keys on m strands, LaurentPoly values.
 
-        Only the products build through here; zero coefficients are dropped."""
+        Only the products and their cell projection build through here; zero
+        coefficients are dropped."""
         x = cls.__new__(cls)
         x.m = m
         x._terms = {d: c for d, c in terms.items() if not c.is_zero()}

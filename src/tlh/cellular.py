@@ -14,7 +14,10 @@ roots of x^2 = x + 1.  Layers are ordered by cap count: more caps means lower.
 The sibling table ``_SIBLINGS`` gives each kind's gamma.  With D = 1 - 2*gamma,
 P has coordinate 1/D and B (1 - gamma)/D on each kind's C, so
 P = C_plain / D_plain + C_bullet / D_bullet; D_plain = gamma2 - gamma1 has
-norm -5, so coefficients move into rational golden scalars.  On each layer
+norm -5, so coefficients move into rational golden scalars.  That is the one
+division in the cell basis: ``expand_in_cell_basis`` sums the integral
+D-scaled coordinates (1 and 1 - gamma) per cell key in Z[phi] and divides each
+sibling key by its D once, in integer arithmetic.  On each layer
 the generators act by matrices that do not depend on the south tableau, and
 the layer carries a bilinear form.  Both are read off products of plain
 diagrams, scaled by D, since the sibling layers' cross terms vanish modulo
@@ -138,20 +141,27 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
 
     Keys are (label, north half, south half); values are Laurent polynomials
     whose golden coordinates may be rational, since the change of basis
-    divides by gamma2 - gamma1.  Each diagram adds to every layer of its
-    stratum, weighted on a sibling layer by the sibling table.
+    divides by D = 1 - 2*gamma.  Each diagram adds to every layer of its
+    stratum its D-scaled coordinate, integral in Z[phi]: 1 for P and
+    1 - gamma for B by the sibling table.  Each nonzero sibling key is then
+    divided by its D once; zero and middle keys have D = 1.
     """
-    out: dict = {}
+    scaled: dict = {}
     for d, coeff in x.items():
         for label in _stratum(d.m, d.k):
-            if label.kind in _SIBLINGS:
-                _, on_p, on_b = _SCALARS[label.kind]
-                c = coeff * (on_b if d.bullet else on_p)
-            else:
-                c = coeff
+            c = coeff * (1 - _SIBLINGS[label.kind]) if d.bullet and label.kind in _SIBLINGS else coeff
             key = (label, d.north, d.south)
-            out[key] = out.get(key, LaurentPoly.zero()) + c
-    return {key: c for key, c in out.items() if not c.is_zero()}
+            prev = scaled.get(key)
+            scaled[key] = c if prev is None else prev + c
+    out: dict = {}
+    for key, c in scaled.items():
+        if c.is_zero():
+            continue
+        if key[0].kind in _SIBLINGS:
+            D = _SCALARS[key[0].kind][0]
+            c = LaurentPoly({e: g / D for e, g in c.items()})
+        out[key] = c
+    return out
 
 
 def combine_cell_terms(m: int, coefficients: dict) -> AlgebraElement:
@@ -256,13 +266,15 @@ class RingMatrix:
 def _layer_column(product: AlgebraElement, label: CellLabel, index: dict, T, what: str) -> list:
     """The coefficients of C(S, T), S in index order, in a product modulo lower layers.
 
-    The sibling layer (same cap count, other kind) may keep its share at T;
-    any other term on a layer not below this one raises
-    IndependenceViolation.  ``what`` names the computation in the message.
+    Terms with more caps than the layer lie on lower layers and are dropped
+    before the expansion.  The sibling layer (same cap count, other kind)
+    may keep its share at T; any other term raises IndependenceViolation.
+    ``what`` names the computation in the message.
     """
     col = [LaurentPoly.zero()] * len(index)
-    for (mu, sp, tp), c in expand_in_cell_basis(product).items():
-        if mu.is_below(label) or (mu != label and mu.k == label.k and tp == T):
+    upper = AlgebraElement._from_checked(product.m, {d: c for d, c in product._terms.items() if d.k <= label.k})
+    for (mu, sp, tp), c in expand_in_cell_basis(upper).items():
+        if mu != label and mu.k == label.k and tp == T:
             continue
         if mu == label and tp == T and sp in index:
             col[index[sp]] = c

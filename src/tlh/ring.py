@@ -3,9 +3,12 @@
 Decorations on diagram edges multiply like powers of a symbol gamma subject
 to gamma^2 = gamma + 1, so the weight of r stacked decorations collapses to
 F(r-1) + F(r)*gamma with the Fibonacci convention F(0) = 0, F(1) = 1.  We
-realise gamma as the golden ratio phi and compute in Z[phi], passing to
-exact rational coordinates in Q(phi) only where an inverse is genuinely
-required (the cellular basis change divides by gamma2 - gamma1 = 1 - 2*phi).
+realise gamma as the golden ratio phi and compute in Z[phi].  Division
+x / y multiplies x by the conjugate of y and divides each integer coordinate
+by the norm N(y); a coordinate becomes a Fraction only when N(y) does not
+divide it, so an exact quotient, such as every quotient term of a
+fraction-free determinant, stays in Z[phi].  The cellular basis change
+divides by gamma2 - gamma1 = 1 - 2*phi, of norm -5, once per coordinate.
 
 Coefficients of the diagram algebra live one level up, in Laurent
 polynomials in v over the golden ring; the loop parameter is the quantum
@@ -25,12 +28,20 @@ from math import comb
 
 
 def _norm_coord(c):
-    """Collapse denominator-1 fractions back to int."""
-    if isinstance(c, int):  # the common case, and cheaper than the Fraction (ABC) check
-        return c
+    """Collapse denominator-1 fractions back to int; anything but an int or a Fraction raises."""
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
-    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+    if type(c) is not int:  # no bools
+        raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+    return c
+
+
+def _quotient(c, n):
+    """The coordinate c / n, an int when n divides c."""
+    if type(c) is int and type(n) is int:
+        q, r = divmod(c, n)
+        return Fraction(c, n) if r else q
+    return Fraction(c) / n
 
 
 class _Ring:
@@ -80,14 +91,15 @@ class GoldenScalar(_Ring):
     b: object = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _norm_coord(self.a))
-        object.__setattr__(self, "b", _norm_coord(self.b))
+        if type(self.a) is not int or type(self.b) is not int:  # ints, the common case, are kept as they are
+            object.__setattr__(self, "a", _norm_coord(self.a))
+            object.__setattr__(self, "b", _norm_coord(self.b))
 
     @staticmethod
     def _coerce(x) -> "GoldenScalar | None":
         if isinstance(x, GoldenScalar):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return GoldenScalar(x, 0)
         return None
 
@@ -130,17 +142,18 @@ class GoldenScalar(_Ring):
         return self.a * self.a + self.a * self.b - self.b * self.b
 
     def inverse(self) -> "GoldenScalar":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero golden scalar")
-        conj = self.conjugate()
-        return GoldenScalar(Fraction(conj.a, 1) / n, Fraction(conj.b, 1) / n)
+        return G_ONE / self
 
     def __truediv__(self, other):
+        """x * conj(y) / N(y), dividing each coordinate by the norm once."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self * other.inverse()
+        n = other.norm()
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero golden scalar")
+        num = self * other.conjugate()
+        return GoldenScalar(_quotient(num.a, n), _quotient(num.b, n))
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -203,12 +216,12 @@ class LaurentPoly(_Ring):
     def __init__(self, terms=None):
         clean: dict[int, GoldenScalar] = {}
         for e, c in (terms or {}).items():
+            if type(e) is not int:  # no bools
+                raise TypeError(f"bad exponent {e!r}")
             g = GoldenScalar._coerce(c)
             if g is None:
                 raise TypeError(f"bad coefficient {c!r}")
             if not g.is_zero():
-                if not isinstance(e, int):
-                    raise TypeError(f"bad exponent {e!r}")
                 clean[e] = g
         self._terms = clean
 
@@ -305,19 +318,21 @@ class LaurentPoly(_Ring):
 
         Long division from the top exponent down, in the operands' own
         exponents, so self == q * other + r with r supported in
-        [self.min_exp, self.min_exp + span(other)).
+        [self.min_exp, self.min_exp + span(other)).  Each quotient term is
+        one golden division by the leading coefficient, so an exact quotient
+        with coefficients in Z[phi] never leaves it.
         """
         if other.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
         lead_exp = other.max_exp
-        lead_inv = other._terms[lead_exp].inverse()
+        lead = other._terms[lead_exp]
         rem = dict(self._terms)
         floor = min(rem, default=0) + lead_exp - other.min_exp
         quo: dict[int, GoldenScalar] = {}
         while rem and max(rem) >= floor:
             top = max(rem)
             q_exp = top - lead_exp
-            q_coeff = rem[top] * lead_inv
+            q_coeff = rem[top] / lead
             quo[q_exp] = q_coeff
             for e, c in other._terms.items():
                 ee = e + q_exp

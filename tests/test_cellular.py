@@ -140,6 +140,63 @@ def test_expansion_round_trips_on_every_diagram():
             assert combine_cell_terms(m, expand_in_cell_basis(x)) == x
 
 
+def expand_reference(x):
+    """The earlier expand_in_cell_basis: each term's own rational coordinates, summed per key."""
+    out: dict = {}
+    for d, coeff in x.items():
+        for label in _stratum(d.m, d.k):
+            if label.kind in SIBLINGS:
+                _, on_p, on_b = SIBLINGS[label.kind]
+                c = coeff * (on_b if d.bullet else on_p)
+            else:
+                c = coeff
+            key = (label, d.north, d.south)
+            out[key] = out.get(key, LaurentPoly.zero()) + c
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def same_expansion(x):
+    """expand_in_cell_basis equals the reference, key order included."""
+    return list(expand_in_cell_basis(x).items()) == list(expand_reference(x).items())
+
+
+def test_expansion_matches_the_reference_on_every_diagram_and_cell_element():
+    for m in (3, 4, 5):
+        for d in enumerate_diagrams(m):
+            assert same_expansion(AlgebraElement.from_diagram(d))
+        for label in lambda_poset(m - 1):
+            tabs = tableaux(label, m - 1)
+            for S in tabs:
+                for T in tabs:
+                    assert same_expansion(cell_element(label, S, T))
+
+
+def test_expansion_matches_the_reference_on_random_elements():
+    rng = random.Random(1717)
+    coeffs = [
+        LaurentPoly.one(),
+        LaurentPoly.delta(),
+        LaurentPoly({-1: GoldenScalar(2, -3), 2: -1}),
+        LaurentPoly.const(GoldenScalar(Fraction(1, 3), 2)),
+        LaurentPoly({0: GoldenScalar(Fraction(-5, 2), Fraction(1, 5))}),
+    ]
+    cancelled = 0
+    for m in (3, 4, 5):
+        diagrams = enumerate_diagrams(m)
+        siblings = [label for label in lambda_poset(m - 1) if label.kind in SIBLINGS]
+        for _ in range(60):
+            x = AlgebraElement.zero(m)
+            for d in rng.sample(diagrams, rng.randint(1, 6)):  # mixed strata
+                x = x + AlgebraElement.from_diagram(d, rng.choice(coeffs))
+            label = rng.choice(siblings)  # a P/B pair that cancels on the other sibling
+            S, T = rng.choice(tableaux(label, m - 1)), rng.choice(tableaux(label, m - 1))
+            x = x + cell_element(label, S, T).scale(rng.choice(coeffs))
+            assert same_expansion(x)
+            other = next(mu for mu in _stratum(m, label.k) if mu != label)
+            cancelled += (other, S, T) not in expand_reference(x)
+    assert cancelled > 0
+
+
 def test_plain_diagram_splits_over_the_sibling_layers():
     # P(S, T) = C_plain(S, T) / D_plain + C_bullet(S, T) / D_bullet, D = 1 - 2*gamma
     d_plain, d_bullet = (G_ONE - 2 * GAMMA1).inverse(), (G_ONE - 2 * GAMMA2).inverse()
@@ -284,6 +341,65 @@ def test_gram_matrix_glues_one_plain_pair_per_entry(monkeypatch):
         gram_matrix(label, 3)
     # t^2 entries for each of the t^2 frames: 1 + 2 * 81 + 625 (the cell elements took 1 274)
     assert len(gluings) == 788
+
+
+def test_gram_det_builds_no_rational_scalar(monkeypatch):
+    # every Bareiss quotient lies in Z[phi][delta], so the n = 4 determinants never leave the integers
+    forms = [cached_form(label, 4) for label in lambda_poset(4)]
+    original = GoldenScalar.__post_init__
+    built = []
+
+    def counted(scalar):
+        original(scalar)
+        built.append(type(scalar.a) is int and type(scalar.b) is int)
+
+    monkeypatch.setattr(GoldenScalar, "__post_init__", counted)
+    for form in forms:
+        gram_det(form)
+    assert built and all(built)
+
+
+def test_gram_matrix_expands_no_term_below_the_layer(monkeypatch):
+    expand, multiply = tlh.cellular.expand_in_cell_basis, tlh.algebra.multiply
+    expanded, products = [], []
+
+    def spy(x):
+        expanded.extend(d.k for d, _ in x.items())
+        return expand(x)
+
+    def recorded(x, y):
+        product = multiply(x, y)
+        products.extend(d.k for d, _ in product.items())
+        return product
+
+    monkeypatch.setattr(tlh.cellular, "expand_in_cell_basis", spy)
+    monkeypatch.setattr(tlh.algebra, "multiply", recorded)
+    lower_terms = 0
+    for label in lambda_poset(3):
+        expanded.clear()
+        products.clear()
+        assert gram_matrix(label, 3) == cached_form(label, 3)
+        assert expanded and max(expanded) <= label.k
+        lower_terms += sum(k > label.k for k in products)
+    assert lower_terms > 0  # the products do have lower terms, and none reach the expansion
+
+
+@pytest.mark.parametrize("where, raises", [("higher", True), ("same layer", True), ("lower", False)])
+def test_gram_matrix_sees_an_injected_term_on_a_layer_not_below(monkeypatch, where, raises):
+    label = CellLabel("plain", 1)
+    tabs, middle = tableaux(label, 3), tableaux(CellLabel("middle", 2), 3)
+    stray = {
+        "higher": Diagram(HalfDiagram(4), HalfDiagram(4)),
+        "same layer": Diagram(tabs[1], tabs[1]),  # the frame pair is (tabs[0], tabs[0])
+        "lower": Diagram(middle[0], middle[0]),
+    }[where]
+    original = tlh.algebra.multiply
+    monkeypatch.setattr(tlh.algebra, "multiply", lambda x, y: original(x, y) + AlgebraElement.from_diagram(stray))
+    if raises:
+        with pytest.raises(IndependenceViolation, match="form on layer 1 leaks into layer"):
+            gram_matrix(label, 3)
+    else:
+        assert gram_matrix(label, 3) == cached_form(label, 3)
 
 
 def test_action_matrix_frozen_n2():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import doctest
+import json
 import random
 import re
 from fractions import Fraction
@@ -351,3 +352,75 @@ def test_asymmetric_polynomials_raise_property(p):
     else:
         with pytest.raises(ValueError, match="not symmetric"):
             to_delta(p)
+
+
+# Booleans are not ring elements: True would print as "True" and write JSON
+# that from_json rejects.
+
+
+def test_booleans_are_rejected_by_the_constructors():
+    for coords in ((True, 0), (0, False), (Fraction(1, 2), True)):
+        with pytest.raises(TypeError, match="expected int or Fraction, got bool"):
+            GoldenScalar(*coords)
+    for exponent in (True, False):
+        for coeff in (1, 0):
+            with pytest.raises(TypeError, match=f"bad exponent {exponent}"):
+                LaurentPoly({exponent: coeff})
+    with pytest.raises(TypeError, match="bad coefficient True"):
+        LaurentPoly({0: True})
+    assert GoldenScalar._coerce(True) is None and LaurentPoly._coerce(False) is None
+    for x in (PHI, LaurentPoly.delta()):
+        for op in (lambda: x * True, lambda: True + x, lambda: x - False, lambda: x / True):
+            with pytest.raises(TypeError):
+                op()
+
+
+@properties
+@given(rational_laurent)
+def test_json_round_trip_property(p):
+    for e, c in p.items():
+        assert GoldenScalar.from_json(json.loads(json.dumps(c.to_json()))) == c
+    assert LaurentPoly.from_json(json.loads(json.dumps(p.to_json()))) == p
+
+
+# Division: x * conj(y) / N(y), with one division of integer coordinates by
+# the norm, against the earlier product with a Fraction inverse.
+
+
+def inverse_reference(y: GoldenScalar) -> GoldenScalar:
+    """The earlier GoldenScalar.inverse: conj(y) / N(y), coordinate by coordinate in Fractions."""
+    n = y.norm()
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero golden scalar")
+    conj = y.conjugate()
+    return GoldenScalar(Fraction(conj.a, 1) / n, Fraction(conj.b, 1) / n)
+
+
+def is_normal(x: GoldenScalar) -> bool:
+    """Each coordinate is an int exactly when it is integral."""
+    return all((type(c) is int) == (Fraction(c).denominator == 1) for c in (x.a, x.b))
+
+
+any_golden = st.one_of(golden, rational_golden)
+
+
+@properties
+@given(any_golden, any_golden.filter(bool))
+def test_division_matches_multiplying_by_the_inverse_property(x, y):
+    q = x / y
+    assert q == x * inverse_reference(y) and is_normal(q)
+    assert q * y == x
+    exact = (x * y) / y  # an exact quotient keeps x's coordinates, ints included
+    assert exact == x and is_normal(exact)
+    assert y.inverse() == inverse_reference(y) and is_normal(y.inverse())
+    for k in (1, -3, Fraction(2, 7)):
+        assert x / k == x * inverse_reference(GoldenScalar(k, 0))
+
+
+def test_division_by_zero_keeps_its_message():
+    for x in (G_ONE, G_ZERO, GoldenScalar(Fraction(1, 3), 2)):
+        for zero in (G_ZERO, 0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError, match="^inverse of zero golden scalar$"):
+                x / zero
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero golden scalar$"):
+        G_ZERO.inverse()
