@@ -57,7 +57,7 @@ def normal_form(t: DecoratedTangle) -> list:
     power = len(t.loops)
     delta_power = [(power - 2 * k, comb(power, k)) for k in range(power + 1)]
     return [
-        (DecoratedTangle._from_boundary(t.n_top, t.n_bottom, partner, d), LaurentPoly({e: w * c for e, c in delta_power}))
+        (DecoratedTangle._trusted(t.n_top, t.n_bottom, partner, d), LaurentPoly({e: w * c for e, c in delta_power}))
         for d, w in choices
     ]
 

@@ -159,7 +159,7 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
             continue
         if key[0].kind in _SIBLINGS:
             D = _SCALARS[key[0].kind][0]
-            c = LaurentPoly({e: g / D for e, g in c.items()})
+            c = LaurentPoly._from_checked({e: g / D for e, g in c._terms.items()})
         out[key] = c
     return out
 
@@ -263,17 +263,22 @@ class RingMatrix:
         return [[e.to_json() for e in row] for row in self.rows]
 
 
-def _layer_column(product: AlgebraElement, label: CellLabel, index: dict, T, what: str) -> list:
-    """The coefficients of C(S, T), S in index order, in a product modulo lower layers.
+def _upper_expansion(product: AlgebraElement, k: int) -> dict:
+    """The cell expansion of a product's terms with at most k caps; those on lower layers are dropped unchecked."""
+    return expand_in_cell_basis(
+        AlgebraElement._from_checked(product.m, {d: c for d, c in product._terms.items() if d.k <= k})
+    )
 
-    Terms with more caps than the layer lie on lower layers and are dropped
-    before the expansion.  The sibling layer (same cap count, other kind)
-    may keep its share at T; any other term raises IndependenceViolation.
-    ``what`` names the computation in the message.
+
+def _project(expansion: dict, label: CellLabel, index: dict, T, what: str) -> list:
+    """The coefficients of C(S, T), S in index order, in a cell expansion modulo lower layers.
+
+    The sibling layer (same cap count, other kind) may keep its share at T;
+    any other term raises IndependenceViolation.  ``what`` names the
+    computation in the message.
     """
     col = [LaurentPoly.zero()] * len(index)
-    upper = AlgebraElement._from_checked(product.m, {d: c for d, c in product._terms.items() if d.k <= label.k})
-    for (mu, sp, tp), c in expand_in_cell_basis(upper).items():
+    for (mu, sp, tp), c in expansion.items():
         if mu != label and mu.k == label.k and tp == T:
             continue
         if mu == label and tp == T and sp in index:
@@ -283,6 +288,11 @@ def _layer_column(product: AlgebraElement, label: CellLabel, index: dict, T, wha
                 f"{what} on layer {label} leaks into layer {mu} at ({sp}, {tp})"
             )
     return col
+
+
+def _layer_column(product: AlgebraElement, label: CellLabel, index: dict, T, what: str) -> list:
+    """The coefficients of C(S, T), S in index order, in a product modulo lower layers."""
+    return _project(_upper_expansion(product, label.k), label, index, T, what)
 
 
 def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool = True) -> RingMatrix:
@@ -316,7 +326,7 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
     return RingMatrix([[c * scale for c in row] for row in zip(*base)])
 
 
-def gram_matrix(label: CellLabel, n: int) -> RingMatrix:
+def gram_matrix(label: CellLabel, n: int, *, forms: dict | None = None) -> RingMatrix:
     """The bilinear form on a cell layer.
 
     Entry (d1, d2) is the coefficient of C(e1, e2) in C(e1, d1) * C(d2, e2)
@@ -325,23 +335,72 @@ def gram_matrix(label: CellLabel, n: int) -> RingMatrix:
     the plain product P(e1, d1) * P(d2, e2).  The matrix is recomputed
     against other frame pairs -- all of them for n <= 4, else FRAME_CHECKS
     evenly spaced ones -- to confirm the frame does not matter.
+
+    Sibling layers read their forms off the same plain products.  With a
+    ``forms`` dict, owned by the caller, the first call on a plain/bullet
+    stratum computes each product once for both layers, runs every layer's
+    checks on it, and leaves the sibling's form, or the
+    IndependenceViolation that stopped it, in ``forms``; the sibling's call
+    takes it out from there.
     """
-    tabs = tableaux(label, n)
+    tableaux(label, n)  # the label must lie in the rank-n poset
+    if forms is not None and (label, n) in forms:
+        form = forms.pop((label, n))
+    else:
+        done = _stratum_forms((label,) if forms is None else _stratum(n + 1, label.k), n)
+        form = done.pop(label)
+        if forms is not None:
+            forms.update(((other, n), f) for other, f in done.items())
+    if isinstance(form, IndependenceViolation):
+        raise form
+    return form
 
-    def entries(e1, e2):
-        left, right = [_diagram(e1, d) for d in tabs], [_diagram(d, e2) for d in tabs]
-        return [[_layer_column(x * y, label, {e1: 0}, e2, "form")[0] for y in right] for x in left]
 
+def _stratum_forms(layers: tuple, n: int) -> dict:
+    """Each layer's form, or the IndependenceViolation that stopped it; the layers share a cap count.
+
+    Each product is expanded once for all layers still running, and each
+    layer's column check and frame comparison run as they would alone.
+    """
+    tabs = tableaux(layers[0], n)
     pairs = [(e1, e2) for e1 in tabs for e2 in tabs]
-    base = entries(*pairs[0])
     others = pairs[1:]
     if n > 4 and len(others) > FRAME_CHECKS:
         others = others[:: len(others) // FRAME_CHECKS][:FRAME_CHECKS]
+    done = _frame_entries(layers, tabs, *pairs[0])
     for e1, e2 in others:
-        if entries(e1, e2) != base:
-            raise IndependenceViolation(f"form entries on layer {label} depend on the frame pair")
-    scale = _SCALARS[label.kind][0] ** 2
-    return RingMatrix([[c * scale for c in row] for row in base])
+        running = tuple(label for label in layers if isinstance(done[label], list))
+        if not running:
+            break
+        for label, entries in _frame_entries(running, tabs, e1, e2).items():
+            if isinstance(entries, IndependenceViolation):
+                done[label] = entries
+            elif entries != done[label]:
+                done[label] = IndependenceViolation(f"form entries on layer {label} depend on the frame pair")
+    t = len(tabs)
+    for label, entries in done.items():
+        if isinstance(entries, list):
+            scale = _SCALARS[label.kind][0] ** 2
+            done[label] = RingMatrix([[c * scale for c in entries[i : i + t]] for i in range(0, t * t, t)])
+    return done
+
+
+def _frame_entries(layers: tuple, tabs: tuple, e1, e2) -> dict:
+    """Each layer's unscaled form entries at one frame pair, flat in row-major order, or its IndependenceViolation."""
+    left, right = [_diagram(e1, d) for d in tabs], [_diagram(d, e2) for d in tabs]
+    out: dict = {label: [] for label in layers}
+    for x in left:
+        for y in right:
+            running = [label for label in layers if isinstance(out[label], list)]
+            if not running:
+                return out
+            expansion = _upper_expansion(x * y, layers[0].k)
+            for label in running:
+                try:
+                    out[label].append(_project(expansion, label, {e1: 0}, e2, "form")[0])
+                except IndependenceViolation as exc:
+                    out[label] = exc
+    return out
 
 
 def gram_det(form: RingMatrix) -> LaurentPoly:
@@ -419,11 +478,11 @@ def semisimplicity_check(n: int) -> list:
     cell_action_matrix on each plain and bullet layer.
     """
     siblings = [label for label in lambda_poset(n) if label.kind in _SIBLINGS]
-    problems = _action_problems(n, siblings, check_all_T=False)
+    problems, forms = _action_problems(n, siblings, check_all_T=False), {}
     for label in lambda_poset(n):
         tabs = tableaux(label, n)
         try:
-            form = gram_matrix(label, n)
+            form = gram_matrix(label, n, forms=forms)
         except IndependenceViolation as exc:
             problems.append(f"layer {label}: {exc}")
             continue

@@ -218,10 +218,10 @@ def cmd_factorize(args, report: Report) -> int:
 def cmd_gram(args, report: Report) -> int:
     n = _rank(args, "gram")
     labels = (_parse_label(args.selector, n),) if args.selector else lambda_poset(n)
-    code = 0
+    code, forms = 0, None if args.selector else {}  # sibling layers share one product pass
     for label in labels:
         try:
-            form = gram_matrix(label, n)
+            form = gram_matrix(label, n, forms=forms)
         except IndependenceViolation as exc:
             report.emit(
                 {"kind": "gram", "label": str(label), "verdict": "fail", "detail": str(exc)},

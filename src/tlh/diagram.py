@@ -206,7 +206,7 @@ class Diagram:
         ]
         for i, j, r in ends:
             partner[i], partner[j], dec[i], dec[j] = j, i, r, r
-        return DecoratedTangle._from_boundary(m, m, partner, dec)
+        return DecoratedTangle._trusted(m, m, partner, dec)
 
     @property
     def m(self) -> int:

@@ -225,6 +225,16 @@ class LaurentPoly(_Ring):
                 clean[e] = g
         self._terms = clean
 
+    @classmethod
+    def _from_checked(cls, terms: dict) -> "LaurentPoly":
+        """A polynomial from int exponents and GoldenScalar coefficients; only zeros are dropped.
+
+        The ring's own operators build through here, on values they made.
+        """
+        poly = object.__new__(cls)
+        poly._terms = {e: c for e, c in terms.items() if c.a or c.b}
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -285,12 +295,12 @@ class LaurentPoly(_Ring):
         terms = dict(self._terms)
         for e, c in other._terms.items():
             terms[e] = terms.get(e, G_ZERO) + c
-        return LaurentPoly(terms)
+        return LaurentPoly._from_checked(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._from_checked({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -301,7 +311,7 @@ class LaurentPoly(_Ring):
             for e2, c2 in other._terms.items():
                 e = e1 + e2
                 terms[e] = terms.get(e, G_ZERO) + c1 * c2
-        return LaurentPoly(terms)
+        return LaurentPoly._from_checked(terms)
 
     __rmul__ = __mul__
 
@@ -343,7 +353,7 @@ class LaurentPoly(_Ring):
                     rem[ee] = val
             if top in rem:
                 raise ArithmeticError(f"leading term at degree {top} did not cancel")
-        return LaurentPoly(quo), LaurentPoly(rem)
+        return LaurentPoly._from_checked(quo), LaurentPoly._from_checked(rem)
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly | None":
         """self / other when the division is exact, else None."""

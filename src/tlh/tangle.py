@@ -129,6 +129,18 @@ class DecoratedTangle:
                 )
         if any(type(r) is not int or r < 0 for r in _iterable("loops", loops)):
             raise ValueError(f"bad loop decoration counts {loops!r}")
+        return self._store(n_top, n_bottom, partner, dec, loops)
+
+    @classmethod
+    def _trusted(cls, n_top: int, n_bottom: int, partner, dec, loops=()) -> "DecoratedTangle":
+        """The tangle with this boundary form, unchecked.
+
+        Only for arrays built from checked ones by steps that keep them
+        valid: a gluing walk, a decoration split, a checked diagram's form.
+        """
+        return object.__new__(cls)._store(n_top, n_bottom, partner, dec, loops)
+
+    def _store(self, n_top, n_bottom, partner, dec, loops) -> "DecoratedTangle":
         fields = (n_top, n_bottom, tuple(partner), tuple(dec), tuple(sorted(loops)))
         for name, value in zip(("n_top", "n_bottom", "partner", "dec", "loops"), fields):
             object.__setattr__(self, name, value)  # the fields are frozen
@@ -215,7 +227,7 @@ class DecoratedTangle:
                     if p == start:
                         break
                 loops.append(total)
-        result = DecoratedTangle._from_boundary(top, bottom, out, out_dec, loops)
+        result = DecoratedTangle._trusted(top, bottom, out, out_dec, loops)
         trapped = _trapped(out, out_dec)
         if trapped:
             refs = _refs(top, bottom)

@@ -1,6 +1,8 @@
 """Tests for the cell structure: labels, cell basis, action and form matrices."""
 
 import functools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 
 import tlh.algebra
 import tlh.cellular
+import tlh.cli
 from tlh.algebra import AlgebraElement, special_elements
 from tlh.cellular import (
     FRAME_CHECKS,
@@ -343,6 +346,111 @@ def test_gram_matrix_glues_one_plain_pair_per_entry(monkeypatch):
     assert len(gluings) == 788
 
 
+def _count_gluings(monkeypatch) -> list:
+    gluings, original = [], DecoratedTangle.concat
+
+    def counted(self, other):
+        gluings.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(DecoratedTangle, "concat", counted)
+    return gluings
+
+
+def test_sibling_layers_share_one_product_pass(monkeypatch):
+    expected = [cached_form(label, 3) for label in lambda_poset(3)]
+    gluings, forms = _count_gluings(monkeypatch), {}
+    assert [gram_matrix(label, 3, forms=forms) for label in lambda_poset(3)] == expected
+    assert forms == {}  # each sibling took its form out
+    # 1 + 81 + 625: the plain products of layer 1 serve layer 1b too
+    assert len(gluings) == 707
+
+
+def test_the_sibling_called_first_gets_the_same_form(monkeypatch):
+    gluings, forms = _count_gluings(monkeypatch), {}
+    plain, bullet = CellLabel("plain", 1), CellLabel("bullet", 1)
+    assert gram_matrix(bullet, 3, forms=forms) == cached_form(bullet, 3)
+    assert list(forms) == [(plain, 3)]
+    assert gram_matrix(plain, 3, forms=forms) == cached_form(plain, 3)
+    assert forms == {} and len(gluings) == 81
+
+
+def test_gram_n4_glues_each_stratum_once(capsys, monkeypatch):
+    gluings = _count_gluings(monkeypatch)
+    assert tlh.cli.main(["gram", "--n", "4", "--format", "structured"]) == 0
+    assert capsys.readouterr().out == (pathlib.Path(__file__).parent / "golden" / "gram_n4.jsonl").read_text()
+    assert len(gluings) == 6818  # 13 635 with each sibling's products glued again
+
+
+def _inject_sibling_stray(monkeypatch, kind: str, frame: bool):
+    """Add a C(S, T) of layer ``kind`` 1 at rank 3 to every product of two one-cap diagrams.
+
+    T is the product's south half, so the sibling layer may keep the term.
+    With ``frame`` false, S is the second tableau: a leak on the layer at
+    every frame pair.  With ``frame`` true, S is the product's north half
+    and the term is added only where that is the second tableau: each entry
+    of the layer grows by one at those frame pairs, which changes no other
+    layer and leaks nowhere.
+    """
+    label = CellLabel(kind, 1)
+    second = tableaux(label, 3)[1]
+    original = tlh.algebra.multiply
+
+    def with_stray(x, y):
+        product = original(x, y)
+        [left], [right] = x.items(), y.items()
+        north, south = left[0].north, right[0].south
+        if left[0].k == right[0].k == 1 and (not frame or north == second):
+            product = product + cell_element(label, north if frame else second, south)
+        return product
+
+    monkeypatch.setattr(tlh.algebra, "multiply", with_stray)
+
+
+#: tlh gram --n 3 --format structured, without and with the strays of _inject_sibling_stray.
+GRAM_N3 = [
+    {"dim": 1, "gram_det": [[0, 1, 0]], "kind": "gram", "label": "0", "verdict": "nondegenerate"},
+    {"dim": 3, "gram_det": [[-3, 5, -10], [-1, -10, -5], [1, -10, -5], [3, 5, -10]],
+     "kind": "gram", "label": "1", "verdict": "nondegenerate"},
+    {"dim": 3, "gram_det": [[-3, -5, 10], [-1, -15, 5], [1, -15, 5], [3, -5, 10]],
+     "kind": "gram", "label": "1b", "verdict": "nondegenerate"},
+    {"dim": 5, "gram_det": [[-10, 1, 0], [-8, 6, 0], [-6, 16, 0], [-4, 26, 0], [-2, 31, 0], [0, 32, 0],
+                            [2, 31, 0], [4, 26, 0], [6, 16, 0], [8, 6, 0], [10, 1, 0]],
+     "kind": "gram", "label": "mid", "verdict": "nondegenerate"},
+]
+STRAY_FAILURES = {
+    ("plain", False): "form on layer 1 leaks into layer 1 at (2-3, 1-2*)",
+    ("bullet", False): "form on layer 1b leaks into layer 1b at (2-3, 1-2*)",
+    ("plain", True): "form entries on layer 1 depend on the frame pair",
+    ("bullet", True): "form entries on layer 1b depend on the frame pair",
+}
+
+
+def _gram_n3_records(capsys) -> tuple:
+    code = tlh.cli.main(["gram", "--n", "3", "--format", "structured"])
+    return code, [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_gram_n3_records(capsys):
+    assert _gram_n3_records(capsys) == (0, GRAM_N3)
+
+
+@pytest.mark.parametrize("kind, frame", list(STRAY_FAILURES))
+def test_a_fault_on_one_sibling_leaves_the_other_passing(capsys, monkeypatch, kind, frame):
+    _inject_sibling_stray(monkeypatch, kind, frame)
+    failed = str(CellLabel(kind, 1))
+    fail = {"detail": STRAY_FAILURES[kind, frame], "kind": "gram", "label": failed, "verdict": "fail"}
+    assert _gram_n3_records(capsys) == (1, [fail if r["label"] == failed else r for r in GRAM_N3])
+
+
+@pytest.mark.parametrize("kind, frame", list(STRAY_FAILURES))
+def test_semisimplicity_reports_a_fault_on_one_sibling(monkeypatch, kind, frame):
+    _inject_sibling_stray(monkeypatch, kind, frame)
+    label = str(CellLabel(kind, 1))
+    rule = [f"U{i}: action on layer {label} breaks the bullet rule at 1-2*" for i in ((2,) if frame else (1, 2, 3))]
+    assert semisimplicity_check(3) == rule + [f"layer {label}: {STRAY_FAILURES[kind, frame]}"]
+
+
 def test_gram_det_builds_no_rational_scalar(monkeypatch):
     # every Bareiss quotient lies in Z[phi][delta], so the n = 4 determinants never leave the integers
     forms = [cached_form(label, 4) for label in lambda_poset(4)]
@@ -570,8 +678,8 @@ def _patched_forms(monkeypatch, text, change):
     """Make gram_matrix return layer ``text``'s form with change(i, j, entry) in place of each entry."""
     original = tlh.cellular.gram_matrix
 
-    def patched(label, n):
-        form = original(label, n)
+    def patched(label, n, **options):
+        form = original(label, n, **options)
         if str(label) != text:
             return form
         return RingMatrix([[change(i, j, g) for j, g in enumerate(row)] for i, row in enumerate(form.rows)])

@@ -285,6 +285,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
         ("enumerate_n3", ["enumerate", "--n", "3"]),
         ("gram_n4", ["gram", "--n", "4"]),
         ("verify_all_n3", ["verify", "all", "--n", "3"]),
+        ("gram_n3_lambda1b", ["gram", "--n", "3", "--lambda", "1b"]),
     ],
 )
 def test_structured_output_matches_golden(capsys, name, argv):
@@ -314,7 +315,7 @@ def test_gram_n5_matches_the_benchmark_reference(capsys):
 def test_asymmetric_form_entry_exits_one(capsys, monkeypatch):
     import tlh.cli
 
-    monkeypatch.setattr(tlh.cli, "gram_matrix", lambda label, n: RingMatrix(((LaurentPoly.v_pow(1),),)))
+    monkeypatch.setattr(tlh.cli, "gram_matrix", lambda label, n, **options: RingMatrix(((LaurentPoly.v_pow(1),),)))
     code, out, err = run(capsys, "gram", "--n", "2", "--format", "structured")
     assert code == 1 and err == ""
     failure = {"kind": "failure", "error": "ValueError", "detail": "v is not symmetric under v -> 1/v"}

@@ -283,6 +283,15 @@ def test_divmod_by_property(f, g):
 
 
 @properties
+@given(laurent, laurent, laurent.filter(bool))
+def test_operators_build_what_the_public_constructor_builds_property(f, g, h):
+    # the operators skip the constructor's coercion; their results must be the ones it would build
+    for p in (f + g, f * g, -f, f - g, f + (-f), (f * g) - (g * f), *f.divmod_by(h)):
+        assert p == LaurentPoly(dict(p._terms))
+        assert all(not c.is_zero() for c in p._terms.values())
+
+
+@properties
 @given(st.one_of(st.tuples(golden, golden), st.tuples(laurent, laurent)), st.integers(-5, 5))
 def test_shared_operators_property(pair, k):
     x, y = pair

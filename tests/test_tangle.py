@@ -10,11 +10,15 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tlh.algebra import AlgebraElement, normal_form
+from tlh.diagram import Diagram, enumerate_diagrams
 from tlh.tangle import DecoratedTangle, NodeRef, _refs, _trapped, random_matching, random_tangle
 
 N = lambda i: NodeRef("N", i)
@@ -670,3 +674,49 @@ def test_the_trapped_scan_gives_the_west_exposed_verdict(t):
 @given(crossing_tangles())
 def test_both_constructors_build_the_same_crossing_tangle(t):
     assert_alike(t)
+
+
+@contextmanager
+def trusted_tangles():
+    """Record every tangle stored without the array check while the block runs."""
+    stored, original = [], DecoratedTangle._trusted.__func__
+
+    def recorded(cls, *args):
+        t = original(cls, *args)
+        stored.append(t)
+        return t
+
+    with mock.patch.object(DecoratedTangle, "_trusted", classmethod(recorded)):
+        yield stored
+
+
+def assert_stored_tangles_pass_the_check(stored):
+    for t in stored:
+        checked = DecoratedTangle._from_boundary(t.n_top, t.n_bottom, t.partner, t.dec, t.loops)
+        assert dataclasses.astuple(t) == dataclasses.astuple(checked) and hash(t) == hash(checked)
+        assert all(type(x) is int for x in (*t.partner, *t.dec, *t.loops))  # no bools or floats either
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_products_store_only_tangles_that_pass_the_array_check(m):
+    # gluing walks, decoration splits and diagram tangles skip the check; each result must pass it
+    rng = random.Random(20261019 + m)
+    basis = enumerate_diagrams(m)
+    with trusted_tangles() as stored:
+        for _ in range(60):
+            x, y = (rng.choice(basis) for _ in range(2))
+            fresh = [Diagram(d.north, d.south, d.bullet) for d in (x, y)]  # tangles not built yet
+            AlgebraElement.from_diagram(fresh[0]) * AlgebraElement.from_diagram(fresh[1])
+    assert len(stored) >= 180  # two diagram tangles and a gluing per product, and the splits
+    assert_stored_tangles_pass_the_check(stored)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(crossing_tangles(), st.integers(0, 3))
+def test_crossing_gluings_and_splits_store_checked_tangles(t, extra):
+    # decorations up to 2 + extra, so that normal_form splits; gluing onto the reflection may fail
+    t = DecoratedTangle(t.n_top, t.n_bottom, frozenset((a, b, dec + extra * (dec > 0)) for a, b, dec in t.arcs))
+    with trusted_tangles() as stored:
+        glue_outcome(DecoratedTangle.concat, t, flip(t))
+        normal_form(t)
+    assert_stored_tangles_pass_the_check(stored)
