@@ -23,7 +23,7 @@ import random
 from math import comb
 
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
-from tlh.ring import LaurentPoly, fib_pair
+from tlh.ring import LaurentPoly, _golden, fib_pair
 from tlh.tangle import DecoratedTangle, random_tangle
 
 
@@ -57,7 +57,10 @@ def normal_form(t: DecoratedTangle) -> list:
     power = len(t.loops)
     delta_power = [(power - 2 * k, comb(power, k)) for k in range(power + 1)]
     return [
-        (DecoratedTangle._trusted(t.n_top, t.n_bottom, partner, d), LaurentPoly({e: w * c for e, c in delta_power}))
+        (
+            DecoratedTangle._trusted(t.n_top, t.n_bottom, partner, d),
+            LaurentPoly._from_checked({e: _golden(w * c, 0) for e, c in delta_power}),  # w, c > 0
+        )
         for d, w in choices
     ]
 

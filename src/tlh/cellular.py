@@ -53,6 +53,11 @@ _SCALARS = {
     for kind, g in {"zero": G_ZERO, "middle": G_ZERO, **_SIBLINGS}.items()
 }
 
+#: The D-scaled coordinate 1 - gamma of B on each sibling kind's C.
+_BULLET_WEIGHTS = {kind: 1 - g for kind, g in _SIBLINGS.items()}
+
+_ZERO = LaurentPoly.zero()  # shared: a LaurentPoly is never changed in place
+
 
 class IndependenceViolation(Exception):
     """A cell coefficient depended on a choice the cell axioms forbid."""
@@ -147,21 +152,21 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
     divided by its D once; zero and middle keys have D = 1.
     """
     scaled: dict = {}
+    strata: dict = {}  # cap count -> layers, for this call
     for d, coeff in x.items():
-        for label in _stratum(d.m, d.k):
-            c = coeff * (1 - _SIBLINGS[label.kind]) if d.bullet and label.kind in _SIBLINGS else coeff
+        layers = strata.get(d.k)
+        if layers is None:
+            layers = strata[d.k] = _stratum(d.m, d.k)
+        for label in layers:
+            c = coeff * _BULLET_WEIGHTS[label.kind] if d.bullet and label.kind in _BULLET_WEIGHTS else coeff
             key = (label, d.north, d.south)
             prev = scaled.get(key)
             scaled[key] = c if prev is None else prev + c
-    out: dict = {}
-    for key, c in scaled.items():
-        if c.is_zero():
-            continue
-        if key[0].kind in _SIBLINGS:
-            D = _SCALARS[key[0].kind][0]
-            c = LaurentPoly._from_checked({e: g / D for e, g in c._terms.items()})
-        out[key] = c
-    return out
+    return {
+        key: c._over(_SCALARS[key[0].kind][0]) if key[0].kind in _SIBLINGS else c
+        for key, c in scaled.items()
+        if c._terms
+    }
 
 
 def combine_cell_terms(m: int, coefficients: dict) -> AlgebraElement:
@@ -248,7 +253,7 @@ class RingMatrix:
                     if quot is None:
                         raise ArithmeticError("fraction-free elimination left a remainder")
                     a[i][j] = quot
-                a[i][p] = LaurentPoly.zero()
+                a[i][p] = _ZERO
             prev = a[p][p]
         result = a[n - 1][n - 1]
         return -result if sign < 0 else result
@@ -277,7 +282,7 @@ def _project(expansion: dict, label: CellLabel, index: dict, T, what: str) -> li
     any other term raises IndependenceViolation.  ``what`` names the
     computation in the message.
     """
-    col = [LaurentPoly.zero()] * len(index)
+    col = [_ZERO] * len(index)
     for (mu, sp, tp), c in expansion.items():
         if mu != label and mu.k == label.k and tp == T:
             continue

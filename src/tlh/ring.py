@@ -16,8 +16,12 @@ integer delta = [2] = v + v^(-1).  A Laurent polynomial fixed by v -> 1/v is
 a polynomial in delta, half as long; ``to_delta`` and ``from_delta`` convert
 exactly between the two, a delta-polynomial being a LaurentPoly whose
 nonnegative exponents count powers of delta.  One private base gives both
-rings their derived operators.  Everything here is immutable and exact: no
-floats.
+rings their derived operators.  LaurentPoly's own operators -- sum,
+difference, negation, product and long division -- work on the integer
+coordinate pairs and build each new coefficient once, through one private
+constructor, ``_golden``, which keeps an int pair as it is and sends anything
+else through the normalizing GoldenScalar constructor.  Everything here is
+immutable and exact: no floats.
 """
 
 from __future__ import annotations
@@ -44,19 +48,19 @@ def _quotient(c, n):
     return Fraction(c) / n
 
 
+def _times_over(x, y, c, d, n) -> tuple:
+    """The coordinates of (x + y*phi)(c + d*phi) / n; with c + d*phi = conj(w) and n = N(w), of (x + y*phi) / w."""
+    yd = y * d
+    return _quotient(x * c + yd, n), _quotient(x * d + y * c + yd, n)
+
+
 class _Ring:
-    """Truth, subtraction and powers from a subclass's _coerce, is_zero, +, unary - and *."""
+    """Truth, reflected subtraction and powers from a subclass's _coerce, is_zero, - and *."""
 
     __slots__ = ()
 
     def __bool__(self) -> bool:
         return not self.is_zero()
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -65,7 +69,7 @@ class _Ring:
         return other - self
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
+        if type(e) is not int or e < 0:  # no bools
             raise ValueError(f"nonnegative integer power expected, got {e!r}")
         out, base = self._coerce(1), self
         while e:
@@ -117,7 +121,7 @@ class GoldenScalar(_Ring):
     def __neg__(self):
         return GoldenScalar(-self.a, -self.b)
 
-    def __sub__(self, other):  # direct: Bareiss subtracts scalars too often to build each negation
+    def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -152,8 +156,7 @@ class GoldenScalar(_Ring):
         n = other.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero golden scalar")
-        num = self * other.conjugate()
-        return GoldenScalar(_quotient(num.a, n), _quotient(num.b, n))
+        return GoldenScalar(*_times_over(self.a, self.b, other.a + other.b, -other.b, n))
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -180,6 +183,20 @@ class GoldenScalar(_Ring):
             return cls(*(Fraction(c) if isinstance(c, str) else c for c in obj))
         except ZeroDivisionError:
             raise ValueError(f"golden scalar has a zero denominator: {obj!r}") from None
+
+
+_new = object.__new__
+
+
+def _golden(a, b) -> GoldenScalar:
+    """The ring kernel's one scalar constructor: an int pair is stored as it is, anything else normalized."""
+    if type(a) is int and type(b) is int:
+        g = _new(GoldenScalar)
+        coords = g.__dict__
+        coords["a"] = a
+        coords["b"] = b
+        return g
+    return GoldenScalar(a, b)
 
 
 G_ZERO = GoldenScalar(0, 0)
@@ -227,12 +244,12 @@ class LaurentPoly(_Ring):
 
     @classmethod
     def _from_checked(cls, terms: dict) -> "LaurentPoly":
-        """A polynomial from int exponents and GoldenScalar coefficients; only zeros are dropped.
+        """A polynomial stored as given: int exponents, nonzero GoldenScalar coefficients.
 
-        The ring's own operators build through here, on values they made.
+        The ring kernel builds its results through here, on coefficients it made.
         """
-        poly = object.__new__(cls)
-        poly._terms = {e: c for e, c in terms.items() if c.a or c.b}
+        poly = _new(cls)
+        poly._terms = terms
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -279,41 +296,86 @@ class LaurentPoly(_Ring):
 
     # -- arithmetic --------------------------------------------------------
 
+    # The kernel: each loop works on integer coordinate pairs and builds each
+    # new coefficient once, through _golden.
+
     @staticmethod
     def _coerce(x) -> "LaurentPoly | None":
         if isinstance(x, LaurentPoly):
             return x
         g = GoldenScalar._coerce(x)
-        if g is not None:
-            return LaurentPoly({0: g})
-        return None
+        if g is None:
+            return None
+        return LaurentPoly._from_checked({0: g} if g.a or g.b else {})
 
     def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        """self + sign * other, for sign 1 or -1."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         terms = dict(self._terms)
-        for e, c in other._terms.items():
-            terms[e] = terms.get(e, G_ZERO) + c
+        for e, y in other._terms.items():
+            x = terms.get(e, G_ZERO)
+            a, b = x.a + sign * y.a, x.b + sign * y.b
+            if a or b:
+                terms[e] = _golden(a, b)
+            else:
+                del terms[e]
         return LaurentPoly._from_checked(terms)
-
-    __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._from_checked({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._from_checked({e: _golden(-x.a, -x.b) for e, x in self._terms.items()})
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms: dict[int, GoldenScalar] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        if isinstance(other, LaurentPoly):
+            xs, ys = self._terms, other._terms
+        else:
+            g = GoldenScalar._coerce(other)
+            if g is None:
+                return NotImplemented
+            xs, ys = ({0: g} if g.a or g.b else {}), self._terms
+        if len(xs) > len(ys):
+            xs, ys = ys, xs
+        golden = _golden
+        if len(xs) == 1:  # no two products share an exponent, and none vanishes
+            ((e1, x),) = xs.items()
+            a, b = x.a, x.b
+            terms = {}
+            for e2, y in ys.items():
+                c, d = y.a, y.b
+                bd = b * d
+                terms[e1 + e2] = golden(a * c + bd, a * d + b * c + bd)
+            return LaurentPoly._from_checked(terms)
+        acc: dict[int, tuple] = {}
+        for e1, x in xs.items():
+            a, b = x.a, x.b
+            for e2, y in ys.items():
+                c, d = y.a, y.b
+                bd = b * d
                 e = e1 + e2
-                terms[e] = terms.get(e, G_ZERO) + c1 * c2
-        return LaurentPoly._from_checked(terms)
+                p = acc.get(e)
+                if p is None:
+                    acc[e] = (a * c + bd, a * d + b * c + bd)
+                else:
+                    acc[e] = (p[0] + a * c + bd, p[1] + a * d + b * c + bd)
+        return LaurentPoly._from_checked({e: golden(a, b) for e, (a, b) in acc.items() if a or b})
 
     __rmul__ = __mul__
+
+    def _over(self, w: GoldenScalar) -> "LaurentPoly":
+        """Each coefficient divided by the nonzero golden scalar w, as x * conj(w) / N(w) on the pairs."""
+        c, d, n = w.a + w.b, -w.b, w.norm()
+        return LaurentPoly._from_checked(
+            {e: _golden(*_times_over(x.a, x.b, c, d, n)) for e, x in self._terms.items()}
+        )
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -336,24 +398,31 @@ class LaurentPoly(_Ring):
             raise ZeroDivisionError("division by zero Laurent polynomial")
         lead_exp = other.max_exp
         lead = other._terms[lead_exp]
-        rem = dict(self._terms)
+        c, d, n = lead.a + lead.b, -lead.b, lead.norm()  # dividing by lead is x * conj(lead) / N(lead)
+        divisor = [(e, y.a, y.b) for e, y in other._terms.items()]
+        rem = {e: (x.a, x.b) for e, x in self._terms.items()}
         floor = min(rem, default=0) + lead_exp - other.min_exp
-        quo: dict[int, GoldenScalar] = {}
+        quo: dict[int, tuple] = {}
         while rem and max(rem) >= floor:
             top = max(rem)
-            q_exp = top - lead_exp
-            q_coeff = rem[top] / lead
-            quo[q_exp] = q_coeff
-            for e, c in other._terms.items():
-                ee = e + q_exp
-                val = rem.get(ee, G_ZERO) - q_coeff * c
-                if val.is_zero():
-                    rem.pop(ee, None)
+            shift = top - lead_exp
+            qa, qb = quo[shift] = _times_over(*rem[top], c, d, n)
+            for e, ya, yb in divisor:
+                e += shift
+                bd = qb * yb
+                a, b = qa * ya + bd, qa * yb + qb * ya + bd
+                r = rem.get(e)
+                a, b = (-a, -b) if r is None else (r[0] - a, r[1] - b)
+                if a or b:
+                    rem[e] = (a, b)
                 else:
-                    rem[ee] = val
+                    rem.pop(e, None)
             if top in rem:
                 raise ArithmeticError(f"leading term at degree {top} did not cancel")
-        return LaurentPoly._from_checked(quo), LaurentPoly._from_checked(rem)
+        return (
+            LaurentPoly._from_checked({e: _golden(a, b) for e, (a, b) in quo.items()}),
+            LaurentPoly._from_checked({e: _golden(a, b) for e, (a, b) in rem.items()}),
+        )
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly | None":
         """self / other when the division is exact, else None."""

@@ -11,6 +11,7 @@ import pytest
 import tlh.algebra
 import tlh.cellular
 import tlh.cli
+import tlh.ring
 from tlh.algebra import AlgebraElement, special_elements
 from tlh.cellular import (
     FRAME_CHECKS,
@@ -452,19 +453,29 @@ def test_semisimplicity_reports_a_fault_on_one_sibling(monkeypatch, kind, frame)
 
 
 def test_gram_det_builds_no_rational_scalar(monkeypatch):
-    # every Bareiss quotient lies in Z[phi][delta], so the n = 4 determinants never leave the integers
+    # every Bareiss quotient lies in Z[phi][delta], so the n = 4 determinants never leave the integers;
+    # scalars come from the public constructor and from the ring kernel's own, and both are counted
     forms = [cached_form(label, 4) for label in lambda_poset(4)]
-    original = GoldenScalar.__post_init__
-    built = []
+    original, kernel = GoldenScalar.__post_init__, tlh.ring._golden
+    built: dict = {"public": [], "kernel": []}
+
+    def integral(scalar):
+        return type(scalar.a) is int and type(scalar.b) is int
 
     def counted(scalar):
         original(scalar)
-        built.append(type(scalar.a) is int and type(scalar.b) is int)
+        built["public"].append(integral(scalar))
+
+    def counted_kernel(a, b):
+        scalar = kernel(a, b)
+        built["kernel"].append(integral(scalar))
+        return scalar
 
     monkeypatch.setattr(GoldenScalar, "__post_init__", counted)
+    monkeypatch.setattr(tlh.ring, "_golden", counted_kernel)
     for form in forms:
         gram_det(form)
-    assert built and all(built)
+    assert all(built.values()) and all(all(flags) for flags in built.values())
 
 
 def test_gram_matrix_expands_no_term_below_the_layer(monkeypatch):

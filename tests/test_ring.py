@@ -301,7 +301,7 @@ def test_shared_operators_property(pair, k):
     for e in range(5):
         assert x ** e == power
         power = power * x
-    for bad in (-1, 2.0, Fraction(1, 2)):
+    for bad in (-1, 2.0, Fraction(1, 2), True, False):
         with pytest.raises(ValueError, match=re.escape(f"nonnegative integer power expected, got {bad!r}")):
             x ** bad
     assert bool(x) == (not x.is_zero())
@@ -433,3 +433,73 @@ def test_division_by_zero_keeps_its_message():
                 x / zero
     with pytest.raises(ZeroDivisionError, match="^inverse of zero golden scalar$"):
         G_ZERO.inverse()
+
+
+# The ring kernel: LaurentPoly's operators work on integer coordinate pairs and
+# build each coefficient once.  The earlier operators, which sum and multiply
+# GoldenScalar values through the public constructor, are its oracles.
+
+
+def add_reference(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """The earlier LaurentPoly.__add__: GoldenScalar sums per exponent."""
+    terms = dict(f._terms)
+    for e, c in g._terms.items():
+        terms[e] = terms.get(e, G_ZERO) + c
+    return LaurentPoly(terms)
+
+
+def mul_reference(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """The earlier LaurentPoly.__mul__: GoldenScalar products summed per exponent."""
+    terms: dict[int, GoldenScalar] = {}
+    for e1, c1 in f._terms.items():
+        for e2, c2 in g._terms.items():
+            terms[e1 + e2] = terms.get(e1 + e2, G_ZERO) + c1 * c2
+    return LaurentPoly(terms)
+
+
+def neg_reference(f: LaurentPoly) -> LaurentPoly:
+    """The earlier LaurentPoly.__neg__."""
+    return LaurentPoly({e: -c for e, c in f._terms.items()})
+
+
+def same(got: LaurentPoly, want: LaurentPoly) -> bool:
+    """Equal, with the same JSON, no zero coefficient and every coordinate an int exactly when integral."""
+    coeffs = got._terms.values()
+    return (
+        got == want
+        and got.to_json() == want.to_json()
+        and all(not c.is_zero() and is_normal(c) for c in coeffs)
+    )
+
+
+any_laurent = st.one_of(laurent, rational_laurent)
+
+
+@properties
+@given(any_laurent, any_laurent, st.one_of(any_golden, coordinate), any_golden.filter(bool))
+def test_kernel_matches_the_golden_scalar_reference_property(f, g, k, w):
+    const = LaurentPoly.const(k)
+    assert same(f + g, add_reference(f, g)) and same(k + f, add_reference(const, f))
+    assert same(f - g, add_reference(f, neg_reference(g))) and same(k - f, add_reference(const, neg_reference(f)))
+    assert same(-f, neg_reference(f))
+    assert same(f * g, mul_reference(f, g)) and same(f * k, mul_reference(f, const)) and same(k * f, f * k)
+    assert same(f * f, mul_reference(f, f)) and same((f + g) * (f - g), mul_reference(f + g, f - g))
+    for zero in (f + (-f), f - f, f * g + (-(g * f)), f * g - g * f):  # every coefficient cancels
+        assert same(zero, LaurentPoly.zero())
+    assert same(f._over(w), LaurentPoly({e: c / w for e, c in f._terms.items()}))
+
+
+def test_kernel_drops_what_cancels_and_returns_integral_fractions_as_ints():
+    v = LaurentPoly.v_pow
+    f = LaurentPoly({0: 1, 1: PHI, 3: GoldenScalar(Fraction(1, 3), -2)})
+    assert (f + (-f))._terms == {} and (f - f)._terms == {} and (f * 0)._terms == {}
+    assert ((1 + v(1)) * (1 - v(1))).to_json() == [[0, 1, 0], [2, -1, 0]]  # the v terms cancel
+    half = GoldenScalar(Fraction(1, 2), Fraction(-1, 2))
+    product = LaurentPoly({0: half, 1: half}) * LaurentPoly({-1: 2, 0: 4})
+    assert product.to_json() == [[-1, 1, -1], [0, 3, -3], [1, 2, -2]]
+    third = LaurentPoly.const(GoldenScalar(Fraction(1, 3), Fraction(2, 3)))
+    for p in (product, third * 3, 3 * third, third + third + third, third * LaurentPoly.const(3)):
+        assert all(type(c.a) is int and type(c.b) is int for c in p._terms.values())
+    assert (third * 3).to_json() == [[0, 1, 2]]
+    q, r = LaurentPoly({1: GoldenScalar(5, 0), 0: 5}).divmod_by(LaurentPoly.const(GoldenScalar(1, -2)))
+    assert q.to_json() == [[0, 1, -2], [1, 1, -2]] and r.is_zero()  # (1 - 2phi)^2 = 5
