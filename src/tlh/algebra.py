@@ -148,7 +148,7 @@ class AlgebraElement:
         return cls.from_diagram(Diagram(HalfDiagram(m), HalfDiagram(m)))
 
     @classmethod
-    def from_diagram(cls, d: Diagram, coeff=1) -> "AlgebraElement":
+    def from_diagram(cls, d: Diagram, coeff=_ONE) -> "AlgebraElement":
         return cls(d.m, {d: coeff})
 
     # -- inspection --------------------------------------------------------
@@ -263,13 +263,19 @@ def reduce_tangle(t: DecoratedTangle) -> AlgebraElement:
         raise ValueError(f"cannot reduce a non-square tangle ({t.n_top} by {t.n_bottom})")
     _check_strands(t.n_top)
     terms: dict[Diagram, LaurentPoly] = {}
+    _add_reduced(terms, t, _ONE)
+    return AlgebraElement._from_checked(t.n_top, terms)
+
+
+def _add_reduced(terms: dict, t: DecoratedTangle, c: LaurentPoly) -> None:
+    """Add c times the reduction of the square tangle t to terms, a Diagram -> LaurentPoly dict."""
     for tang, coeff in normal_form(t):
         try:
             d = Diagram.from_tangle(tang)
         except ValueError as exc:
             raise ClosureViolation(f"reduction left a non-basis tangle {tang}: {exc}") from exc
-        terms[d] = terms[d] + coeff if d in terms else coeff
-    return AlgebraElement._from_checked(t.n_top, terms)
+        kc = _times(coeff, c)
+        terms[d] = terms[d] + kc if d in terms else kc
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -278,16 +284,14 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     terms: dict[Diagram, LaurentPoly] = {}
     for d1, c1 in x._terms.items():
         for d2, c2 in y._terms.items():
-            c = _times(c1, c2)
-            for d, k in reduce_tangle(d1.tangle.concat(d2.tangle))._terms.items():
-                kc = _times(k, c)
-                terms[d] = terms[d] + kc if d in terms else kc
+            _add_reduced(terms, d1.tangle.concat(d2.tangle), _times(c1, c2))
     return AlgebraElement._from_checked(x.m, terms)
 
 
 def _times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a * b, with no product when a factor is one: coefficients are never changed in place."""
-    return b if a == _ONE else a if b == _ONE else a * b
+    """a * b, with no product when a factor is one, told by its stored terms: coefficients are never
+    changed in place."""
+    return b if a._terms == _ONE._terms else a if b._terms == _ONE._terms else a * b
 
 
 def special_elements(m: int) -> dict:

@@ -65,7 +65,7 @@ class IndependenceViolation(Exception):
 
 @dataclasses.dataclass(frozen=True)
 class CellLabel:
-    """A cell layer: kind 'zero', 'plain', 'bullet' or 'middle', with cap count k."""
+    """A cell layer: kind 'zero', 'plain', 'bullet' or 'middle', with cap count k; its hash is computed once."""
 
     kind: str
     k: int = 0
@@ -77,6 +77,10 @@ class CellLabel:
             raise ValueError(f"cap count must be an integer, got {self.k!r}")
         if (self.kind == "zero") != (self.k == 0) or self.k < 0:
             raise ValueError(f"label kind {self.kind!r} cannot have cap count {self.k}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.k)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_below(self, other: "CellLabel") -> bool:
         """Strictly lower in the cell order, which means strictly more caps."""

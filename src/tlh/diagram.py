@@ -20,7 +20,7 @@ import dataclasses
 import functools
 from math import comb
 
-from tlh.tangle import DecoratedTangle, _iterable, _trapped
+from tlh.tangle import DecoratedTangle, _iterable
 
 
 @dataclasses.dataclass(frozen=True)
@@ -30,7 +30,8 @@ class HalfDiagram:
     Pairs are (west endpoint, east endpoint, decoration) with decoration 0 or
     1.  No cap may cover an unpaired node (its propagating edge would have to
     cross the cap), and a decorated cap must be west-exposed: not nested
-    inside another cap, and with no unpaired node to its west.
+    inside another cap, and with no unpaired node to its west.  The hash is
+    computed once.
     """
 
     m: int
@@ -75,14 +76,18 @@ class HalfDiagram:
             raise ValueError(fault)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "free_points", tuple(free))
+        object.__setattr__(self, "_hash", hash((self.m, pairs)))
 
     @classmethod
     def _from_checked(cls, m: int, pairs: tuple, free_points: tuple) -> "HalfDiagram":
         """A face whose geometry is already checked: sorted caps and their free nodes."""
         h = object.__new__(cls)
-        for name, value in (("m", m), ("pairs", pairs), ("free_points", free_points)):
-            object.__setattr__(h, name, value)  # the fields are frozen
+        fields = h.__dict__  # the fields are frozen
+        fields["m"], fields["pairs"], fields["free_points"], fields["_hash"] = m, pairs, free_points, hash((m, pairs))
         return h
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def k(self) -> int:
@@ -90,14 +95,10 @@ class HalfDiagram:
 
     def admissible(self) -> bool:
         """The face condition: no caps, or a decorated {1,2}, or a plain {i,i+1}, i > 1."""
-        if not self.pairs:
-            return True
         for a, b, dec in self.pairs:
-            if (a, b, dec) == (1, 2, 1):
+            if b == a + 1 and dec == (a == 1):  # decorations are 0 or 1
                 return True
-            if dec == 0 and b == a + 1 and a > 1:
-                return True
-        return False
+        return not self.pairs
 
     @classmethod
     def figure_four(cls, m: int, k: int) -> "HalfDiagram":
@@ -151,9 +152,11 @@ class Diagram:
         """The basis diagram a square, loop-free tangle draws; ValueError if none.
 
         One walk over the boundary form (N i at i - 1, S j at 2m - j) sorts the arcs
-        into caps and propagating edges and finds crossings with a stack; ``_trapped``
-        finds decorations cut off from the west wall.  A tangle with neither has its
-        faces built with no second check; any other goes through the face constructors."""
+        into caps and propagating edges and, with a stack of the open arcs, finds
+        crossings and decorations cut off from the west wall: with no crossing, a
+        decorated arc is cut off exactly when another arc is open where it starts.
+        A tangle with neither has its faces built with no second check; any other
+        goes through the face constructors, which name the fault."""
         try:
             if not t.is_square:
                 raise ValueError(f"not square: {t.n_top} north, {t.n_bottom} south nodes")
@@ -166,19 +169,22 @@ class Diagram:
                 raise ValueError("propagating edges do not join the free nodes in order")
             m, size = t.n_top, 2 * t.n_top
             north, south, props = [], [], []  # props in west-to-east order of their north ends
-            opened, crossed = [], False  # the arcs cross iff one closes while another opened later is open
+            opened, faulty = [], False  # the arcs cross iff one closes while another opened later is open
             for i, j in enumerate(partner):
                 if i < j:
+                    r = dec[i]
+                    if r and opened:  # trapped, unless the arcs cross
+                        faulty = True
                     opened.append(j)
                     if j < m:
-                        north.append((i + 1, j + 1, dec[i]))
+                        north.append((i + 1, j + 1, r))
                     elif i >= m:
-                        south.append((size - j, size - i, dec[i]))
+                        south.append((size - j, size - i, r))
                     else:
-                        props.append((i + 1, size - j, dec[i]))
-                else:
-                    crossed |= opened.pop() != i
-            if crossed or _trapped(partner, dec):  # the face constructors name the first fault
+                        props.append((i + 1, size - j, r))
+                elif opened.pop() != i:
+                    faulty = True
+            if faulty:  # crossed or trapped: the face constructors name the first fault
                 north, south = HalfDiagram(m, tuple(north)), HalfDiagram(m, tuple(south))
                 if [(x, y) for x, y, _ in props] != list(zip(north.free_points, south.free_points)):
                     raise ValueError("propagating edges do not join the free nodes in order")
@@ -196,16 +202,18 @@ class Diagram:
     @functools.cached_property
     def tangle(self) -> DecoratedTangle:
         """The diagram as a tangle, built straight from the dyadic form into the boundary form."""
-        m, size = self.m, 2 * self.m
+        north, south = self.north, self.south
+        m, size = north.m, 2 * north.m
         partner, dec = [-1] * size, [0] * size
-        ends = [(a - 1, b - 1, r) for a, b, r in self.north.pairs]
-        ends += [(size - a, size - b, r) for a, b, r in self.south.pairs]
-        ends += [
-            (x - 1, size - y, 1 if self.bullet and i == 0 else 0)
-            for i, (x, y) in enumerate(zip(self.north.free_points, self.south.free_points))
-        ]
-        for i, j, r in ends:
-            partner[i], partner[j], dec[i], dec[j] = j, i, r, r
+        for a, b, r in north.pairs:
+            partner[a - 1], partner[b - 1], dec[a - 1], dec[b - 1] = b - 1, a - 1, r, r
+        for a, b, r in south.pairs:
+            partner[size - a], partner[size - b], dec[size - a], dec[size - b] = size - b, size - a, r, r
+        for x, y in zip(north.free_points, south.free_points):
+            partner[x - 1], partner[size - y] = size - y, x - 1
+        if self.bullet:  # on the westmost propagating edge
+            x = north.free_points[0]
+            dec[x - 1] = dec[partner[x - 1]] = 1
         return DecoratedTangle._trusted(m, m, partner, dec)
 
     @property

@@ -141,9 +141,12 @@ class DecoratedTangle:
         return object.__new__(cls)._store(n_top, n_bottom, partner, dec, loops)
 
     def _store(self, n_top, n_bottom, partner, dec, loops) -> "DecoratedTangle":
-        fields = (n_top, n_bottom, tuple(partner), tuple(dec), tuple(sorted(loops)))
-        for name, value in zip(("n_top", "n_bottom", "partner", "dec", "loops"), fields):
-            object.__setattr__(self, name, value)  # the fields are frozen
+        store = object.__setattr__  # the fields are frozen
+        store(self, "n_top", n_top)
+        store(self, "n_bottom", n_bottom)
+        store(self, "partner", tuple(partner))
+        store(self, "dec", tuple(dec))
+        store(self, "loops", tuple(sorted(loops)))
         return self
 
     @property
@@ -173,9 +176,8 @@ class DecoratedTangle:
         Decoration counts add along each glued path; closed paths through the
         glued layer become loops.  Both inputs must be loop-permitting valid
         tangles whose glued boundary is perfectly matched.  The walk runs on
-        the two boundary forms laid end to end: self's positions 0..n-1, then
-        other's shifted by n, so that glued node i sits at n - i above and at
-        n + i - 1 below, and crossing the glued layer maps q to 2n - 1 - q.
+        the two boundary forms in place: glued node g + 1 is self's position
+        n - 1 - g (n = n_top + n_bottom of self) and other's position g.
         """
         if self.n_bottom != other.n_top:
             raise ValueError(
@@ -183,48 +185,51 @@ class DecoratedTangle:
                 f"bottom tangle has {other.n_top} north nodes"
             )
         top, glued, bottom = self.n_top, self.n_bottom, other.n_bottom
-        n = top + glued
+        n, shift = top + glued, top - glued  # other's position q >= glued is the result's q + shift
         upper, upper_dec = self.partner, self.dec
         lower, lower_dec = other.partner, other.dec
-        for i in range(1, glued + 1):
-            halves = (upper[n - i] >= 0) + (lower[i - 1] >= 0)
-            if halves != 2:
-                raise ValueError(f"glued node {i} lies on {halves} arcs; tangles must be fully matched")
-        outer = n + glued  # glued positions run from top to outer - 1; the outer ones lie below top or from outer on
-        if -1 in upper or -1 in lower:  # an outer node, since every glued one is covered
+        if -1 in upper or -1 in lower:  # an uncovered node: name the first
+            for i in range(1, glued + 1):
+                halves = (upper[n - i] >= 0) + (lower[i - 1] >= 0)
+                if halves != 2:
+                    raise ValueError(f"glued node {i} lies on {halves} arcs; tangles must be fully matched")
             for p in (*range(top), *range(top + bottom - 1, top - 1, -1)):  # N1, N2, ..., then S1, S2, ...
-                if (upper[p] if p < top else lower[p - top + glued]) < 0:
+                if (upper[p] if p < top else lower[p - shift]) < 0:
                     raise ValueError(f"outer node {_refs(top, bottom)[p]} is not on any arc")
-        # from a list: a tuple grown from a generator skips CPython's tuple free list, but is freed onto it
-        partner = upper + tuple([q + n for q in lower])
-        dec = upper_dec + lower_dec
-        mirror, shift = 2 * n - 1, outer - top  # q -> mirror - q crosses the glued layer; q - shift places a bottom node
-        walked = bytearray(outer)
+        walked = bytearray(glued)  # by glued node
         out, out_dec = [-1] * (top + bottom), [0] * (top + bottom)
-        for start in (*range(top), *range(outer, outer + bottom)):
-            s = start if start < top else start - shift
+        for s in range(top + bottom):
             if out[s] >= 0:  # the far end of a strand already walked
                 continue
-            p, total = start, 0
-            while True:
-                q = partner[p]
-                total += dec[p]
-                if q < top or q >= outer:
+            if s < top:
+                q, total = upper[s], upper_dec[s]
+            else:  # up through glued node q + 1, unless the arc ends on other's south edge
+                q, total = lower[s - shift], lower_dec[s - shift]
+                if q >= glued:
+                    out[s], out[q + shift], out_dec[s], out_dec[q + shift] = q + shift, s, total, total
+                    continue
+                walked[q] = 1
+                q, total = upper[n - 1 - q], total + upper_dec[n - 1 - q]
+            while q >= top:  # down through glued node n - q, then up again or out below
+                g = n - 1 - q
+                walked[g] = 1
+                q, total = lower[g], total + lower_dec[g]
+                if q >= glued:
+                    q += shift
                     break
-                walked[q] = walked[mirror - q] = 1
-                p = mirror - q
-            e = q if q < top else q - shift
-            out[s], out[e], out_dec[s], out_dec[e] = e, s, total, total
-        loops = list(self.loops) + list(other.loops)
-        for start in range(top, n):
+                walked[q] = 1
+                q, total = upper[n - 1 - q], total + upper_dec[n - 1 - q]
+            out[s], out[q], out_dec[s], out_dec[q] = q, s, total, total
+        loops = [*self.loops, *other.loops]
+        for start in range(glued):
             if not walked[start]:  # a glued node no strand passed: a new loop
-                p, total = start, 0
-                while True:
-                    q = partner[p]
-                    total += dec[p]
-                    walked[q] = walked[mirror - q] = 1
-                    p = mirror - q
-                    if p == start:
+                g, total = start, 0
+                while True:  # down through glued node g + 1, up through glued node q + 1
+                    q = lower[g]
+                    p = n - 1 - q
+                    walked[g] = walked[q] = 1
+                    g, total = n - 1 - upper[p], total + lower_dec[g] + upper_dec[p]
+                    if g == start:
                         break
                 loops.append(total)
         result = DecoratedTangle._trusted(top, bottom, out, out_dec, loops)

@@ -313,6 +313,32 @@ def test_multiply_with_non_unit_coefficients_matches_the_bilinear_expansion():
         assert multiply(u1.scale(c), u1) == multiply(u1, u1.scale(c)) == expected == bilinear_product(u1.scale(c), u1)
 
 
+
+def test_multiply_spots_unit_coefficients_without_polynomial_equality(monkeypatch):
+    # _times compares stored terms with the unit's: no LaurentPoly.__eq__ (and no _coerce) per product
+    coefficients = [LaurentPoly.one(), DELTA, LaurentPoly.const(2 + PHI)]
+    rng, cases = random.Random(20261020), []
+    for m in (3, 4, 5):
+        basis = enumerate_diagrams(m)
+        for _ in range(20):
+            x, y = (
+                AlgebraElement(m, {rng.choice(basis): rng.choice(coefficients) for _ in range(rng.randint(1, 3))})
+                for _ in range(2)
+            )
+            cases.append((x, y, bilinear_product(x, y)))
+    word = "U1 alpha U3 zeta U2 epsilon beta".split()
+    expected_word = evaluate_word(word, 5)
+
+    def forbidden(self, other):
+        raise AssertionError("LaurentPoly.__eq__ called on the product path")
+
+    monkeypatch.setattr(LaurentPoly, "__eq__", forbidden)
+    products = [multiply(x, y) for x, y, _ in cases]
+    word_value = evaluate_word(word, 5)
+    monkeypatch.undo()
+    assert products == [expected for *_, expected in cases]
+    assert word_value == expected_word
+
 def test_star_is_an_anti_automorphism():
     rng = random.Random(31)
     diagrams = enumerate_diagrams(4)

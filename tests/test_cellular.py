@@ -78,6 +78,11 @@ def test_label_parsing_and_order():
         CellLabel.parse("3", 4)
     with pytest.raises(ValueError):
         CellLabel.parse("0b", 4)
+    # the hash is computed once, as the dataclass's hash of the fields, and equal labels share it
+    for label in lambda_poset(7):
+        twin = CellLabel(label.kind, label.k)
+        assert twin == label and hash(twin) == hash(label) == hash((label.kind, label.k))
+    assert len({hash(label) for label in lambda_poset(7)}) == len(lambda_poset(7))
     assert CellLabel("plain", 2).is_below(CellLabel("plain", 1))
     assert CellLabel("middle", 2).is_below(CellLabel("zero"))
     assert not CellLabel("plain", 1).is_below(CellLabel("bullet", 1))

@@ -314,6 +314,23 @@ def test_array_read_back_matches_the_face_constructors(t):
     assert read_back(t) == read_back(t, from_tangle_by_faces)
 
 
+@pytest.mark.parametrize(
+    "arcs, message",
+    [
+        # north caps (1,3) and (2,4) cross, and the decorated (2,4) opens inside (1,3)
+        ({(N(1), N(3), 0), (N(2), N(4), 1), (S(1), S(2), 0), (S(3), S(4), 0)}, "caps (1,3) and (2,4) cross"),
+        # the propagating edges cross, and the decorated cap (3,4) has free nodes to its west
+        ({(N(1), S(2), 0), (N(2), S(1), 0), (N(3), N(4), 1), (S(3), S(4), 0)}, "decorated cap (3,4) is not west-exposed"),
+        # the propagating edges cross, and the decorated south cap (3,4) has free nodes to its west
+        ({(N(1), N(2), 1), (N(3), S(2), 0), (N(4), S(1), 0), (S(3), S(4), 1)}, "decorated cap (3,4) is not west-exposed"),
+    ],
+    ids=["crossing-caps", "crossing-edges", "crossing-edges-south-cap"],
+)
+def test_read_back_of_a_crossing_and_trapping_tangle_gives_the_face_message(arcs, message):
+    t = DecoratedTangle(4, 4, frozenset(arcs))
+    assert read_back(t) == read_back(t, from_tangle_by_faces) == f"not a basis diagram: {message}"
+
+
 def test_array_read_back_matches_the_face_constructors_on_random_tangles():
     rng, outcomes = random.Random(20261019), Counter()
     for _ in range(1500):
@@ -328,6 +345,7 @@ def test_array_read_back_matches_the_face_constructors_on_random_tangles():
 
 def test_diagram_hash_and_equality_do_not_depend_on_how_it_was_built():
     for m in range(1, 7):
+        listed = {h.pairs: h for k in range(m // 2 + 1) for h in enumerate_half(m, k)}
         for d in enumerate_diagrams(m):
             twins = [
                 Diagram(HalfDiagram(m, d.north.pairs), HalfDiagram(m, d.south.pairs), d.bullet),
@@ -336,6 +354,13 @@ def test_diagram_hash_and_equality_do_not_depend_on_how_it_was_built():
                 d.star().star(),
             ]
             assert all(x == d and hash(x) == hash(d) for x in twins)
+            # each face the same with the same hash, whether built by the checking constructor, read back
+            # from a tangle or listed by the enumeration; the hash is the dataclass's hash of its fields
+            read = Diagram.from_tangle(DecoratedTangle(m, m, d.tangle.arcs))
+            for face, built, back in ((d.north, twins[0].north, read.north), (d.south, twins[0].south, read.south)):
+                faces = (face, built, back, listed[face.pairs])
+                assert all(h == face and hash(h) == hash((m, face.pairs)) for h in faces)
+                assert all(h.free_points == face.free_points for h in faces)
     ids = [Diagram(HalfDiagram(m), HalfDiagram(m)) for m in (3, 4)]
     assert ids[0] != ids[1] and hash(ids[0]) != hash(ids[1])  # the same empty faces on 3 and 4 strands
     every = [d for m in range(1, 7) for d in enumerate_diagrams(m)]

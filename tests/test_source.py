@@ -28,6 +28,26 @@ def test_no_assert_statements_in_src():
     assert sorted(SRC.glob("*.py")) and found == []
 
 
+
+def test_module_level_caches_are_only_the_known_tables():
+    # a module-level cache outlives the call that filled it, so no product or reduction may be memoized:
+    # the caches are the face enumerations, the cell poset and the node names of a frame
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorated = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for dec in node.decorator_list:
+                    decorated[id(dec.func if isinstance(dec, ast.Call) else dec)] = node.name
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in ("cache", "lru_cache"):  # a decorator names its function; any other use, its place
+                found.add(decorated.get(id(node), f"{path.name}:{getattr(node, 'lineno', '?')}"))
+    assert found == {"enumerate_generalized_half", "enumerate_half", "lambda_poset", "_refs"}
+
 def test_the_export_list_is_the_package_namespace():
     bound = {
         name for name, value in vars(tlh).items()

@@ -396,6 +396,41 @@ def test_glue_decorated_loop_crossing_the_glued_layer_four_times():
     assert glued == concat_reference(top, bottom)
 
 
+
+@pytest.mark.parametrize(
+    "top, bottom, expected",
+    [
+        (  # N1 crosses the glued layer five times, through glued nodes 5, 4, 3, 2, 1
+            DecoratedTangle(1, 5, frozenset({(N(1), S(5), 1), (S(4), S(3), 2), (S(2), S(1), 0)})),
+            DecoratedTangle(5, 1, frozenset({(N(5), N(4), 1), (N(3), N(2), 0), (N(1), S(1), 1)})),
+            DecoratedTangle(1, 1, frozenset({(N(1), S(1), 5)})),
+        ),
+        (  # a strand walked from the south edge crosses four times and ends there too
+            DecoratedTangle(0, 4, frozenset({(S(1), S(2), 1), (S(3), S(4), 0)})),
+            DecoratedTangle(4, 2, frozenset({(N(1), S(1), 0), (N(2), N(3), 1), (N(4), S(2), 1)})),
+            DecoratedTangle(0, 2, frozenset({(S(2), S(1), 3)})),
+        ),
+        (  # a loop through glued nodes 1-6 carrying 5 decorations, beside the strand N1-S7-N7-S1
+            DecoratedTangle(1, 7, frozenset({(N(1), S(7), 0), (S(1), S(2), 1), (S(3), S(4), 0), (S(5), S(6), 2)})),
+            DecoratedTangle(7, 1, frozenset({(N(7), S(1), 0), (N(1), N(6), 1), (N(2), N(3), 1), (N(4), N(5), 0)})),
+            DecoratedTangle(1, 1, frozenset({(N(1), S(1), 0)}), loops=(5,)),
+        ),
+        (  # glued node 2 and outer node N2 are both uncovered: the glued node is named
+            DecoratedTangle(2, 2, frozenset({(N(1), S(1), 0)})),
+            DecoratedTangle.identity(2),
+            "glued node 2 lies on 1 arcs; tangles must be fully matched",
+        ),
+        (  # glued node 1 and outer node S1 are both uncovered, below
+            DecoratedTangle.identity(3),
+            DecoratedTangle(3, 3, frozenset({(N(2), N(3), 0), (S(2), S(3), 0)})),
+            "glued node 1 lies on 1 arcs; tangles must be fully matched",
+        ),
+    ],
+    ids=["strand-five-crossings", "strand-from-south", "loop-through-six", "glued-and-outer-above", "glued-and-outer-below"],
+)
+def test_glue_long_paths_and_uncovered_nodes_match_the_reference(top, bottom, expected):
+    assert glue_outcome(DecoratedTangle.concat, top, bottom) == glue_outcome(concat_reference, top, bottom) == expected
+
 def test_glue_width_mismatch():
     with pytest.raises(ValueError, match="cannot glue"):
         DecoratedTangle.identity(2).concat(DecoratedTangle.identity(3))
