@@ -11,18 +11,18 @@ bulleted and plain diagrams B(S, T), P(S, T) on a pair of tableaux through
 with gamma = gamma1 = phi (plain) or gamma2 = 1 - phi (bullet), the two
 roots of x^2 = x + 1.  Layers are ordered by cap count: more caps means lower.
 
-The sibling table ``_SIBLINGS`` gives each kind's gamma.  With D = 1 - 2*gamma,
-P has coordinate 1/D and B (1 - gamma)/D on each kind's C, so
-P = C_plain / D_plain + C_bullet / D_bullet; D_plain = gamma2 - gamma1 has
+The sibling table ``_SIBLINGS`` gives each kind's gamma and ``_D`` its
+D = 1 - 2*gamma.  P has coordinate 1/D and B (1 - gamma)/D on each kind's C,
+so P = C_plain / D_plain + C_bullet / D_bullet; D_plain = gamma2 - gamma1 has
 norm -5, so coefficients move into rational golden scalars.  That is the one
 division in the cell basis: ``expand_in_cell_basis`` sums the integral
 D-scaled coordinates (1 and 1 - gamma) per cell key in Z[phi] and divides each
-sibling key by its D once, in integer arithmetic.  On each layer
-the generators act by matrices that do not depend on the south tableau, and
-the layer carries a bilinear form.  Both are read off products of plain
-diagrams, scaled by D, since the sibling layers' cross terms vanish modulo
-lower layers; the bullet rule -- the layer's part of a * B is (1 - gamma)
-times that of a * P -- checks that no action leaks between the siblings.
+sibling key by its D once, in integer arithmetic.  On each layer the
+generators act by matrices that do not depend on the south tableau, and the
+layer carries a bilinear form.  Both are read off products of plain diagrams,
+scaled by D; the sibling layers' cross terms vanish modulo lower layers, so
+one product pass gives a stratum's forms.  The bullet rule -- a * B has
+(1 - gamma) times the layer part of a * P -- checks for leaks between siblings.
 Every form entry is fixed by v -> 1/v, so ``gram_det`` rewrites the form as
 polynomials in delta = [2] = v + v^(-1), half as long, takes the one Bareiss
 determinant there and writes it back in v.  The form's nonvanishing
@@ -45,13 +45,10 @@ FRAME_CHECKS = 12
 #: The sibling table: for each sibling kind, gamma in its cell elements C = B - gamma*P.
 _SIBLINGS = {"plain": GAMMA1, "bullet": GAMMA2}
 
-#: (D, coordinate of P on C, coordinate of B on C) by layer kind, with gamma = 0
-#: off the siblings; D scales plain-diagram products to cell coordinates and
-#: is the constant term of a rescaled diagonal form entry.
-_SCALARS = {
-    kind: (1 - 2 * g, G_ONE / (1 - 2 * g), (1 - g) / (1 - 2 * g))
-    for kind, g in {"zero": G_ZERO, "middle": G_ZERO, **_SIBLINGS}.items()
-}
+#: D = 1 - 2*gamma by layer kind, with gamma = 0 off the siblings; D scales
+#: plain-diagram products to cell coordinates and is the constant term of a
+#: rescaled diagonal form entry.
+_D = {kind: 1 - 2 * g for kind, g in {"zero": G_ZERO, "middle": G_ZERO, **_SIBLINGS}.items()}
 
 #: The D-scaled coordinate 1 - gamma of B on each sibling kind's C.
 _BULLET_WEIGHTS = {kind: 1 - g for kind, g in _SIBLINGS.items()}
@@ -162,12 +159,13 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
         if layers is None:
             layers = strata[d.k] = _stratum(d.m, d.k)
         for label in layers:
-            c = coeff * _BULLET_WEIGHTS[label.kind] if d.bullet and label.kind in _BULLET_WEIGHTS else coeff
+            # a bullet needs 0 < 2k < m, so a bulleted diagram lies on a sibling stratum
+            c = coeff * _BULLET_WEIGHTS[label.kind] if d.bullet else coeff
             key = (label, d.north, d.south)
             prev = scaled.get(key)
             scaled[key] = c if prev is None else prev + c
     return {
-        key: c._over(_SCALARS[key[0].kind][0]) if key[0].kind in _SIBLINGS else c
+        key: c._over(_D[key[0].kind]) if key[0].kind in _SIBLINGS else c
         for key, c in scaled.items()
         if c._terms
     }
@@ -299,11 +297,6 @@ def _project(expansion: dict, label: CellLabel, index: dict, T, what: str) -> li
     return col
 
 
-def _layer_column(product: AlgebraElement, label: CellLabel, index: dict, T, what: str) -> list:
-    """The coefficients of C(S, T), S in index order, in a product modulo lower layers."""
-    return _project(_upper_expansion(product, label.k), label, index, T, what)
-
-
 def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool = True) -> RingMatrix:
     """The matrix of an element acting on a cell layer.
 
@@ -320,7 +313,7 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
     index = {h: i for i, h in enumerate(tabs)}
 
     def columns(T, bullet=False):
-        return [_layer_column(a * _diagram(S, T, bullet), label, index, T, "action") for S in tabs]
+        return [_project(_upper_expansion(a * _diagram(S, T, bullet), label.k), label, index, T, "action") for S in tabs]
 
     base = columns(tabs[0])
     if label.kind in _SIBLINGS:
@@ -331,7 +324,7 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
         for T in tabs[1:]:
             if columns(T) != base:
                 raise IndependenceViolation(f"action coefficients on layer {label} depend on the south tableau")
-    scale = _SCALARS[label.kind][0]
+    scale = _D[label.kind]
     return RingMatrix([[c * scale for c in row] for row in zip(*base)])
 
 
@@ -345,71 +338,53 @@ def gram_matrix(label: CellLabel, n: int, *, forms: dict | None = None) -> RingM
     against other frame pairs -- all of them for n <= 4, else FRAME_CHECKS
     evenly spaced ones -- to confirm the frame does not matter.
 
-    Sibling layers read their forms off the same plain products.  With a
-    ``forms`` dict, owned by the caller, the first call on a plain/bullet
-    stratum computes each product once for both layers, runs every layer's
-    checks on it, and leaves the sibling's form, or the
-    IndependenceViolation that stopped it, in ``forms``; the sibling's call
-    takes it out from there.
+    Sibling layers read their forms off the same plain products, so every
+    call computes its label's whole stratum.  A caller's ``forms`` dict
+    carries the siblings' forms, or the IndependenceViolation that stopped
+    them, to their later calls, which take them out from there.
     """
     tableaux(label, n)  # the label must lie in the rank-n poset
-    if forms is not None and (label, n) in forms:
-        form = forms.pop((label, n))
-    else:
-        done = _stratum_forms((label,) if forms is None else _stratum(n + 1, label.k), n)
-        form = done.pop(label)
-        if forms is not None:
-            forms.update(((other, n), f) for other, f in done.items())
+    forms = {} if forms is None else forms
+    if (label, n) not in forms:
+        forms.update(((layer, n), f) for layer, f in _stratum_forms(_stratum(n + 1, label.k), n).items())
+    form = forms.pop((label, n))
     if isinstance(form, IndependenceViolation):
         raise form
     return form
 
 
 def _stratum_forms(layers: tuple, n: int) -> dict:
-    """Each layer's form, or the IndependenceViolation that stopped it; the layers share a cap count.
+    """Each layer's form, or the IndependenceViolation that stopped it; the layers make up one stratum.
 
-    Each product is expanded once for all layers still running, and each
-    layer's column check and frame comparison run as they would alone.
+    Each frame pair's plain products are glued and expanded once, and each
+    running layer projects them all; the first frame's entries are the base.
     """
     tabs = tableaux(layers[0], n)
     pairs = [(e1, e2) for e1 in tabs for e2 in tabs]
     others = pairs[1:]
     if n > 4 and len(others) > FRAME_CHECKS:
         others = others[:: len(others) // FRAME_CHECKS][:FRAME_CHECKS]
-    done = _frame_entries(layers, tabs, *pairs[0])
-    for e1, e2 in others:
-        running = tuple(label for label in layers if isinstance(done[label], list))
+    done: dict = {}
+    running = layers
+    for e1, e2 in pairs[:1] + others:
+        left, right = [_diagram(e1, d) for d in tabs], [_diagram(d, e2) for d in tabs]
+        expansions = [_upper_expansion(x * y, layers[0].k) for x in left for y in right]
+        for label in running:
+            try:
+                entries = [_project(e, label, {e1: 0}, e2, "form")[0] for e in expansions]
+                if done.setdefault(label, entries) != entries:
+                    raise IndependenceViolation(f"form entries on layer {label} depend on the frame pair")
+            except IndependenceViolation as exc:
+                done[label] = exc
+        running = [label for label in running if isinstance(done[label], list)]
         if not running:
             break
-        for label, entries in _frame_entries(running, tabs, e1, e2).items():
-            if isinstance(entries, IndependenceViolation):
-                done[label] = entries
-            elif entries != done[label]:
-                done[label] = IndependenceViolation(f"form entries on layer {label} depend on the frame pair")
     t = len(tabs)
     for label, entries in done.items():
         if isinstance(entries, list):
-            scale = _SCALARS[label.kind][0] ** 2
+            scale = _D[label.kind] ** 2
             done[label] = RingMatrix([[c * scale for c in entries[i : i + t]] for i in range(0, t * t, t)])
     return done
-
-
-def _frame_entries(layers: tuple, tabs: tuple, e1, e2) -> dict:
-    """Each layer's unscaled form entries at one frame pair, flat in row-major order, or its IndependenceViolation."""
-    left, right = [_diagram(e1, d) for d in tabs], [_diagram(d, e2) for d in tabs]
-    out: dict = {label: [] for label in layers}
-    for x in left:
-        for y in right:
-            running = [label for label in layers if isinstance(out[label], list)]
-            if not running:
-                return out
-            expansion = _upper_expansion(x * y, layers[0].k)
-            for label in running:
-                try:
-                    out[label].append(_project(expansion, label, {e1: 0}, e2, "form")[0])
-                except IndependenceViolation as exc:
-                    out[label] = exc
-    return out
 
 
 def gram_det(form: RingMatrix) -> LaurentPoly:
@@ -502,7 +477,7 @@ def semisimplicity_check(n: int) -> list:
         except ValueError as exc:
             problems.append(f"layer {label}: {exc}")
             continue
-        expected = _SCALARS[label.kind][0]
+        expected = _D[label.kind]
         for i, d1 in enumerate(tabs):
             for j, d2 in enumerate(tabs):
                 g = entries[i][j]
@@ -567,8 +542,8 @@ def _restricted_blocks(label: CellLabel, n: int, problems: list) -> list:
                 pairs = [({i: G_ONE}, {i: G_ONE}) for _, i in group]
             else:
                 (_, s), (_, p) = group
-                _, on_p, on_b = _SCALARS[factor.kind]
-                pairs = [({s: -_SIBLINGS[factor.kind], p: G_ONE}, {s: on_p, p: on_b})]
+                d = _D[factor.kind]  # P has coordinate 1/D on C, B (1 - gamma)/D
+                pairs = [({s: -_SIBLINGS[factor.kind], p: G_ONE}, {s: G_ONE / d, p: _BULLET_WEIGHTS[factor.kind] / d})]
             blocks.setdefault((level, factor), []).extend(pairs)
     return [(level, factor, pairs) for (level, factor), pairs in blocks.items()]
 

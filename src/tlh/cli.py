@@ -218,7 +218,7 @@ def cmd_factorize(args, report: Report) -> int:
 def cmd_gram(args, report: Report) -> int:
     n = _rank(args, "gram")
     labels = (_parse_label(args.selector, n),) if args.selector else lambda_poset(n)
-    code, forms = 0, None if args.selector else {}  # sibling layers share one product pass
+    code, forms = 0, {}  # a sibling layer's form comes from the call on the other
     for label in labels:
         try:
             form = gram_matrix(label, n, forms=forms)

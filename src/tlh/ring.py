@@ -335,13 +335,10 @@ class LaurentPoly(_Ring):
         return LaurentPoly._from_checked({e: _golden(-x.a, -x.b) for e, x in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            xs, ys = self._terms, other._terms
-        else:
-            g = GoldenScalar._coerce(other)
-            if g is None:
-                return NotImplemented
-            xs, ys = ({0: g} if g.a or g.b else {}), self._terms
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        xs, ys = self._terms, other._terms
         if len(xs) > len(ys):
             xs, ys = ys, xs
         golden = _golden

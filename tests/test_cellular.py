@@ -223,7 +223,10 @@ def test_layer_column_keeps_only_the_sibling_share_at_T():
     plain, bullet = CellLabel("plain", 1), CellLabel("bullet", 1)
     tabs = tableaux(plain, 2)
     index = {h: i for i, h in enumerate(tabs)}
-    column = tlh.cellular._layer_column
+
+    def column(product, label, index, T, what):  # a product's column, as cell_action_matrix reads it
+        return tlh.cellular._project(tlh.cellular._upper_expansion(product, label.k), label, index, T, what)
+
     sibling = cell_element(bullet, H_STAR, H_PLAIN)
     assert column(sibling, plain, index, H_PLAIN, "test") == [LaurentPoly.zero()] * 2
     with pytest.raises(IndependenceViolation, match="leaks into layer 1b"):
@@ -455,6 +458,21 @@ def test_semisimplicity_reports_a_fault_on_one_sibling(monkeypatch, kind, frame)
     label = str(CellLabel(kind, 1))
     rule = [f"U{i}: action on layer {label} breaks the bullet rule at 1-2*" for i in ((2,) if frame else (1, 2, 3))]
     assert semisimplicity_check(3) == rule + [f"layer {label}: {STRAY_FAILURES[kind, frame]}"]
+
+
+@pytest.mark.parametrize("kind, frame", list(STRAY_FAILURES))
+def test_a_single_layer_call_does_not_inherit_its_sibling_fault(capsys, monkeypatch, kind, frame):
+    # a call on one layer computes its whole stratum, so the faulty sibling runs alongside it
+    faulty = CellLabel(kind, 1)
+    other = next(mu for mu in _stratum(4, 1) if mu != faulty)
+    argv = ["gram", "--n", "3", "--lambda", str(other), "--format", "structured"]
+    expected, clean = cached_form(other, 3), (tlh.cli.main(argv), capsys.readouterr().out)
+    _inject_sibling_stray(monkeypatch, kind, frame)
+    with pytest.raises(IndependenceViolation) as caught:
+        gram_matrix(faulty, 3)
+    assert str(caught.value) == STRAY_FAILURES[kind, frame]
+    assert gram_matrix(other, 3) == expected
+    assert clean[0] == 0 and (tlh.cli.main(argv), capsys.readouterr().out) == clean
 
 
 def test_gram_det_builds_no_rational_scalar(monkeypatch):

@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import collections
 import importlib
 import inspect
 import os
@@ -47,6 +48,29 @@ def test_module_level_caches_are_only_the_known_tables():
             if name in ("cache", "lru_cache"):  # a decorator names its function; any other use, its place
                 found.add(decorated.get(id(node), f"{path.name}:{getattr(node, 'lineno', '?')}"))
     assert found == {"enumerate_generalized_half", "enumerate_half", "lambda_poset", "_refs"}
+
+
+def test_every_private_helper_is_named_outside_its_own_definition():
+    # a private function, class or method that only its own body names is left over from an inlining
+    def named(node) -> collections.Counter:
+        return collections.Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    everywhere = sum((named(tree) for tree in trees), collections.Counter())
+    helpers = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    ]
+    assert len(helpers) > 30
+    assert [node.name for node in helpers if everywhere[node.name] == named(node)[node.name]] == []
+
 
 def test_the_export_list_is_the_package_namespace():
     bound = {
