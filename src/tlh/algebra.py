@@ -24,7 +24,7 @@ from math import comb
 
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
 from tlh.ring import LaurentPoly, _golden, fib_pair
-from tlh.tangle import DecoratedTangle, random_tangle
+from tlh.tangle import DecoratedTangle, _refs, random_tangle
 
 
 _ONE = LaurentPoly.one()  # shared: a LaurentPoly is never changed in place
@@ -71,6 +71,10 @@ def normal_form_random(t: DecoratedTangle, rng) -> dict:
     Returns the combined terms as a tangle -> coefficient dict.  Used to
     check that the closed-form reduction does not depend on rule order.
     """
+    refs = _refs(t.n_top, t.n_bottom)  # a rewrite keeps the arcs' ends; the public constructor checks it in full
+    rebuild = lambda d, lp: DecoratedTangle(
+        t.n_top, t.n_bottom, [(refs[i], refs[j], d[i]) for i, j in enumerate(t.partner) if i < j], lp
+    )
     pending = [(t, LaurentPoly.one())]
     done: dict[DecoratedTangle, LaurentPoly] = {}
     while pending:
@@ -84,7 +88,6 @@ def normal_form_random(t: DecoratedTangle, rng) -> dict:
                 del done[tang]
             continue
         kind, x = rng.choice(redexes)
-        rebuild = lambda d, lp: DecoratedTangle._from_boundary(tang.n_top, tang.n_bottom, partner, d, lp)
         if kind == "loop":
             r, rest = loops[x], loops[:x] + loops[x + 1 :]
             if r == 0:

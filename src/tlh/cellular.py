@@ -50,7 +50,7 @@ _SIBLINGS = {"plain": GAMMA1, "bullet": GAMMA2}
 #: rescaled diagonal form entry.
 _D = {kind: 1 - 2 * g for kind, g in {"zero": G_ZERO, "middle": G_ZERO, **_SIBLINGS}.items()}
 
-#: The D-scaled coordinate 1 - gamma of B on each sibling kind's C.
+#: The D-scaled coordinate 1 - gamma of B on each sibling kind's C; also the bullet rule's ratio.
 _BULLET_WEIGHTS = {kind: 1 - g for kind, g in _SIBLINGS.items()}
 
 _ZERO = LaurentPoly.zero()  # shared: a LaurentPoly is never changed in place
@@ -255,7 +255,6 @@ class RingMatrix:
                     if quot is None:
                         raise ArithmeticError("fraction-free elimination left a remainder")
                     a[i][j] = quot
-                a[i][p] = _ZERO
             prev = a[p][p]
         result = a[n - 1][n - 1]
         return -result if sign < 0 else result
@@ -316,8 +315,8 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
         return [_project(_upper_expansion(a * _diagram(S, T, bullet), label.k), label, index, T, "action") for S in tabs]
 
     base = columns(tabs[0])
-    if label.kind in _SIBLINGS:
-        ratio = 1 - _SIBLINGS[label.kind]
+    if label.kind in _BULLET_WEIGHTS:
+        ratio = _BULLET_WEIGHTS[label.kind]
         if columns(tabs[0], bullet=True) != [[c * ratio for c in col] for col in base]:
             raise IndependenceViolation(f"action on layer {label} breaks the bullet rule at {tabs[0]}")
     if check_all_T:

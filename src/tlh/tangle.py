@@ -52,11 +52,12 @@ class DecoratedTangle:
     ``partner`` and ``dec`` run over the linearized positions: the position
     at the other end of the node's arc (-1 if the node is on none) and that
     arc's decoration count (0 if none); ``loops`` holds the decoration count
-    of each closed loop, sorted.  Equality and hashing use this form.  The
-    public constructor takes arcs, triples (a, b, dec) of ``NodeRef``s and a
-    count, and ``arcs`` gives them back.  The checks enforce structural
-    sanity (nodes in range, each node on at most one arc) but not geometry.
-    Tangles serve gluing, JSON input and the confluence suite; a tangle
+    of each closed loop, sorted.  Equality and hashing use this form.  From
+    outside (JSON, the confluence suite's rewrites) a tangle enters through
+    the public constructor, which takes arcs, triples (a, b, dec) of
+    ``NodeRef``s and a count, and checks them (nodes in range, each node on
+    at most one arc, non-negative int counts) but not geometry; from the
+    program, through ``_trusted``.  ``arcs`` gives the arcs back.  A tangle
     becomes a basis diagram only through ``Diagram.from_tangle``, which
     checks planarity and west-exposure.
     """
@@ -94,49 +95,18 @@ class DecoratedTangle:
             partner[i], partner[j], dec[i], dec[j] = j, i, r, r
         if dup:
             raise ValueError(f"nodes on more than one arc: {', '.join(map(str, sorted(dup)))}")
-        self._fill(n_top, n_bottom, partner, dec, loops)
-
-    @classmethod
-    def _from_boundary(cls, n_top: int, n_bottom: int, partner, dec, loops=()) -> "DecoratedTangle":
-        """The tangle with this boundary form, checked in one pass."""
-        return object.__new__(cls)._fill(n_top, n_bottom, partner, dec, loops)
-
-    def _fill(self, n_top, n_bottom, partner, dec, loops) -> "DecoratedTangle":
-        """Check the boundary form and store it in self: the one check of both constructors.
-
-        ``partner`` must be an involution without fixed points on the covered
-        positions (-1 marks an uncovered one), ``dec`` must hold the same
-        non-negative int at both ends of each arc and 0 on an uncovered node,
-        and every loop count must be a non-negative int.
-        """
-        size = n_top + n_bottom
-        if len(partner) != size or len(dec) != size:
-            raise ValueError(f"boundary form of length {len(partner)}, {len(dec)} for widths ({n_top}, {n_bottom})")
-        refs = _refs(n_top, n_bottom)
-        for i, j in enumerate(partner):
-            if i < j < size and partner[j] == i:  # the first end of an arc
-                r = dec[i]
-                if type(r) is not int or r < 0 or dec[j] != r:  # no bools
-                    raise ValueError(f"bad decoration count {r!r} on arc {refs[i]}-{refs[j]}")
-            elif j == -1:
-                if dec[i] != 0:
-                    raise ValueError(f"decoration count {dec[i]!r} on node {refs[i]}, which is on no arc")
-            elif not (0 <= j < i and partner[j] == i):  # unless the second end of an arc
-                raise ValueError(
-                    f"arc joins node {refs[i]} to itself" if j == i
-                    else f"nodes on more than one arc: {refs[j]}" if 0 <= j < size
-                    else f"node {refs[i]} is joined to position {j!r}, outside the frame"
-                )
-        if any(type(r) is not int or r < 0 for r in _iterable("loops", loops)):
+        counts = tuple(_iterable("loops", loops))  # read once: loops may be an iterator
+        if any(type(r) is not int or r < 0 for r in counts):  # no bools
             raise ValueError(f"bad loop decoration counts {loops!r}")
-        return self._store(n_top, n_bottom, partner, dec, loops)
+        self._store(n_top, n_bottom, partner, dec, counts)
 
     @classmethod
     def _trusted(cls, n_top: int, n_bottom: int, partner, dec, loops=()) -> "DecoratedTangle":
         """The tangle with this boundary form, unchecked.
 
         Only for arrays built from checked ones by steps that keep them
-        valid: a gluing walk, a decoration split, a checked diagram's form.
+        valid: a gluing walk (``concat``), a decoration split
+        (``normal_form``), a checked diagram's form (``Diagram.tangle``).
         """
         return object.__new__(cls)._store(n_top, n_bottom, partner, dec, loops)
 

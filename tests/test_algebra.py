@@ -86,6 +86,20 @@ def test_normal_form_matches_random_rule_order():
         assert as_dict(normal_form(t)) == normal_form_random(t, rng)
 
 
+def test_the_random_rule_order_rebuilds_each_rewrite_through_the_public_constructor(monkeypatch):
+    # the oracle must not share the unchecked store with the closed form it checks
+    t = DecoratedTangle(3, 3, frozenset({(N(1), S(1), 3), (N(2), N(3), 2), (S(2), S(3), 0)}), loops=(0, 2, 3))
+    expected = dict(normal_form(t))
+    assert len(expected) == 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("normal_form_random stored a tangle unchecked")
+
+    monkeypatch.setattr(DecoratedTangle, "_trusted", refuse)
+    for seed in range(5):
+        assert normal_form_random(t, random.Random(seed)) == expected
+
+
 def test_reduce_tangle_requires_square():
     with pytest.raises(ValueError, match="non-square"):
         reduce_tangle(DecoratedTangle(2, 0, frozenset({(N(1), N(2), 0)})))

@@ -72,6 +72,23 @@ def test_every_private_helper_is_named_outside_its_own_definition():
     assert [node.name for node in helpers if everywhere[node.name] == named(node)[node.name]] == []
 
 
+def test_only_the_three_trusted_sites_name_the_unchecked_tangle_store():
+    # _trusted skips every check, so no input from outside may reach it: only a gluing walk,
+    # a decoration split and a checked diagram's form, which build their arrays from checked ones
+    def sites(node, scope=()):
+        """The enclosing definitions of every name or attribute `_trusted` under node."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from sites(child, (*scope, child.name))
+                continue
+            if getattr(child, "id", getattr(child, "attr", None)) == "_trusted":
+                yield ".".join(scope)
+            yield from sites(child, scope)
+
+    found = {site for path in sorted(SRC.glob("*.py")) for site in sites(ast.parse(path.read_text(), filename=str(path)))}
+    assert found == {"DecoratedTangle.concat", "normal_form", "Diagram.tangle"}
+
+
 def test_the_export_list_is_the_package_namespace():
     bound = {
         name for name, value in vars(tlh).items()

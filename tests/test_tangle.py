@@ -327,29 +327,36 @@ def test_glued_tangles_equal_the_constructor_built_ones():
 
 
 @pytest.mark.parametrize(
-    "widths, arcs, partner, dec, loops, message",
+    "widths, arcs, loops, message",
     [
-        ((1, 1), {(N(1), N(1), 0)}, (0, -1), (0, 0), (), "^arc joins node N1 to itself$"),
-        ((2, 1), {(N(1), N(2), 0), (N(2), S(1), 0)}, (1, 2, 1), (0, 0, 0), (), "^nodes on more than one arc: N2$"),
-        ((1, 1), {(N(1), S(1), -1)}, (1, 0), (-1, -1), (), "^bad decoration count -1 on arc N1-S1$"),
-        ((1, 1), {(N(1), S(1), True)}, (1, 0), (True, True), (), "^bad decoration count True on arc N1-S1$"),
-        ((1, 1), {(N(1), S(1), 0)}, (1, 0), (0, 0), (-2,), r"^bad loop decoration counts \(-2,\)$"),
-        ((1, 1), {(N(1), S(1), 0)}, (1, 0), (0, 0), (True,), r"^bad loop decoration counts \(True,\)$"),
+        ((1, 1), {(N(1), N(1), 0)}, (), "^arc joins node N1 to itself$"),
+        ((2, 1), {(N(1), N(2), 0), (N(2), S(1), 0)}, (), "^nodes on more than one arc: N2$"),
+        ((1, 1), {(N(1), S(1), -1)}, (), "^bad decoration count -1 on arc N1-S1$"),
+        ((1, 1), {(N(1), S(1), True)}, (), "^bad decoration count True on arc N1-S1$"),
+        ((1, 1), {(N(1), S(1), 0)}, (-2,), r"^bad loop decoration counts \(-2,\)$"),
+        ((1, 1), {(N(1), S(1), 0)}, (True,), r"^bad loop decoration counts \(True,\)$"),
     ],
     ids=["self-joined", "two-arcs", "negative-dec", "bool-dec", "negative-loop", "bool-loop"],
 )
-def test_the_boundary_check_rejects_what_the_constructor_rejects(widths, arcs, partner, dec, loops, message):
+def test_the_boundary_check_rejects_what_the_constructor_rejects(widths, arcs, loops, message):
     with pytest.raises(ValueError, match=message):
         DecoratedTangle(*widths, frozenset(arcs), loops)
-    with pytest.raises(ValueError, match=message):
-        DecoratedTangle._from_boundary(*widths, partner, dec, loops)
+
+
+def test_the_constructor_reads_iterator_loops_once():
+    # the loop check must not use up an iterator before the counts are stored
+    for loops in (iter([2, 1]), (r for r in (1, 2))):
+        t = DecoratedTangle(0, 0, loops=loops)
+        assert t.loops == (1, 2) and t == DecoratedTangle(0, 0, loops=[1, 2])
+    with pytest.raises(ValueError, match="^bad loop decoration counts"):
+        DecoratedTangle(0, 0, loops=iter([1, -1]))
 
 
 def assert_alike(t: DecoratedTangle):
-    """t rebuilt by the public constructor from its arcs and by _from_boundary from its arrays
+    """t rebuilt by the public constructor from its arcs and stored by _trusted from its arrays
     is the same tangle, with the same hash, str and JSON."""
     public = DecoratedTangle(t.n_top, t.n_bottom, t.arcs, t.loops)
-    arrays = DecoratedTangle._from_boundary(t.n_top, t.n_bottom, t.partner, t.dec, t.loops)
+    arrays = DecoratedTangle._trusted(t.n_top, t.n_bottom, t.partner, t.dec, t.loops)
     assert public == arrays == t and hash(public) == hash(arrays) == hash(t)
     assert str(public) == str(arrays) and json.dumps(public.to_json()) == json.dumps(arrays.to_json())
     assert public.arcs == arrays.arcs == t.arcs
@@ -382,8 +389,9 @@ def test_both_constructors_build_the_same_tangle():
     ids=["ends-disagree", "too-long", "out-of-frame", "decorated-uncovered"],
 )
 def test_the_boundary_check_rejects_inconsistent_arrays(partner, dec):
-    with pytest.raises(ValueError):
-        DecoratedTangle._from_boundary(1, 1, partner, dec)
+    # arrays no checked tangle has: stored unchecked, each must fail the trusted-store oracle
+    with pytest.raises(AssertionError):
+        assert_stored_tangles_pass_the_check([DecoratedTangle._trusted(1, 1, partner, dec)])
 
 
 def test_glue_decorated_loop_crossing_the_glued_layer_four_times():
@@ -726,8 +734,12 @@ def trusted_tangles():
 
 
 def assert_stored_tangles_pass_the_check(stored):
+    """Each tangle equals the one the public constructor builds from the arcs its arrays name."""
     for t in stored:
-        checked = DecoratedTangle._from_boundary(t.n_top, t.n_bottom, t.partner, t.dec, t.loops)
+        size, refs = t.n_top + t.n_bottom, _refs(t.n_top, t.n_bottom)
+        assert len(t.partner) == len(t.dec) == size and all(-1 <= j < size for j in t.partner)
+        arcs = [(refs[i], refs[j], t.dec[i]) for i, j in enumerate(t.partner) if i < j]
+        checked = DecoratedTangle(t.n_top, t.n_bottom, arcs, t.loops)
         assert dataclasses.astuple(t) == dataclasses.astuple(checked) and hash(t) == hash(checked)
         assert all(type(x) is int for x in (*t.partner, *t.dec, *t.loops))  # no bools or floats either
 
