@@ -151,8 +151,8 @@ class AlgebraElement:
         return cls.from_diagram(Diagram(HalfDiagram(m), HalfDiagram(m)))
 
     @classmethod
-    def from_diagram(cls, d: Diagram, coeff=_ONE) -> "AlgebraElement":
-        return cls(d.m, {d: coeff})
+    def from_diagram(cls, d: Diagram) -> "AlgebraElement":
+        return cls(d.m, {d: _ONE})
 
     # -- inspection --------------------------------------------------------
 

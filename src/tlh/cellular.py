@@ -111,6 +111,8 @@ def _stratum(m: int, k: int) -> tuple:
 @functools.cache
 def lambda_poset(n: int) -> tuple:
     """All cell labels at rank n: zero, plain/bullet pairs, middle when n is odd."""
+    if type(n) is not int:  # no bools
+        raise ValueError(f"rank must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"the cell poset needs rank at least 2, got {n}")
     return tuple(label for k in range((n + 1) // 2 + 1) for label in _stratum(n + 1, k))
@@ -454,11 +456,11 @@ def semisimplicity_check(n: int) -> list:
     fixed by v -> 1/v, so a polynomial in delta = [2], of degree at most k.
     Its delta^k coefficient must vanish off the diagonal and equal D = 1 -
     2*gamma1 (plain), 1 - 2*gamma2 (bullet) or 1 (zero and middle layers,
-    whose cell elements carry no gamma) on it.  The determinant must then
-    lead with D^dim * delta^(k * dim), which its v form shows as the same
-    coefficient at v^(k * dim) on top.  Plain products cannot see a leak
-    between sibling layers, so every U_i must also pass the bullet rule of
-    cell_action_matrix on each plain and bullet layer.
+    whose cell elements carry no gamma) on it.  The delta form's own Bareiss
+    determinant must lead with D^dim * delta^(k * dim); every verdict is read
+    in delta, and gram_det, the delta -> v step, serves only ``tlh gram``.
+    Plain products cannot see a leak between sibling layers, so every U_i must
+    also pass the bullet rule of cell_action_matrix on each plain and bullet layer.
     """
     siblings = [label for label in lambda_poset(n) if label.kind in _SIBLINGS]
     problems, forms = _action_problems(n, siblings, check_all_T=False), {}
@@ -472,14 +474,13 @@ def semisimplicity_check(n: int) -> list:
         if not form.is_symmetric():
             problems.append(f"layer {label}: form matrix is not symmetric")
         try:
-            entries = [[to_delta(g) for g in row] for row in form.rows]
+            entries = RingMatrix([[to_delta(g) for g in row] for row in form.rows])
         except ValueError as exc:
             problems.append(f"layer {label}: {exc}")
             continue
         expected = _D[label.kind]
-        for i, d1 in enumerate(tabs):
-            for j, d2 in enumerate(tabs):
-                g = entries[i][j]
+        for i, (d1, row) in enumerate(zip(tabs, entries.rows)):
+            for j, (d2, g) in enumerate(zip(tabs, row)):
                 if not g.is_zero() and g.max_exp > label.k:
                     problems.append(f"layer {label}: <{d1}, {d2}> exceeds degree {label.k} in delta")
                 top = g.coefficient(label.k)
@@ -487,7 +488,7 @@ def semisimplicity_check(n: int) -> list:
                     problems.append(f"layer {label}: diagonal constant at {d1} is {top}, not {expected}")
                 if i != j and not top.is_zero():
                     problems.append(f"layer {label}: off-diagonal constant at ({d1}, {d2}) is {top}")
-        det = gram_det(form)
+        det = entries.det()
         if det.is_zero():
             problems.append(f"layer {label}: form determinant vanishes")
             continue

@@ -120,9 +120,10 @@ class HalfDiagram:
 class Diagram:
     """A basis diagram in dyadic form: north caps, south caps, bullet.
 
-    The halves check their own planarity and west-exposure; this adds only
-    what ties them together.  ``tangle`` is the diagram as a decorated
-    tangle, built on first use.  The hash, which includes m, is computed once.
+    The halves check their own planarity and west-exposure; this adds the
+    argument types and what ties the halves together.  ``tangle`` is the
+    diagram as a decorated tangle, built on first use.  The hash, which
+    includes m, is computed once.
     """
 
     north: HalfDiagram
@@ -131,6 +132,8 @@ class Diagram:
 
     def __post_init__(self):
         north, south = self.north, self.south
+        if type(north) is not HalfDiagram or type(south) is not HalfDiagram or type(self.bullet) is not bool:
+            raise ValueError(f"a diagram needs two HalfDiagrams and a bool, got {north!r}, {south!r}, {self.bullet!r}")
         if north.m != south.m:
             raise ValueError(f"half-diagrams disagree on strands: {north.m} vs {south.m}")
         if north.k != south.k:
@@ -302,6 +305,8 @@ def enumerate_half(m: int, k: int) -> tuple:
 
 def enumerate_diagrams(m: int) -> list:
     """All basis diagrams on m strands, in a fixed canonical order."""
+    if type(m) is not int:  # no bools
+        raise ValueError(f"strand count must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"strand count must be positive, got {m}")
     out = []

@@ -97,7 +97,8 @@ class DecoratedTangle:
             raise ValueError(f"nodes on more than one arc: {', '.join(map(str, sorted(dup)))}")
         counts = tuple(_iterable("loops", loops))  # read once: loops may be an iterator
         if any(type(r) is not int or r < 0 for r in counts):  # no bools
-            raise ValueError(f"bad loop decoration counts {loops!r}")
+            shown = loops if isinstance(loops, (tuple, list)) else counts  # an iterator shows what it held
+            raise ValueError(f"bad loop decoration counts {shown!r}")
         self._store(n_top, n_bottom, partner, dec, counts)
 
     @classmethod

@@ -58,8 +58,24 @@ def test_poset_is_frozen():
     assert lambda_poset(3) == lambda_poset(2) + (CellLabel("middle", 2),)
     assert [str(label) for label in lambda_poset(4)] == ["0", "1", "1b", "2", "2b"]
     assert [str(label) for label in lambda_poset(5)] == ["0", "1", "1b", "2", "2b", "mid"]
-    with pytest.raises(ValueError):
-        lambda_poset(1)
+    for rank in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"^the cell poset needs rank at least 2, got {rank}$"):
+            lambda_poset(rank)
+
+
+@pytest.mark.parametrize("rank", [3.0, True, "3", None, Fraction(3)])
+def test_a_non_int_rank_is_rejected(rank):
+    lambda_poset(3)  # cached first: an equal rank of another type must not read the cache
+    layer = CellLabel("plain", 1)
+    for call in (
+        lambda_poset,
+        semisimplicity_check,
+        lambda n: gram_matrix(layer, n),
+        lambda n: tableaux(layer, n),
+        lambda n: CellLabel.parse("1", n),
+    ):
+        with pytest.raises(ValueError, match="^rank must be an integer"):
+            call(rank)
 
 
 @pytest.mark.parametrize("kind, k", [("plain", 1.0), ("plain", True), ("bullet", "1"), ("zero", False), ("middle", None)])
@@ -196,7 +212,7 @@ def test_expansion_matches_the_reference_on_random_elements():
         for _ in range(60):
             x = AlgebraElement.zero(m)
             for d in rng.sample(diagrams, rng.randint(1, 6)):  # mixed strata
-                x = x + AlgebraElement.from_diagram(d, rng.choice(coeffs))
+                x = x + AlgebraElement.from_diagram(d).scale(rng.choice(coeffs))
             label = rng.choice(siblings)  # a P/B pair that cancels on the other sibling
             S, T = rng.choice(tableaux(label, m - 1)), rng.choice(tableaux(label, m - 1))
             x = x + cell_element(label, S, T).scale(rng.choice(coeffs))
@@ -332,7 +348,7 @@ def test_bullet_rule_sees_a_product_that_ignores_the_bullet(monkeypatch):
     def unbulleted(x, y):  # drops the bullet of every bulleted right operand
         plain = AlgebraElement.zero(y.m)
         for d, c in y.items():
-            plain = plain + AlgebraElement.from_diagram(Diagram(d.north, d.south), c)
+            plain = plain + AlgebraElement.from_diagram(Diagram(d.north, d.south)).scale(c)
         return original(x, plain)
 
     monkeypatch.setattr(tlh.algebra, "multiply", unbulleted)
@@ -754,17 +770,38 @@ def test_semisimplicity_reports_an_off_diagonal_constant_and_degree(monkeypatch)
     [
         (lambda det: LaurentPoly.zero(), "form determinant vanishes"),
         (lambda det: det * 2, "determinant's top term is 10 at delta^2, not 5 at delta^2"),
-        (lambda det: det * LaurentPoly.delta(), "determinant's top term is 5 at delta^3, not 5 at delta^2"),
+        (lambda det: det * LaurentPoly.v_pow(1), "determinant's top term is 5 at delta^3, not 5 at delta^2"),
     ],
 )
 def test_semisimplicity_checks_the_leading_term(monkeypatch, change, message):
-    original = tlh.cellular.gram_det
+    # the check takes each layer's determinant in delta, where exponent e counts delta^e
+    original = RingMatrix.det
 
-    def patched(form):  # the 2x2 forms are layers 1 and 1b
-        return change(original(form)) if form.n_rows == 2 else original(form)
+    def patched(matrix):  # the 2x2 forms are layers 1 and 1b
+        return change(original(matrix)) if matrix.n_rows == 2 else original(matrix)
 
-    monkeypatch.setattr(tlh.cellular, "gram_det", patched)
+    monkeypatch.setattr(RingMatrix, "det", patched)
     assert semisimplicity_check(2) == [f"layer 1: {message}", f"layer 1b: {message}"]
+
+
+@pytest.mark.parametrize("n, entries", [(3, 44), (4, 195), (5, 804)])
+def test_semisimplicity_converts_each_form_entry_to_delta_once(monkeypatch, n, entries):
+    calls = {"to_delta": 0, "from_delta": 0}
+
+    def counted(name):
+        original = getattr(tlh.cellular, name)
+
+        def wrapper(p):
+            calls[name] += 1
+            return original(p)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tlh.cellular, name, counted(name))
+    assert sum(len(tableaux(label, n)) ** 2 for label in lambda_poset(n)) == entries
+    assert semisimplicity_check(n) == []
+    assert calls == {"to_delta": entries, "from_delta": 0}
 
 
 def test_verify_cellular_axioms():

@@ -388,6 +388,18 @@ def test_from_dyadic_rejects():
         Diagram(enumerate_half(4, 2)[0], HalfDiagram.figure_four(4, 2))
 
 
+def test_from_dyadic_rejects_faces_and_bullets_of_other_types():
+    # a str bullet would print as bulleted yet differ from the bool one in equality and hash
+    h = HalfDiagram(3, ((1, 2, 1),))
+    for bullet in ("yes", 1, None):
+        with pytest.raises(ValueError, match="^a diagram needs two HalfDiagrams and a bool"):
+            Diagram(h, h, bullet)
+    for north, south in ((None, h), (h, None), (h.to_json(), h), (h, h.pairs)):
+        with pytest.raises(ValueError, match="^a diagram needs two HalfDiagrams and a bool"):
+            Diagram(north, south)
+    assert Diagram(h, h, True) == Diagram(h, h, bullet=True) != Diagram(h, h)
+
+
 def test_dyadic_round_trip():
     for m in (3, 4, 5):
         for d in enumerate_diagrams(m):
@@ -439,8 +451,14 @@ def test_enumerate_diagrams_against_brute_force():
 
 def test_enumerate_diagrams_cap():
     # the CLI's per-command caps are the only size guard; the library rejects only m < 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^strand count must be positive, got 0$"):
         enumerate_diagrams(0)
+
+
+@pytest.mark.parametrize("m", [3.0, True, "3", None])
+def test_enumerate_diagrams_rejects_a_non_int_strand_count(m):
+    with pytest.raises(ValueError, match="^strand count must be an integer"):
+        enumerate_diagrams(m)
 
 
 def test_strings():

@@ -352,6 +352,15 @@ def test_the_constructor_reads_iterator_loops_once():
         DecoratedTangle(0, 0, loops=iter([1, -1]))
 
 
+def test_a_bad_loop_count_names_what_an_iterator_held():
+    # a tuple or list is quoted as the caller wrote it; any other iterable by the counts read from it
+    for loops in (iter([1, -1]), (r for r in (1, -1))):
+        with pytest.raises(ValueError, match=r"^bad loop decoration counts \(1, -1\)$"):
+            DecoratedTangle(0, 0, loops=loops)
+    with pytest.raises(ValueError, match=r"^bad loop decoration counts \[1, -1\]$"):
+        DecoratedTangle(0, 0, loops=[1, -1])
+
+
 def assert_alike(t: DecoratedTangle):
     """t rebuilt by the public constructor from its arcs and stored by _trusted from its arrays
     is the same tangle, with the same hash, str and JSON."""
