@@ -303,6 +303,7 @@ def special_elements(m: int) -> dict:
     With W the decorated cap {1, 2} and C the plain cap {2, 3}: alpha = U1U2 - 1 = |W><C|* - 1,
     beta = U2U1 - 1 = |C><W|* - 1, epsilon = U1U2U1 - 2U1 = |W><W|* - |W><W| and zeta = U2U1U2 - 2U2
     = |C><C|* - |C><C|.  No product is taken; ``verify_presentation`` checks these against the products."""
+    _check_strands(m)
     if m < 3:
         raise ValueError(f"the special elements need at least 3 strands, got {m}")
     wall, cap2 = HalfDiagram(m, ((1, 2, 1),)), HalfDiagram(m, ((2, 3, 0),))

@@ -33,7 +33,6 @@ under dropping the eastmost strand gives the branching rules.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 from tlh.algebra import AlgebraElement
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, enumerate_half, generator_U
@@ -108,7 +107,6 @@ def _stratum(m: int, k: int) -> tuple:
     return tuple(CellLabel(kind, k) for kind in _SIBLINGS)
 
 
-@functools.cache
 def lambda_poset(n: int) -> tuple:
     """All cell labels at rank n: zero, plain/bullet pairs, middle when n is odd."""
     if type(n) is not int:  # no bools
@@ -131,6 +129,8 @@ def _diagram(S: HalfDiagram, T: HalfDiagram, bullet: bool = False) -> AlgebraEle
 
 def cell_element(label: CellLabel, d1: HalfDiagram, d2: HalfDiagram) -> AlgebraElement:
     """The cell basis element of a layer attached to a pair of half-diagrams."""
+    if (type(label), type(d1), type(d2)) != (CellLabel, HalfDiagram, HalfDiagram):
+        raise ValueError(f"a cell element needs a CellLabel and two HalfDiagrams, got {label!r}, {d1!r}, {d2!r}")
     if d1.m != d2.m:
         raise ValueError(f"half-diagrams on {d1.m} and {d2.m} nodes")
     if d1.k != label.k or d2.k != label.k:
@@ -516,7 +516,7 @@ def _restricted_blocks(label: CellLabel, n: int, problems: list) -> list:
     in its factor's tableau order.
     """
     m = n + 1
-    over: dict = {}  # (level, image position) -> (image, [(east decoration, tableau index)])
+    over: dict = {}  # (level, image caps) -> (image, [(east decoration, tableau index)])
     for idx, S in enumerate(tableaux(label, n)):
         east = next((p for p in S.pairs if p[1] == m), None)
         image = HalfDiagram(n, tuple(p for p in S.pairs if p[1] != m))
@@ -527,9 +527,8 @@ def _restricted_blocks(label: CellLabel, n: int, problems: list) -> list:
             if image != HalfDiagram.figure_four(n, label.k - 1):
                 problems.append(f"unexpected inadmissible east-capped image {image}")
             image = HalfDiagram(n)
-        key = (level, enumerate_half(n, image.k).index(image))
-        over.setdefault(key, (image, []))[1].append((east[2] if east else 0, idx))
-    tops = len(over.get((2, 0), (None, ()))[1])  # level 2 keeps only the empty face
+        over.setdefault((level, image.pairs), (image, []))[1].append((east[2] if east else 0, idx))
+    tops = len(over.get((2, ()), (None, ()))[1])  # level 2 keeps only the empty face
     if tops != (1 if label.k >= 2 else 0):
         problems.append(f"{tops} trivial-top elements instead of {1 if label.k >= 2 else 0}")
     blocks: dict = {}

@@ -103,6 +103,8 @@ class HalfDiagram:
     @classmethod
     def figure_four(cls, m: int, k: int) -> "HalfDiagram":
         """The unique face with k caps excluded by the face condition."""
+        if type(m) is not int or type(k) is not int:  # no bools
+            raise ValueError(f"strand and cap counts must be integers, got {m!r} and {k!r}")
         if k < 1 or 2 * k > m:
             raise ValueError(f"no {k}-cap face on {m} nodes")
         return cls(m, ((1, 2, 0),) + tuple((2 * j - 1, 2 * j, 1) for j in range(2, k + 1)))
@@ -282,9 +284,11 @@ def _faces(points: tuple, k: int, exposed: bool):
                     yield ((p, points[i], dec),) + si + so
 
 
-@functools.cache
 def enumerate_generalized_half(m: int, k: int) -> tuple:
     """All k-cap faces with any west-exposed decoration pattern; count C(m, k)."""
+    for name, x in (("strand", m), ("cap", k)):
+        if type(x) is not int:  # no bools
+            raise ValueError(f"{name} count must be an integer, got {x!r}")
     if k < 0 or 2 * k > m:
         return ()
     out = [HalfDiagram(m, pairs) for pairs in _faces(tuple(range(1, m + 1)), k, True)]
@@ -293,7 +297,6 @@ def enumerate_generalized_half(m: int, k: int) -> tuple:
     return tuple(sorted(out, key=lambda h: h.pairs))
 
 
-@functools.cache
 def enumerate_half(m: int, k: int) -> tuple:
     """All admissible k-cap faces; count C(m, k) - 1 for k > 0."""
     out = tuple(h for h in enumerate_generalized_half(m, k) if h.admissible())

@@ -213,6 +213,8 @@ def fib_pair(r: int) -> tuple[int, int]:
     >>> [fib_pair(r) for r in range(4)]
     [(1, 0), (0, 1), (1, 1), (1, 2)]
     """
+    if type(r) is not int:  # no bools
+        raise ValueError(f"decoration count must be an integer, got {r!r}")
     if r < 0:
         raise ValueError(f"decoration count must be nonnegative, got {r}")
     a, b = 1, 0

@@ -192,6 +192,12 @@ def test_special_elements_frozen():
         special_elements(2)
 
 
+@pytest.mark.parametrize("m", ["x", 3.0, True, None])
+def test_special_elements_reject_a_non_int_strand_count(m):
+    with pytest.raises(ValueError, match="^strand count 'm' must be a positive integer"):
+        special_elements(m)
+
+
 def test_nine_monomials_hit_the_whole_basis():
     words = [
         ["1"],

@@ -33,7 +33,7 @@ from tlh.cellular import (
     _restricted_blocks,
     _stratum,
 )
-from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
+from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, enumerate_half, generator_U
 from tlh.ring import GAMMA1, GAMMA2, G_ONE, G_ZERO, GoldenScalar, LaurentPoly
 from tlh.tangle import DecoratedTangle
 
@@ -63,7 +63,7 @@ def test_poset_is_frozen():
             lambda_poset(rank)
 
 
-@pytest.mark.parametrize("rank", [3.0, True, "3", None, Fraction(3)])
+@pytest.mark.parametrize("rank", [3.0, True, "3", None, Fraction(3), [3]])
 def test_a_non_int_rank_is_rejected(rank):
     lambda_poset(3)  # cached first: an equal rank of another type must not read the cache
     layer = CellLabel("plain", 1)
@@ -134,6 +134,12 @@ def test_cell_element_frozen_values():
         cell_element(CellLabel("plain", 2), H_STAR, H_PLAIN)
     with pytest.raises(ValueError):
         cell_element(CellLabel("middle", 1), H_STAR, H_PLAIN)
+
+
+@pytest.mark.parametrize("args", [("x", H_STAR, H_STAR), (CellLabel("plain", 1), H_STAR, None), (CellLabel("zero"), (), ())])
+def test_cell_element_rejects_arguments_of_other_types(args):
+    with pytest.raises(ValueError, match="^a cell element needs a CellLabel and two HalfDiagrams"):
+        cell_element(*args)
 
 
 def test_cell_expansion_is_dual_to_cell_element():
@@ -955,6 +961,22 @@ def test_restricted_blocks_match_the_per_kind_builders(n):
         assert [pairs for *_, pairs in new] == [pairs for *_, pairs in old]
         assert _level_ranks(new) == _level_ranks(old)
         assert new_problems == old_problems == []
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_restricted_blocks_list_only_the_layer_own_tableaux(monkeypatch, n):
+    # the images one rank down are keyed by their caps, so no face list on n strands is needed
+    calls = []
+
+    def counted(m, k):
+        calls.append((m, k))
+        return enumerate_half(m, k)
+
+    monkeypatch.setattr(tlh.cellular, "enumerate_half", counted)
+    for label in lambda_poset(n):
+        calls.clear()
+        _restricted_blocks(label, n, [])
+        assert calls == [(n + 1, label.k)]
 
 
 def _perturb_action(monkeypatch, applies, change):

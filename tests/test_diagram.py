@@ -157,6 +157,12 @@ def test_figure_four_is_the_unique_inadmissible_face():
         HalfDiagram.figure_four(4, 3)
 
 
+@pytest.mark.parametrize("m, k", [(3, 1.0), (3, True), (3.0, 1), ("3", 1)])
+def test_figure_four_rejects_non_int_counts(m, k):
+    with pytest.raises(ValueError, match="^strand and cap counts must be integers"):
+        HalfDiagram.figure_four(m, k)
+
+
 def test_half_enumeration_against_brute_force():
     for m in range(1, 7):
         for k in range(0, m // 2 + 1):
@@ -170,6 +176,23 @@ def test_half_enumeration_frozen_small():
     assert [h.pairs for h in enumerate_half(3, 1)] == [((1, 2, 1),), ((2, 3, 0),)]
     assert len(enumerate_half(4, 2)) == 5
     assert len(enumerate_half(9, 4)) == comb(9, 4) - 1
+
+
+@pytest.mark.parametrize(
+    "enumerate_faces, m, k",
+    [
+        (enumerate_half, 3.0, 1),
+        (enumerate_half, 3, True),
+        (enumerate_half, [3], 1),
+        (enumerate_generalized_half, 3.0, 1),
+        (enumerate_generalized_half, 3, 1.0),
+    ],
+)
+def test_face_enumerations_reject_a_non_int_size_after_an_equal_int_one(enumerate_faces, m, k):
+    enumerate_half(3, 1)
+    enumerate_generalized_half(3, 1)  # the answer must not depend on what ran before
+    with pytest.raises(ValueError, match="^(strand|cap) count must be an integer"):
+        enumerate_faces(m, k)
 
 
 def test_generator_shapes():

@@ -51,6 +51,12 @@ def test_fib_pair_gives_the_powers_of_phi():
     assert GoldenScalar(*fib_pair(5)) == GoldenScalar(3, 5)
 
 
+@pytest.mark.parametrize("r", [True, 2.5, "2", None])
+def test_fib_pair_rejects_a_non_int_count(r):
+    with pytest.raises(ValueError, match="^decoration count must be an integer"):
+        fib_pair(r)
+
+
 def test_ring_doctests_pass():
     result = doctest.testmod(tlh.ring)
     assert result.attempted > 0 and result.failed == 0

@@ -31,8 +31,9 @@ def test_no_assert_statements_in_src():
 
 
 def test_module_level_caches_are_only_the_known_tables():
-    # a module-level cache outlives the call that filled it, so no product or reduction may be memoized:
-    # the caches are the face enumerations, the cell poset and the node names of a frame
+    # a module-level cache outlives the call that filled it, so no product or reduction may be memoized, and
+    # one keyed on a caller's argument answers before the argument is checked: the one cache is the node
+    # names of a frame, a private table whose callers pass checked widths
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -47,7 +48,8 @@ def test_module_level_caches_are_only_the_known_tables():
                 name = node.name
             if name in ("cache", "lru_cache"):  # a decorator names its function; any other use, its place
                 found.add(decorated.get(id(node), f"{path.name}:{getattr(node, 'lineno', '?')}"))
-    assert found == {"enumerate_generalized_half", "enumerate_half", "lambda_poset", "_refs"}
+    assert [name for name in sorted(found) if not name.startswith("_")] == []
+    assert found == {"_refs"}
 
 
 def test_every_private_helper_is_named_outside_its_own_definition():
