@@ -23,7 +23,7 @@ import random
 from math import comb
 
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
-from tlh.ring import LaurentPoly, _golden, fib_pair
+from tlh.ring import LaurentPoly, _golden, fib_pair, to_delta
 from tlh.tangle import DecoratedTangle, _refs, random_tangle
 
 
@@ -41,6 +41,8 @@ def normal_form(t: DecoratedTangle) -> list:
     they are not checked for basis membership.  An already reduced tangle
     comes back as itself.
     """
+    if type(t) is not DecoratedTangle:
+        raise ValueError(f"normal_form needs a DecoratedTangle, got {t!r}")
     partner, dec = t.partner, t.dec
     if not t.loops and max(dec, default=0) < 2:
         return [(t, _ONE)]
@@ -262,6 +264,8 @@ class AlgebraElement:
 
 def reduce_tangle(t: DecoratedTangle) -> AlgebraElement:
     """Fully reduce a square tangle to an element of the diagram algebra."""
+    if type(t) is not DecoratedTangle:
+        raise ValueError(f"reduce_tangle needs a DecoratedTangle, got {t!r}")
     if not t.is_square:
         raise ValueError(f"cannot reduce a non-square tangle ({t.n_top} by {t.n_bottom})")
     _check_strands(t.n_top)
@@ -283,6 +287,8 @@ def _add_reduced(terms: dict, t: DecoratedTangle, c: LaurentPoly) -> None:
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """The bilinear product: glue diagrams pairwise and reduce."""
+    if type(x) is not AlgebraElement or type(y) is not AlgebraElement:
+        raise ValueError(f"multiply needs two AlgebraElements, got {x!r} and {y!r}")
     x._require_same_frame(y)
     terms: dict[Diagram, LaurentPoly] = {}
     for d1, c1 in x._terms.items():
@@ -338,6 +344,7 @@ def evaluate_word(tokens, m: int) -> AlgebraElement:
 
 def verify_presentation(m: int) -> list:
     """Check every defining relation and special-element identity; [] means all hold."""
+    _check_strands(m)
     problems = []
     n = m - 1
     delta = LaurentPoly.delta()
@@ -374,6 +381,8 @@ def verify_associativity(m: int, seed: int) -> list:
 
     All basis triples up to 3 strands, else 1200 seeded ones; then 1200 seeded random tangles.
     """
+    if type(seed) is not int:  # no bools
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     problems = []
     elements = [AlgebraElement.from_diagram(d) for d in enumerate_diagrams(m)]
     if m <= 3:
@@ -395,22 +404,17 @@ def verify_associativity(m: int, seed: int) -> list:
 def positivity_check(m: int) -> list:
     """Check every structure coefficient is a positive integer times a power of delta."""
     problems = []
-    delta = LaurentPoly.delta()
     diagrams = enumerate_diagrams(m)
     for d1 in diagrams:
         for d2 in diagrams:
             product = AlgebraElement.from_diagram(d1) * AlgebraElement.from_diagram(d2)
             for d, full in product._terms.items():
-                # const * delta^power spans v^-power .. v^power with const on top
-                power = (full.max_exp - full.min_exp) // 2
-                const = full.coefficient(full.max_exp)
-                ok = (
-                    full == delta ** power * LaurentPoly.const(const)
-                    and const.b == 0
-                    and isinstance(const.a, int)
-                    and const.a > 0
-                    and power <= min(d1.k, d2.k)
-                )
+                try:
+                    ((power, c),) = to_delta(full).items()
+                except ValueError:  # not symmetric under v -> 1/v, or more than one power of delta
+                    ok = False
+                else:
+                    ok = c.b == 0 and type(c.a) is int and c.a > 0 and power <= min(d1.k, d2.k)
                 if not ok:
                     problems.append(f"({d1}) * ({d2}) has coefficient {full} at {d}")
     return problems

@@ -154,6 +154,8 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
     1 - gamma for B by the sibling table.  Each nonzero sibling key is then
     divided by its D once; zero and middle keys have D = 1.
     """
+    if type(x) is not AlgebraElement:
+        raise ValueError(f"expand_in_cell_basis needs an AlgebraElement, got {x!r}")
     scaled: dict = {}
     strata: dict = {}  # cap count -> layers, for this call
     for d, coeff in x.items():
@@ -175,6 +177,8 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
 
 def combine_cell_terms(m: int, coefficients: dict) -> AlgebraElement:
     """Re-sum a cell-basis coefficient map into an algebra element."""
+    if type(coefficients) is not dict:
+        raise ValueError(f"combine_cell_terms needs a dict of cell coefficients, got {coefficients!r}")
     total = AlgebraElement.zero(m)
     for (label, d1, d2), c in coefficients.items():
         total = total + cell_element(label, d1, d2).scale(c)
@@ -310,6 +314,8 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
     disabled, the columns are recomputed for every other T to confirm they
     do not depend on that choice.
     """
+    if type(a) is not AlgebraElement or type(label) is not CellLabel:
+        raise ValueError(f"cell_action_matrix needs an AlgebraElement and a CellLabel, got {a!r} and {label!r}")
     tabs = tableaux(label, a.m - 1)
     index = {h: i for i, h in enumerate(tabs)}
 
@@ -393,6 +399,8 @@ def gram_det(form: RingMatrix) -> LaurentPoly:
 
     Raises ValueError if an entry is not fixed by v -> 1/v.
     """
+    if type(form) is not RingMatrix:
+        raise ValueError(f"gram_det needs a RingMatrix, got {form!r}")
     return from_delta(RingMatrix([[to_delta(g) for g in row] for row in form.rows]).det())
 
 
@@ -420,8 +428,8 @@ def verify_cellular_axioms(n: int) -> list:
     south tableau, and without leaks between sibling layers (the bullet rule).
     """
     problems = []
-    m = n + 1
     labels = lambda_poset(n)
+    m = n + 1
     diagrams = enumerate_diagrams(m)
 
     count = sum(len(tableaux(label, n)) ** 2 for label in labels)

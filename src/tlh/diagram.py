@@ -162,6 +162,8 @@ class Diagram:
         decorated arc is cut off exactly when another arc is open where it starts.
         A tangle with neither has its faces built with no second check; any other
         goes through the face constructors, which name the fault."""
+        if type(t) is not DecoratedTangle:
+            raise ValueError(f"Diagram.from_tangle needs a DecoratedTangle, got {t!r}")
         try:
             if not t.is_square:
                 raise ValueError(f"not square: {t.n_top} north, {t.n_bottom} south nodes")
@@ -259,6 +261,8 @@ class Diagram:
 
 def generator_U(i: int, m: int) -> Diagram:
     """The generator with caps on nodes {i, i+1} of both faces, decorated iff i = 1."""
+    if type(i) is not int or type(m) is not int:  # no bools
+        raise ValueError(f"generator index and strand count must be integers, got {i!r} and {m!r}")
     if not 1 <= i <= m - 1:
         raise ValueError(f"generator index {i} out of range for {m} strands")
     dec = 1 if i == 1 else 0
@@ -300,7 +304,7 @@ def enumerate_generalized_half(m: int, k: int) -> tuple:
 def enumerate_half(m: int, k: int) -> tuple:
     """All admissible k-cap faces; count C(m, k) - 1 for k > 0."""
     out = tuple(h for h in enumerate_generalized_half(m, k) if h.admissible())
-    expect = comb(m, k) - (1 if 0 < 2 * k <= m else 0)
+    expect = comb(m, k) - (1 if k else 0) if 0 <= 2 * k <= m else 0
     if len(out) != expect:
         raise RuntimeError(f"admissible face count {len(out)} != {expect}")
     return out

@@ -142,6 +142,8 @@ def _seed_word(k: int, r: int, north_free: bool, south_free: bool, bullet: bool)
 
 def factorize(d: Diagram) -> list:
     """A generator word evaluating exactly to the given basis diagram."""
+    if type(d) is not Diagram:
+        raise ValueError(f"factorize needs a Diagram, got {d!r}")
     word: list = []
     if d.k == 1 and d == generator_U(d.north.pairs[0][0], d.m):  # the only candidate generator
         word = [f"U{d.north.pairs[0][0]}"]

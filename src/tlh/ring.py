@@ -343,16 +343,6 @@ class LaurentPoly(_Ring):
         xs, ys = self._terms, other._terms
         if len(xs) > len(ys):
             xs, ys = ys, xs
-        golden = _golden
-        if len(xs) == 1:  # no two products share an exponent, and none vanishes
-            ((e1, x),) = xs.items()
-            a, b = x.a, x.b
-            terms = {}
-            for e2, y in ys.items():
-                c, d = y.a, y.b
-                bd = b * d
-                terms[e1 + e2] = golden(a * c + bd, a * d + b * c + bd)
-            return LaurentPoly._from_checked(terms)
         acc: dict[int, tuple] = {}
         for e1, x in xs.items():
             a, b = x.a, x.b
@@ -365,7 +355,7 @@ class LaurentPoly(_Ring):
                     acc[e] = (a * c + bd, a * d + b * c + bd)
                 else:
                     acc[e] = (p[0] + a * c + bd, p[1] + a * d + b * c + bd)
-        return LaurentPoly._from_checked({e: golden(a, b) for e, (a, b) in acc.items() if a or b})
+        return LaurentPoly._from_checked({e: _golden(a, b) for e, (a, b) in acc.items() if a or b})
 
     __rmul__ = __mul__
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -448,14 +449,39 @@ def test_multiply_rejects_mixed_frames():
         multiply(AlgebraElement.one(3), AlgebraElement.one(4))
 
 
+@pytest.mark.parametrize("x, y", [("x", AlgebraElement.one(3)), (AlgebraElement.one(3), "x"), (None, None)])
+def test_multiply_rejects_an_operand_that_is_not_an_element(x, y):
+    with pytest.raises(ValueError, match="^multiply needs two AlgebraElements"):
+        multiply(x, y)
+
+
+@pytest.mark.parametrize("reduce", [normal_form, reduce_tangle])
+def test_reduction_rejects_an_argument_that_is_not_a_tangle(reduce):
+    with pytest.raises(ValueError, match=f"^{reduce.__name__} needs a DecoratedTangle, got 'x'"):
+        reduce("x")
+
+
+@pytest.mark.parametrize("m", [3.0, True, "3", None])
+def test_verify_presentation_rejects_a_non_int_strand_count(m):
+    # True would otherwise check the relations of no generator and pass
+    with pytest.raises(ValueError, match="^strand count 'm' must be a positive integer"):
+        verify_presentation(m)
+
+
+@pytest.mark.parametrize("seed", ["x", 1.0, True, None])
+def test_verify_associativity_rejects_a_non_int_seed(seed):
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        verify_associativity(3, seed)
+
+
 def test_positivity_of_structure_coefficients_small():
     assert positivity_check(3) == []
 
 
 @pytest.mark.parametrize(
     "bad",
-    [DELTA + 1, -DELTA, DELTA * GoldenScalar(0, 1), DELTA ** 2],
-    ids=["delta+1", "-delta", "phi*delta", "delta^2"],
+    [DELTA + 1, -DELTA, DELTA * GoldenScalar(0, 1), DELTA ** 2, LaurentPoly.v_pow(1), DELTA * Fraction(1, 2)],
+    ids=["delta+1", "-delta", "phi*delta", "delta^2", "v", "delta/2"],
 )
 def test_positivity_check_reports_each_bad_coefficient(monkeypatch, bad):
     # U1 * U1 = [2] U1 has one cap per factor, so [2]^2 is one power too many

@@ -84,6 +84,15 @@ def test_label_cap_count_must_be_an_int(kind, k):
         CellLabel(kind, k)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [(("nope",), "^unknown label kind 'nope'$"), (("zero", 1), "^label kind 'zero' cannot have cap count 1$")],
+)
+def test_label_rejects_an_unknown_kind_and_a_cap_count_off_its_kind(args, message):
+    with pytest.raises(ValueError, match=message):
+        CellLabel(*args)
+
+
 def test_label_parsing_and_order():
     for n in (3, 4, 7):
         for label in lambda_poset(n):
@@ -140,6 +149,18 @@ def test_cell_element_frozen_values():
 def test_cell_element_rejects_arguments_of_other_types(args):
     with pytest.raises(ValueError, match="^a cell element needs a CellLabel and two HalfDiagrams"):
         cell_element(*args)
+
+
+@pytest.mark.parametrize("x", ["x", None, generator_U(1, 3)])
+def test_cell_expansion_rejects_an_argument_that_is_not_an_element(x):
+    with pytest.raises(ValueError, match="^expand_in_cell_basis needs an AlgebraElement"):
+        expand_in_cell_basis(x)
+
+
+@pytest.mark.parametrize("coefficients", ["x", None, [((CellLabel("zero"), HalfDiagram(3), HalfDiagram(3)), 1)]])
+def test_combine_cell_terms_rejects_coefficients_that_are_not_a_dict(coefficients):
+    with pytest.raises(ValueError, match="^combine_cell_terms needs a dict of cell coefficients"):
+        combine_cell_terms(3, coefficients)
 
 
 def test_cell_expansion_is_dual_to_cell_element():
@@ -346,6 +367,28 @@ def test_action_matrix_matches_the_cell_element_reference(n):
     for label in lambda_poset(n):
         for a in elements:
             assert cell_action_matrix(a, label) == cell_action_matrix_reference(a, label)
+
+
+@pytest.mark.parametrize("a", ["x", None, generator_U(1, 3)])
+def test_action_matrix_rejects_an_acting_argument_that_is_not_an_element(a):
+    with pytest.raises(ValueError, match="^cell_action_matrix needs an AlgebraElement and a CellLabel"):
+        cell_action_matrix(a, CellLabel("plain", 1))
+
+
+def test_action_matrix_reports_columns_that_depend_on_the_south_tableau(monkeypatch):
+    label = CellLabel("plain", 1)
+    first = tableaux(label, 2)[0]
+    original = tlh.cellular._project
+
+    def project(expansion, layer, index, T, what):  # off the first south tableau, every coefficient gains one
+        col = original(expansion, layer, index, T, what)
+        return col if T == first else [c + 1 for c in col]
+
+    monkeypatch.setattr(tlh.cellular, "_project", project)
+    u1 = AlgebraElement.from_diagram(generator_U(1, 3))
+    cell_action_matrix(u1, label, check_all_T=False)  # the first tableau alone sees nothing
+    with pytest.raises(IndependenceViolation, match="^action coefficients on layer 1 depend on the south tableau$"):
+        cell_action_matrix(u1, label)
 
 
 def test_bullet_rule_sees_a_product_that_ignores_the_bullet(monkeypatch):
@@ -610,6 +653,12 @@ def test_ring_matrix_basics():
         RingMatrix(((1, 2),)).det()
 
 
+@pytest.mark.parametrize("form", ["x", None, [[LaurentPoly.one()]]])
+def test_gram_det_rejects_an_argument_that_is_not_a_matrix(form):
+    with pytest.raises(ValueError, match="^gram_det needs a RingMatrix"):
+        gram_det(form)
+
+
 def test_ring_matrix_det_frozen():
     delta = LaurentPoly.delta()
     assert RingMatrix(((delta,),)).det() == delta
@@ -751,6 +800,12 @@ def test_semisimplicity_reports_an_asymmetric_entry(monkeypatch):
     assert problems[0].startswith("layer 1: ") and "not symmetric under v -> 1/v" in problems[0]
 
 
+def test_semisimplicity_reports_an_asymmetric_form(monkeypatch):
+    # a constant is fixed by v -> 1/v and lies below delta^1, so only the symmetry check sees it
+    _patched_forms(monkeypatch, "1", lambda i, j, g: g + 1 if (i, j) == (0, 1) else g)
+    assert semisimplicity_check(2) == ["layer 1: form matrix is not symmetric"]
+
+
 def test_semisimplicity_reports_a_wrong_diagonal_constant(monkeypatch):
     delta = LaurentPoly.delta()
     _patched_forms(monkeypatch, "1b", lambda i, j, g: g + delta if i == j == 1 else g)
@@ -768,6 +823,17 @@ def test_semisimplicity_reports_an_off_diagonal_constant_and_degree(monkeypatch)
         f"layer 1: <{tabs[0]}, {tabs[1]}> exceeds degree 1 in delta",
         f"layer 1: <{tabs[1]}, {tabs[0]}> exceeds degree 1 in delta",
         "layer 1: determinant's top term is -1 at delta^4, not 5 at delta^2",
+    ]
+
+
+def test_semisimplicity_reports_an_off_diagonal_constant(monkeypatch):
+    delta = LaurentPoly.delta()
+    _patched_forms(monkeypatch, "1", lambda i, j, g: g + delta if i != j else g)
+    tabs = tableaux(CellLabel("plain", 1), 2)
+    assert semisimplicity_check(2) == [
+        f"layer 1: off-diagonal constant at ({tabs[0]}, {tabs[1]}) is 1",
+        f"layer 1: off-diagonal constant at ({tabs[1]}, {tabs[0]}) is 1",
+        "layer 1: determinant's top term is 4 at delta^2, not 5 at delta^2",
     ]
 
 
@@ -813,6 +879,40 @@ def test_semisimplicity_converts_each_form_entry_to_delta_once(monkeypatch, n, e
 def test_verify_cellular_axioms():
     assert verify_cellular_axioms(2) == []
     assert verify_cellular_axioms(3) == []
+
+
+def test_cell_axioms_report_a_basis_count_off_the_rank(monkeypatch):
+    original = tlh.cellular.enumerate_diagrams
+    monkeypatch.setattr(tlh.cellular, "enumerate_diagrams", lambda m: original(m)[1:])
+    assert verify_cellular_axioms(2) == ["cell basis has 9 elements but the rank is 8"]
+
+
+def test_cell_axioms_report_coinciding_cell_elements(monkeypatch):
+    original = tlh.cellular.cell_element
+
+    def cell_element(label, d1, d2):  # the bullet layer repeats the plain one
+        return original(CellLabel("plain", label.k) if label.kind == "bullet" else label, d1, d2)
+
+    monkeypatch.setattr(tlh.cellular, "cell_element", cell_element)
+    tabs = tableaux(CellLabel("plain", 1), 2)
+    problems = verify_cellular_axioms(2)
+    assert [p for p in problems if "coincide" in p] == [
+        f"cell elements (1b, {S}, {T}) and {('1', str(S), str(T))} coincide" for S in tabs for T in tabs
+    ]
+
+
+def test_cell_axioms_report_a_flip_that_does_not_swap_the_tableaux(monkeypatch):
+    monkeypatch.setattr(AlgebraElement, "star", lambda self: self)
+    tabs = tableaux(CellLabel("plain", 1), 2)
+    assert verify_cellular_axioms(2) == [
+        f"flip of cell element ({label}, {S}, {T}) is not ({label}, {T}, {S})"
+        for label in ("1", "1b") for S in tabs for T in tabs if S != T
+    ]
+
+
+def test_cell_axioms_report_an_expansion_that_does_not_round_trip(monkeypatch):
+    monkeypatch.setattr(tlh.cellular, "combine_cell_terms", lambda m, coefficients: AlgebraElement.zero(m))
+    assert verify_cellular_axioms(2) == [f"cell expansion does not round-trip on {d}" for d in enumerate_diagrams(3)]
 
 
 def test_semisimplicity_check():

@@ -195,6 +195,18 @@ def test_face_enumerations_reject_a_non_int_size_after_an_equal_int_one(enumerat
         enumerate_faces(m, k)
 
 
+@pytest.mark.parametrize("m, k", [(3, 2), (3, -1), (-1, 0), (0, 1)])
+def test_face_enumerations_are_empty_outside_the_cap_range(m, k):
+    assert enumerate_generalized_half(m, k) == ()
+    assert enumerate_half(m, k) == ()
+
+
+@pytest.mark.parametrize("i, m", [("x", 3), (1, "3"), (1.0, 3), (True, 3), (1, 3.0)])
+def test_generator_rejects_a_non_int_index_or_strand_count(i, m):
+    with pytest.raises(ValueError, match="^generator index and strand count must be integers"):
+        generator_U(i, m)
+
+
 def test_generator_shapes():
     u1 = generator_U(1, 3)
     assert u1.tangle.arcs == frozenset(
@@ -224,6 +236,12 @@ def test_from_tangle_reasons():
         frozenset({(N(1), N(2), 0), (N(3), N(4), 1), (S(1), S(2), 1), (S(3), S(4), 0)}),
     )
     assert rejection(fig4).startswith("not a basis diagram: face N")
+
+
+@pytest.mark.parametrize("t", ["x", None, generator_U(1, 3)])
+def test_from_tangle_rejects_an_argument_that_is_not_a_tangle(t):
+    with pytest.raises(ValueError, match="^Diagram.from_tangle needs a DecoratedTangle"):
+        Diagram.from_tangle(t)
 
 
 def test_from_tangle_rejects_bad_propagating_edges():

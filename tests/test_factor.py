@@ -28,6 +28,12 @@ def test_identity_factors_to_empty_word():
         assert factorize(d) == []
 
 
+@pytest.mark.parametrize("d", ["x", None, generator_U(1, 3).north])
+def test_factorize_rejects_an_argument_that_is_not_a_diagram(d):
+    with pytest.raises(ValueError, match="^factorize needs a Diagram"):
+        factorize(d)
+
+
 def test_generators_factor_to_themselves():
     for m in (3, 4, 5):
         for i in range(1, m):

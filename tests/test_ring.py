@@ -231,6 +231,10 @@ def test_laurent_json_round_trip():
     assert LaurentPoly.from_json(blob) == f
     with pytest.raises(ValueError):
         LaurentPoly.from_json([[0, 1, 0], [0, 2, 0]])  # exponents must increase
+    with pytest.raises(ValueError, match="^laurent polynomial must be a list of triples, got 'x'$"):
+        LaurentPoly.from_json("x")
+    with pytest.raises(ValueError, match=r"^bad laurent term \[0, 1\]$"):
+        LaurentPoly.from_json([[0, 1]])
     assert LaurentPoly.from_json([]) == LaurentPoly.zero()
 
 

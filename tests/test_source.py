@@ -108,6 +108,52 @@ def test_the_export_list_is_the_package_namespace():
     assert not hasattr(tlh.HalfDiagram, "from_json") and hasattr(tlh.HalfDiagram, "to_json")
 
 
+def test_every_exported_function_rejects_a_wrong_first_argument_with_value_error():
+    # the library raises ValueError on a bad argument, never TypeError or AttributeError from deeper down;
+    # each entry gives the arguments after the first, and a function exported without one fails here
+    half, u1 = tlh.HalfDiagram(3, ((1, 2, 1),)), AlgebraElement.from_diagram(generator_U(1, 3))
+    rest = {
+        "branching_report": (3,),
+        "cell_action_matrix": (tlh.CellLabel("plain", 1),),
+        "cell_element": (half, half),
+        "combine_cell_terms": ({},),
+        "enumerate_diagrams": (),
+        "enumerate_half": (1,),
+        "evaluate_word": (3,),
+        "expand_in_cell_basis": (),
+        "factorize": (),
+        "fib_pair": (),
+        "generator_U": (3,),
+        "gram_det": (),
+        "gram_matrix": (2,),
+        "lambda_poset": (),
+        "multiply": (u1,),
+        "normal_form": (),
+        "positivity_check": (),
+        "reduce_tangle": (),
+        "semisimplicity_check": (),
+        "special_elements": (),
+        "tableaux": (2,),
+        "verify_associativity": (1,),
+        "verify_branching": (),
+        "verify_cellular_axioms": (),
+        "verify_presentation": (),
+    }
+    exempt = {"random_tangle": "its rng is duck-typed: any object with the methods of random.Random it calls"}
+    functions = {name for name in tlh.__all__ if inspect.isfunction(getattr(tlh, name))}
+    assert functions == rest.keys() | exempt.keys()
+    escaped = []
+    for name, args in rest.items():
+        try:
+            getattr(tlh, name)("x", *args)
+            escaped.append(f"{name}: returned")
+        except ValueError:
+            pass
+        except Exception as exc:
+            escaped.append(f"{name}: {type(exc).__name__}: {exc}")
+    assert escaped == []
+
+
 def load_benchmark_tracer():
     """perfbench/spans.py as a module, compiled from its text so that nothing is written there."""
     path = ROOT / "perfbench" / "spans.py"
