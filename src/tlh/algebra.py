@@ -23,7 +23,7 @@ import random
 from math import comb
 
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
-from tlh.ring import LaurentPoly, _golden, fib_pair, to_delta
+from tlh.ring import LaurentPoly, fib_pair, to_delta
 from tlh.tangle import DecoratedTangle, _refs, random_tangle
 
 
@@ -61,7 +61,7 @@ def normal_form(t: DecoratedTangle) -> list:
     return [
         (
             DecoratedTangle._trusted(t.n_top, t.n_bottom, partner, d),
-            LaurentPoly._from_checked({e: _golden(w * c, 0) for e, c in delta_power}),  # w, c > 0
+            LaurentPoly._from_checked({e: (w * c, 0) for e, c in delta_power}),  # w, c > 0
         )
         for d, w in choices
     ]
@@ -325,6 +325,8 @@ def special_elements(m: int) -> dict:
 def evaluate_word(tokens, m: int) -> AlgebraElement:
     """The product of generator tokens '1', 'U3', 'alpha', 'beta', 'epsilon', 'zeta': one product per token
     from the identity, with a table local to the call that builds each distinct token's factor once."""
+    if type(tokens) not in (list, tuple):  # a string is not read as one-character tokens
+        raise ValueError(f"evaluate_word needs a list of tokens, got {tokens!r}")
     acc, factors = AlgebraElement.one(m), {}
     for tok in tokens:
         if not isinstance(tok, str):

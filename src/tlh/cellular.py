@@ -180,8 +180,10 @@ def combine_cell_terms(m: int, coefficients: dict) -> AlgebraElement:
     if type(coefficients) is not dict:
         raise ValueError(f"combine_cell_terms needs a dict of cell coefficients, got {coefficients!r}")
     total = AlgebraElement.zero(m)
-    for (label, d1, d2), c in coefficients.items():
-        total = total + cell_element(label, d1, d2).scale(c)
+    for key, c in coefficients.items():
+        if type(key) is not tuple or len(key) != 3 or LaurentPoly._coerce(c) is None:
+            raise ValueError(f"combine_cell_terms needs (label, half, half) keys and scalars, got {key!r}: {c!r}")
+        total = total + cell_element(*key).scale(c)
     return total
 
 
@@ -316,6 +318,8 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
     """
     if type(a) is not AlgebraElement or type(label) is not CellLabel:
         raise ValueError(f"cell_action_matrix needs an AlgebraElement and a CellLabel, got {a!r} and {label!r}")
+    if type(check_all_T) is not bool:
+        raise ValueError(f"check_all_T must be a bool, got {check_all_T!r}")
     tabs = tableaux(label, a.m - 1)
     index = {h: i for i, h in enumerate(tabs)}
 
@@ -352,6 +356,8 @@ def gram_matrix(label: CellLabel, n: int, *, forms: dict | None = None) -> RingM
     """
     tableaux(label, n)  # the label must lie in the rank-n poset
     forms = {} if forms is None else forms
+    if type(forms) is not dict:
+        raise ValueError(f"gram_matrix needs a dict of forms, got {forms!r}")
     if (label, n) not in forms:
         forms.update(((layer, n), f) for layer, f in _stratum_forms(_stratum(n + 1, label.k), n).items())
     form = forms.pop((label, n))
@@ -625,6 +631,8 @@ def branching_report(label: CellLabel, n: int) -> dict:
 
 def _branching_report(label: CellLabel, n: int, actions: dict) -> dict:
     """branching_report with a memo of generator actions shared across layers."""
+    if type(n) is not int:  # no bools
+        raise ValueError(f"rank must be an integer, got {n!r}")
     if n < 3:
         raise ValueError(f"branching needs rank at least 3, got {n}")
     problems: list = []

@@ -16,12 +16,11 @@ integer delta = [2] = v + v^(-1).  A Laurent polynomial fixed by v -> 1/v is
 a polynomial in delta, half as long; ``to_delta`` and ``from_delta`` convert
 exactly between the two, a delta-polynomial being a LaurentPoly whose
 nonnegative exponents count powers of delta.  One private base gives both
-rings their derived operators.  LaurentPoly's own operators -- sum,
-difference, negation, product and long division -- work on the integer
-coordinate pairs and build each new coefficient once, through one private
-constructor, ``_golden``, which keeps an int pair as it is and sends anything
-else through the normalizing GoldenScalar constructor.  Everything here is
-immutable and exact: no floats.
+rings their derived operators.  A LaurentPoly stores each coefficient
+a + b*phi as its coordinate pair (a, b), and its operators -- sum,
+difference, negation, product, long division and the delta conversion --
+compute on those pairs; GoldenScalars are built only where a coefficient
+enters or leaves.  Everything here is immutable and exact: no floats.
 """
 
 from __future__ import annotations
@@ -40,12 +39,17 @@ def _norm_coord(c):
     return c
 
 
+def _pair(a, b) -> tuple:
+    """The stored coordinates of a + b*phi, each an int exactly when integral."""
+    return (a, b) if type(a) is int and type(b) is int else (_norm_coord(a), _norm_coord(b))
+
+
 def _quotient(c, n):
-    """The coordinate c / n, an int when n divides c."""
+    """The coordinate c / n, an int exactly when integral."""
     if type(c) is int and type(n) is int:
         q, r = divmod(c, n)
         return Fraction(c, n) if r else q
-    return Fraction(c) / n
+    return _norm_coord(Fraction(c) / n)
 
 
 def _times_over(x, y, c, d, n) -> tuple:
@@ -185,20 +189,6 @@ class GoldenScalar(_Ring):
             raise ValueError(f"golden scalar has a zero denominator: {obj!r}") from None
 
 
-_new = object.__new__
-
-
-def _golden(a, b) -> GoldenScalar:
-    """The ring kernel's one scalar constructor: an int pair is stored as it is, anything else normalized."""
-    if type(a) is int and type(b) is int:
-        g = _new(GoldenScalar)
-        coords = g.__dict__
-        coords["a"] = a
-        coords["b"] = b
-        return g
-    return GoldenScalar(a, b)
-
-
 G_ZERO = GoldenScalar(0, 0)
 G_ONE = GoldenScalar(1, 0)
 PHI = GoldenScalar(0, 1)
@@ -224,16 +214,17 @@ def fib_pair(r: int) -> tuple[int, int]:
 
 
 class LaurentPoly(_Ring):
-    """Laurent polynomial in v with GoldenScalar coefficients.
+    """Laurent polynomial in v with coefficients in Z[phi] (or Q(phi)).
 
-    Stored as a finitely supported exponent -> coefficient map with no zero
-    values.  Instances are treated as immutable.
+    Stored as a finitely supported map from each exponent to the coordinate
+    pair (a, b) of its nonzero coefficient a + b*phi, each coordinate an int
+    exactly when integral.  Instances are treated as immutable.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean: dict[int, GoldenScalar] = {}
+        clean: dict[int, tuple] = {}
         for e, c in (terms or {}).items():
             if type(e) is not int:  # no bools
                 raise TypeError(f"bad exponent {e!r}")
@@ -241,16 +232,16 @@ class LaurentPoly(_Ring):
             if g is None:
                 raise TypeError(f"bad coefficient {c!r}")
             if not g.is_zero():
-                clean[e] = g
+                clean[e] = (g.a, g.b)
         self._terms = clean
 
     @classmethod
     def _from_checked(cls, terms: dict) -> "LaurentPoly":
-        """A polynomial stored as given: int exponents, nonzero GoldenScalar coefficients.
+        """A polynomial stored as given: int exponents, nonzero normalized coordinate pairs.
 
-        The ring kernel builds its results through here, on coefficients it made.
+        The ring kernel builds its results through here, on pairs it made.
         """
-        poly = _new(cls)
+        poly = object.__new__(cls)
         poly._terms = terms
         return poly
 
@@ -283,10 +274,11 @@ class LaurentPoly(_Ring):
         return not self._terms
 
     def items(self):
-        return sorted(self._terms.items())
+        return [(e, GoldenScalar(*p)) for e, p in sorted(self._terms.items())]
 
     def coefficient(self, e: int) -> GoldenScalar:
-        return self._terms.get(e, G_ZERO)
+        p = self._terms.get(e)
+        return G_ZERO if p is None else GoldenScalar(*p)
 
     @property
     def min_exp(self):
@@ -298,9 +290,6 @@ class LaurentPoly(_Ring):
 
     # -- arithmetic --------------------------------------------------------
 
-    # The kernel: each loop works on integer coordinate pairs and builds each
-    # new coefficient once, through _golden.
-
     @staticmethod
     def _coerce(x) -> "LaurentPoly | None":
         if isinstance(x, LaurentPoly):
@@ -308,7 +297,7 @@ class LaurentPoly(_Ring):
         g = GoldenScalar._coerce(x)
         if g is None:
             return None
-        return LaurentPoly._from_checked({0: g} if g.a or g.b else {})
+        return LaurentPoly._from_checked({0: (g.a, g.b)} if g.a or g.b else {})
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -324,17 +313,17 @@ class LaurentPoly(_Ring):
         if other is None:
             return NotImplemented
         terms = dict(self._terms)
-        for e, y in other._terms.items():
-            x = terms.get(e, G_ZERO)
-            a, b = x.a + sign * y.a, x.b + sign * y.b
+        for e, (c, d) in other._terms.items():
+            a, b = terms.get(e, (0, 0))
+            a, b = a + sign * c, b + sign * d
             if a or b:
-                terms[e] = _golden(a, b)
+                terms[e] = _pair(a, b)
             else:
                 del terms[e]
         return LaurentPoly._from_checked(terms)
 
     def __neg__(self):
-        return LaurentPoly._from_checked({e: _golden(-x.a, -x.b) for e, x in self._terms.items()})
+        return LaurentPoly._from_checked({e: (-a, -b) for e, (a, b) in self._terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -344,10 +333,8 @@ class LaurentPoly(_Ring):
         if len(xs) > len(ys):
             xs, ys = ys, xs
         acc: dict[int, tuple] = {}
-        for e1, x in xs.items():
-            a, b = x.a, x.b
-            for e2, y in ys.items():
-                c, d = y.a, y.b
+        for e1, (a, b) in xs.items():
+            for e2, (c, d) in ys.items():
                 bd = b * d
                 e = e1 + e2
                 p = acc.get(e)
@@ -355,16 +342,14 @@ class LaurentPoly(_Ring):
                     acc[e] = (a * c + bd, a * d + b * c + bd)
                 else:
                     acc[e] = (p[0] + a * c + bd, p[1] + a * d + b * c + bd)
-        return LaurentPoly._from_checked({e: _golden(a, b) for e, (a, b) in acc.items() if a or b})
+        return LaurentPoly._from_checked({e: _pair(a, b) for e, (a, b) in acc.items() if a or b})
 
     __rmul__ = __mul__
 
     def _over(self, w: GoldenScalar) -> "LaurentPoly":
         """Each coefficient divided by the nonzero golden scalar w, as x * conj(w) / N(w) on the pairs."""
         c, d, n = w.a + w.b, -w.b, w.norm()
-        return LaurentPoly._from_checked(
-            {e: _golden(*_times_over(x.a, x.b, c, d, n)) for e, x in self._terms.items()}
-        )
+        return LaurentPoly._from_checked({e: _times_over(a, b, c, d, n) for e, (a, b) in self._terms.items()})
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -386,10 +371,10 @@ class LaurentPoly(_Ring):
         if other.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
         lead_exp = other.max_exp
-        lead = other._terms[lead_exp]
-        c, d, n = lead.a + lead.b, -lead.b, lead.norm()  # dividing by lead is x * conj(lead) / N(lead)
-        divisor = [(e, y.a, y.b) for e, y in other._terms.items()]
-        rem = {e: (x.a, x.b) for e, x in self._terms.items()}
+        la, lb = other._terms[lead_exp]
+        c, d, n = la + lb, -lb, la * la + la * lb - lb * lb  # dividing by the lead is x * conj(lead) / N(lead)
+        divisor = [(e, ya, yb) for e, (ya, yb) in other._terms.items()]
+        rem = dict(self._terms)
         floor = min(rem, default=0) + lead_exp - other.min_exp
         quo: dict[int, tuple] = {}
         while rem and max(rem) >= floor:
@@ -408,10 +393,7 @@ class LaurentPoly(_Ring):
                     rem.pop(e, None)
             if top in rem:
                 raise ArithmeticError(f"leading term at degree {top} did not cancel")
-        return (
-            LaurentPoly._from_checked({e: _golden(a, b) for e, (a, b) in quo.items()}),
-            LaurentPoly._from_checked({e: _golden(a, b) for e, (a, b) in rem.items()}),
-        )
+        return LaurentPoly._from_checked(quo), LaurentPoly._from_checked({e: _pair(a, b) for e, (a, b) in rem.items()})
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly | None":
         """self / other when the division is exact, else None."""
@@ -471,20 +453,21 @@ def to_delta(p: LaurentPoly) -> LaurentPoly:
     True
     """
     rem = dict(p._terms)
-    out: dict[int, GoldenScalar] = {}
+    out: dict[int, tuple] = {}
     while rem:
         top = max(rem)
         if top < 0:
             raise ValueError(f"{p} is not symmetric under v -> 1/v")
-        c = out[top] = rem[top]
+        c, d = out[top] = rem[top]
         for i in range(top + 1):  # delta^top = sum over i of C(top, i) v^(top - 2i)
-            e = top - 2 * i
-            val = rem.get(e, G_ZERO) - c * comb(top, i)
-            if val.is_zero():
-                rem.pop(e, None)
+            e, k = top - 2 * i, comb(top, i)
+            a, b = rem.get(e, (0, 0))
+            a, b = a - c * k, b - d * k
+            if a or b:
+                rem[e] = _pair(a, b)
             else:
-                rem[e] = val
-    return LaurentPoly(out)
+                rem.pop(e, None)
+    return LaurentPoly._from_checked(out)
 
 
 def from_delta(q: LaurentPoly) -> LaurentPoly:

@@ -284,6 +284,8 @@ def random_matching(rng, points: list) -> list[tuple]:
 
 def random_tangle(rng, n_top: int, n_bottom: int, max_dec: int = 2, n_loops: int = 0) -> "DecoratedTangle":
     """A random valid decorated tangle, for property tests."""
+    if any(type(x) is not int for x in (n_top, n_bottom, max_dec, n_loops)):  # no bools
+        raise ValueError(f"tangle sizes must be integers, got {n_top!r}, {n_bottom!r}, {max_dec!r}, {n_loops!r}")
     if (n_top + n_bottom) % 2:
         raise ValueError(f"odd boundary ({n_top} + {n_bottom}) admits no tangle")
     size = n_top + n_bottom

@@ -442,6 +442,10 @@ def test_evaluate_word_errors():
         evaluate_word(["U3"], 3)
     assert evaluate_word([], 3) == AlgebraElement.one(3)
     assert evaluate_word(["1", "U1", "1"], 3) == evaluate_word(["U1"], 3)
+    for word in ("11", "", "U1", 5, None, iter(["U1"])):  # a string is not read as a list of one-character tokens
+        with pytest.raises(ValueError, match="^evaluate_word needs a list of tokens, got "):
+            evaluate_word(word, 3)
+    assert evaluate_word(("U1",), 3) == evaluate_word(["U1"], 3)
 
 
 def test_multiply_rejects_mixed_frames():

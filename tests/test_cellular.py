@@ -163,6 +163,17 @@ def test_combine_cell_terms_rejects_coefficients_that_are_not_a_dict(coefficient
         combine_cell_terms(3, coefficients)
 
 
+@pytest.mark.parametrize(
+    "coefficients",
+    [{5: 1}, {(CellLabel("zero"), HalfDiagram(3)): 1}, {(CellLabel("zero"), HalfDiagram(3), HalfDiagram(3)): "x"}],
+)
+def test_combine_cell_terms_rejects_a_key_that_is_not_a_triple_or_a_coefficient_that_is_no_scalar(coefficients):
+    with pytest.raises(ValueError, match="^combine_cell_terms needs \\(label, half, half\\) keys and scalars"):
+        combine_cell_terms(3, coefficients)
+    with pytest.raises(ValueError, match="^a cell element needs a CellLabel and two HalfDiagrams"):
+        combine_cell_terms(3, {(5, HalfDiagram(3), HalfDiagram(3)): 1})  # a triple's entries are the cell element's
+
+
 def test_cell_expansion_is_dual_to_cell_element():
     for n in (2, 3):
         for label in lambda_poset(n):
@@ -542,28 +553,26 @@ def test_a_single_layer_call_does_not_inherit_its_sibling_fault(capsys, monkeypa
 
 def test_gram_det_builds_no_rational_scalar(monkeypatch):
     # every Bareiss quotient lies in Z[phi][delta], so the n = 4 determinants never leave the integers;
-    # scalars come from the public constructor and from the ring kernel's own, and both are counted
+    # a coordinate becomes a Fraction only in a division (_quotient), and a scalar only in the public
+    # constructor, so both are counted
     forms = [cached_form(label, 4) for label in lambda_poset(4)]
-    original, kernel = GoldenScalar.__post_init__, tlh.ring._golden
-    built: dict = {"public": [], "kernel": []}
-
-    def integral(scalar):
-        return type(scalar.a) is int and type(scalar.b) is int
+    original, quotient = GoldenScalar.__post_init__, tlh.ring._quotient
+    built: dict = {"public": [], "quotient": []}
 
     def counted(scalar):
         original(scalar)
-        built["public"].append(integral(scalar))
+        built["public"].append(type(scalar.a) is int and type(scalar.b) is int)
 
-    def counted_kernel(a, b):
-        scalar = kernel(a, b)
-        built["kernel"].append(integral(scalar))
-        return scalar
+    def counted_quotient(c, n):
+        q = quotient(c, n)
+        built["quotient"].append(type(q) is int)
+        return q
 
     monkeypatch.setattr(GoldenScalar, "__post_init__", counted)
-    monkeypatch.setattr(tlh.ring, "_golden", counted_kernel)
-    for form in forms:
-        gram_det(form)
+    monkeypatch.setattr(tlh.ring, "_quotient", counted_quotient)
+    dets = [gram_det(form) for form in forms]
     assert all(built.values()) and all(all(flags) for flags in built.values())
+    assert all(type(a) is int and type(b) is int for det in dets for a, b in det._terms.values())
 
 
 def test_gram_matrix_expands_no_term_below_the_layer(monkeypatch):
@@ -954,6 +963,49 @@ def test_branching_frozen_reports():
 def test_branching_rejects_a_label_outside_the_poset():
     with pytest.raises(ValueError, match="label mid is not in the rank-4 poset"):
         branching_report(CellLabel("middle", 2), 4)
+
+
+@pytest.mark.parametrize("n", ["x", 3.0, True, None])
+def test_branching_rejects_a_rank_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match=f"^rank must be an integer, got {n!r}$"):
+        branching_report(CellLabel("plain", 1), n)
+
+
+# Fault injection: the east-point rule's own checks, which no layer of a real
+# rank triggers, each see a tableau list or a block list made wrong on purpose.
+
+
+def test_branching_reports_a_decorated_east_cap_under_propagating_edges(monkeypatch):
+    label = CellLabel("plain", 1)
+    tabs = tableaux(label, 3)
+    trapped = HalfDiagram._from_checked(4, ((3, 4, 1),), (1, 2))  # 3-4 decorated, with 1 and 2 free
+    monkeypatch.setattr(tlh.cellular, "tableaux", lambda lab, n: tabs[:-1] + (trapped,))
+    problems: list = []
+    _restricted_blocks(label, 3, problems)
+    assert problems == ["decorated east cap under propagating edges in 3-4*"]
+
+
+def test_branching_reports_an_inadmissible_image_other_than_the_figure_four(monkeypatch):
+    monkeypatch.setattr(HalfDiagram, "figure_four", classmethod(lambda cls, m, k: cls(m)))
+    problems: list = []
+    _restricted_blocks(CellLabel("plain", 2), 4, problems)
+    assert problems == ["unexpected inadmissible east-capped image 1-2"]
+
+
+def test_branching_reports_a_wrong_trivial_top_count(monkeypatch):
+    label = CellLabel("plain", 2)
+    tabs = tableaux(label, 4)
+    monkeypatch.setattr(tlh.cellular, "tableaux", lambda lab, n: tabs + tabs)
+    problems: list = []
+    _restricted_blocks(label, 4, problems)
+    assert problems == ["2 trivial-top elements instead of 1"]
+
+
+def test_branching_reports_a_basis_of_the_wrong_size(monkeypatch):
+    blocks = tlh.cellular._restricted_blocks
+    monkeypatch.setattr(tlh.cellular, "_restricted_blocks", lambda *args: blocks(*args)[:-1])  # no trivial top
+    report = branching_report(CellLabel("plain", 1), 3)
+    assert report["problems"] == ["new basis has 2 vectors for a layer of dimension 3"]
 
 
 def _unit(idx: int) -> tuple:

@@ -170,10 +170,10 @@ def divmod_by_reference(f: LaurentPoly, g: LaurentPoly) -> tuple[LaurentPoly, La
     if f.is_zero():
         return LaurentPoly.zero(), LaurentPoly.zero()
     sf, sg = f.min_exp, g.min_exp
-    G = {e - sg: c for e, c in g._terms.items()}
+    G = {e - sg: c for e, c in g.items()}
     deg_g = max(G)
     lead_inv = G[deg_g].inverse()
-    rem = {e - sf: c for e, c in f._terms.items()}
+    rem = {e - sf: c for e, c in f.items()}
     quo: dict[int, GoldenScalar] = {}
     while rem and max(rem) >= deg_g:
         top = max(rem)
@@ -297,8 +297,8 @@ def test_divmod_by_property(f, g):
 def test_operators_build_what_the_public_constructor_builds_property(f, g, h):
     # the operators skip the constructor's coercion; their results must be the ones it would build
     for p in (f + g, f * g, -f, f - g, f + (-f), (f * g) - (g * f), *f.divmod_by(h)):
-        assert p == LaurentPoly(dict(p._terms))
-        assert all(not c.is_zero() for c in p._terms.values())
+        assert p == LaurentPoly(dict(p.items()))
+        assert all(a or b for a, b in p._terms.values())
 
 
 @properties
@@ -415,9 +415,9 @@ def inverse_reference(y: GoldenScalar) -> GoldenScalar:
     return GoldenScalar(Fraction(conj.a, 1) / n, Fraction(conj.b, 1) / n)
 
 
-def is_normal(x: GoldenScalar) -> bool:
+def is_normal(*coords) -> bool:
     """Each coordinate is an int exactly when it is integral."""
-    return all((type(c) is int) == (Fraction(c).denominator == 1) for c in (x.a, x.b))
+    return all((type(c) is int) == (Fraction(c).denominator == 1) for c in coords)
 
 
 any_golden = st.one_of(golden, rational_golden)
@@ -427,11 +427,11 @@ any_golden = st.one_of(golden, rational_golden)
 @given(any_golden, any_golden.filter(bool))
 def test_division_matches_multiplying_by_the_inverse_property(x, y):
     q = x / y
-    assert q == x * inverse_reference(y) and is_normal(q)
+    assert q == x * inverse_reference(y) and is_normal(q.a, q.b)
     assert q * y == x
     exact = (x * y) / y  # an exact quotient keeps x's coordinates, ints included
-    assert exact == x and is_normal(exact)
-    assert y.inverse() == inverse_reference(y) and is_normal(y.inverse())
+    assert exact == x and is_normal(exact.a, exact.b)
+    assert y.inverse() == inverse_reference(y) and is_normal(y.inverse().a, y.inverse().b)
     for k in (1, -3, Fraction(2, 7)):
         assert x / k == x * inverse_reference(GoldenScalar(k, 0))
 
@@ -445,15 +445,15 @@ def test_division_by_zero_keeps_its_message():
         G_ZERO.inverse()
 
 
-# The ring kernel: LaurentPoly's operators work on integer coordinate pairs and
-# build each coefficient once.  The earlier operators, which sum and multiply
-# GoldenScalar values through the public constructor, are its oracles.
+# The ring kernel: a LaurentPoly stores coordinate pairs and its operators
+# compute on them.  The earlier operators, which sum and multiply GoldenScalar
+# values through the public constructor, are its oracles.
 
 
 def add_reference(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """The earlier LaurentPoly.__add__: GoldenScalar sums per exponent."""
-    terms = dict(f._terms)
-    for e, c in g._terms.items():
+    terms = dict(f.items())
+    for e, c in g.items():
         terms[e] = terms.get(e, G_ZERO) + c
     return LaurentPoly(terms)
 
@@ -461,25 +461,25 @@ def add_reference(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 def mul_reference(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """The earlier LaurentPoly.__mul__: GoldenScalar products summed per exponent."""
     terms: dict[int, GoldenScalar] = {}
-    for e1, c1 in f._terms.items():
-        for e2, c2 in g._terms.items():
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
             terms[e1 + e2] = terms.get(e1 + e2, G_ZERO) + c1 * c2
     return LaurentPoly(terms)
 
 
 def neg_reference(f: LaurentPoly) -> LaurentPoly:
     """The earlier LaurentPoly.__neg__."""
-    return LaurentPoly({e: -c for e, c in f._terms.items()})
+    return LaurentPoly({e: -c for e, c in f.items()})
+
+
+def stored_normally(p: LaurentPoly) -> bool:
+    """Every stored coefficient is a nonzero coordinate pair, each coordinate an int exactly when integral."""
+    return all(type(x) is tuple and len(x) == 2 and any(x) and is_normal(*x) for x in p._terms.values())
 
 
 def same(got: LaurentPoly, want: LaurentPoly) -> bool:
-    """Equal, with the same JSON, no zero coefficient and every coordinate an int exactly when integral."""
-    coeffs = got._terms.values()
-    return (
-        got == want
-        and got.to_json() == want.to_json()
-        and all(not c.is_zero() and is_normal(c) for c in coeffs)
-    )
+    """Equal, with the same JSON, and stored normally."""
+    return got == want and got.to_json() == want.to_json() and stored_normally(got)
 
 
 any_laurent = st.one_of(laurent, rational_laurent)
@@ -496,7 +496,7 @@ def test_kernel_matches_the_golden_scalar_reference_property(f, g, k, w):
     assert same(f * f, mul_reference(f, f)) and same((f + g) * (f - g), mul_reference(f + g, f - g))
     for zero in (f + (-f), f - f, f * g + (-(g * f)), f * g - g * f):  # every coefficient cancels
         assert same(zero, LaurentPoly.zero())
-    assert same(f._over(w), LaurentPoly({e: c / w for e, c in f._terms.items()}))
+    assert same(f._over(w), LaurentPoly({e: c / w for e, c in f.items()}))
 
 
 def test_kernel_drops_what_cancels_and_returns_integral_fractions_as_ints():
@@ -509,7 +509,32 @@ def test_kernel_drops_what_cancels_and_returns_integral_fractions_as_ints():
     assert product.to_json() == [[-1, 1, -1], [0, 3, -3], [1, 2, -2]]
     third = LaurentPoly.const(GoldenScalar(Fraction(1, 3), Fraction(2, 3)))
     for p in (product, third * 3, 3 * third, third + third + third, third * LaurentPoly.const(3)):
-        assert all(type(c.a) is int and type(c.b) is int for c in p._terms.values())
+        assert all(type(a) is int and type(b) is int for a, b in p._terms.values())
     assert (third * 3).to_json() == [[0, 1, 2]]
     q, r = LaurentPoly({1: GoldenScalar(5, 0), 0: 5}).divmod_by(LaurentPoly.const(GoldenScalar(1, -2)))
     assert q.to_json() == [[0, 1, -2], [1, 1, -2]] and r.is_zero()  # (1 - 2phi)^2 = 5
+
+
+@properties
+@given(any_laurent, any_laurent, any_laurent.filter(bool), any_golden.filter(bool))
+def test_kernel_stores_pairs_and_builds_no_scalar_property(f, g, h, w):
+    symmetric = f + flip(f)
+    post_init, built = GoldenScalar.__post_init__, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GoldenScalar, "__post_init__", lambda x: built.append(x) or post_init(x))
+        results = [f + g, f - g, f * g, -f, f._over(w), *f.divmod_by(h), to_delta(symmetric)]
+    assert built == [] and all(stored_normally(p) for p in results)
+
+
+def test_divmod_by_raises_when_a_leading_term_does_not_cancel(monkeypatch):
+    # one quotient term off by one leaves the top term in place, and the check must see it
+    times_over, calls = tlh.ring._times_over, []
+
+    def off_once(*args):
+        a, b = times_over(*args)
+        calls.append(args)
+        return (a + 1, b) if len(calls) == 1 else (a, b)
+
+    monkeypatch.setattr(tlh.ring, "_times_over", off_once)
+    with pytest.raises(ArithmeticError, match="^leading term at degree 2 did not cancel$"):
+        LaurentPoly({2: 3, 0: 1}).divmod_by(LaurentPoly.delta())

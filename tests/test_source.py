@@ -6,6 +6,7 @@ import importlib
 import inspect
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import types
@@ -151,6 +152,46 @@ def test_every_exported_function_rejects_a_wrong_first_argument_with_value_error
             pass
         except Exception as exc:
             escaped.append(f"{name}: {type(exc).__name__}: {exc}")
+    assert escaped == []
+
+
+def test_every_exported_function_rejects_a_wrong_later_argument_with_value_error():
+    # each entry is a valid call; "x" in each later positional place, and as each keyword-only argument,
+    # must raise ValueError, and a function exported with a later argument but no entry fails here
+    label, u1 = tlh.CellLabel("plain", 1), AlgebraElement.from_diagram(generator_U(1, 3))
+    half = tlh.tableaux(label, 2)[0]
+    calls = {
+        "branching_report": (label, 3),
+        "cell_action_matrix": (u1, label),
+        "cell_element": (label, half, half),
+        "combine_cell_terms": (3, {}),
+        "enumerate_half": (3, 1),
+        "evaluate_word": (["U1"], 3),
+        "generator_U": (1, 3),
+        "gram_matrix": (label, 2),
+        "multiply": (u1, u1),
+        "random_tangle": (random.Random(0), 2, 2, 2, 0),
+        "tableaux": (label, 2),
+        "verify_associativity": (2, 1),
+    }
+    functions = [name for name in tlh.__all__ if inspect.isfunction(getattr(tlh, name))]
+    signatures = {name: inspect.signature(getattr(tlh, name)) for name in functions}
+    assert {name for name, sig in signatures.items() if len(sig.parameters) > 1} == calls.keys()
+    escaped = []
+    for name, args in calls.items():
+        function, params = getattr(tlh, name), signatures[name].parameters.values()
+        function(*args)
+        assert len(args) == sum(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+        trials = [(args[:i] + ("x",) + args[i + 1 :], {}) for i in range(1, len(args))]
+        trials += [(args, {p.name: "x"}) for p in params if p.kind is p.KEYWORD_ONLY]
+        for trial_args, kwargs in trials:
+            try:
+                function(*trial_args, **kwargs)
+                escaped.append(f"{name}{trial_args[1:]}{kwargs}: returned")
+            except ValueError:
+                pass
+            except Exception as exc:
+                escaped.append(f"{name}{trial_args[1:]}{kwargs}: {type(exc).__name__}: {exc}")
     assert escaped == []
 
 
