@@ -24,7 +24,7 @@ from math import comb
 
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
 from tlh.ring import LaurentPoly, fib_pair, to_delta
-from tlh.tangle import DecoratedTangle, _refs, random_tangle
+from tlh.tangle import DecoratedTangle, _arg, _refs, random_tangle
 
 
 _ONE = LaurentPoly.one()  # shared: a LaurentPoly is never changed in place
@@ -41,8 +41,7 @@ def normal_form(t: DecoratedTangle) -> list:
     they are not checked for basis membership.  An already reduced tangle
     comes back as itself.
     """
-    if type(t) is not DecoratedTangle:
-        raise ValueError(f"normal_form needs a DecoratedTangle, got {t!r}")
+    _arg(t, (DecoratedTangle,), "normal_form needs a DecoratedTangle")
     partner, dec = t.partner, t.dec
     if not t.loops and max(dec, default=0) < 2:
         return [(t, _ONE)]
@@ -264,9 +263,7 @@ class AlgebraElement:
 
 def reduce_tangle(t: DecoratedTangle) -> AlgebraElement:
     """Fully reduce a square tangle to an element of the diagram algebra."""
-    if type(t) is not DecoratedTangle:
-        raise ValueError(f"reduce_tangle needs a DecoratedTangle, got {t!r}")
-    if not t.is_square:
+    if not _arg(t, (DecoratedTangle,), "reduce_tangle needs a DecoratedTangle").is_square:
         raise ValueError(f"cannot reduce a non-square tangle ({t.n_top} by {t.n_bottom})")
     _check_strands(t.n_top)
     terms: dict[Diagram, LaurentPoly] = {}
@@ -325,8 +322,7 @@ def special_elements(m: int) -> dict:
 def evaluate_word(tokens, m: int) -> AlgebraElement:
     """The product of generator tokens '1', 'U3', 'alpha', 'beta', 'epsilon', 'zeta': one product per token
     from the identity, with a table local to the call that builds each distinct token's factor once."""
-    if type(tokens) not in (list, tuple):  # a string is not read as one-character tokens
-        raise ValueError(f"evaluate_word needs a list of tokens, got {tokens!r}")
+    _arg(tokens, (list, tuple), "evaluate_word needs a list of tokens")  # a string is not read as one-character tokens
     acc, factors = AlgebraElement.one(m), {}
     for tok in tokens:
         if not isinstance(tok, str):
@@ -383,8 +379,7 @@ def verify_associativity(m: int, seed: int) -> list:
 
     All basis triples up to 3 strands, else 1200 seeded ones; then 1200 seeded random tangles.
     """
-    if type(seed) is not int:  # no bools
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    _arg(seed, (int,), "seed must be an integer")
     problems = []
     elements = [AlgebraElement.from_diagram(d) for d in enumerate_diagrams(m)]
     if m <= 3:

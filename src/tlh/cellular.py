@@ -37,6 +37,7 @@ import dataclasses
 from tlh.algebra import AlgebraElement
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, enumerate_half, generator_U
 from tlh.ring import G_ONE, G_ZERO, GAMMA1, GAMMA2, LaurentPoly, from_delta, to_delta
+from tlh.tangle import _arg
 
 #: Frame pairs gram_matrix re-checks above rank 4, where checking all is slow.
 FRAME_CHECKS = 12
@@ -69,8 +70,7 @@ class CellLabel:
     def __post_init__(self):
         if self.kind not in ("zero", "plain", "bullet", "middle"):
             raise ValueError(f"unknown label kind {self.kind!r}")
-        if type(self.k) is not int:  # no bools
-            raise ValueError(f"cap count must be an integer, got {self.k!r}")
+        _arg(self.k, (int,), "cap count must be an integer")
         if (self.kind == "zero") != (self.k == 0) or self.k < 0:
             raise ValueError(f"label kind {self.kind!r} cannot have cap count {self.k}")
         object.__setattr__(self, "_hash", hash((self.kind, self.k)))
@@ -109,9 +109,7 @@ def _stratum(m: int, k: int) -> tuple:
 
 def lambda_poset(n: int) -> tuple:
     """All cell labels at rank n: zero, plain/bullet pairs, middle when n is odd."""
-    if type(n) is not int:  # no bools
-        raise ValueError(f"rank must be an integer, got {n!r}")
-    if n < 2:
+    if _arg(n, (int,), "rank must be an integer") < 2:
         raise ValueError(f"the cell poset needs rank at least 2, got {n}")
     return tuple(label for k in range((n + 1) // 2 + 1) for label in _stratum(n + 1, k))
 
@@ -154,8 +152,7 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
     1 - gamma for B by the sibling table.  Each nonzero sibling key is then
     divided by its D once; zero and middle keys have D = 1.
     """
-    if type(x) is not AlgebraElement:
-        raise ValueError(f"expand_in_cell_basis needs an AlgebraElement, got {x!r}")
+    _arg(x, (AlgebraElement,), "expand_in_cell_basis needs an AlgebraElement")
     scaled: dict = {}
     strata: dict = {}  # cap count -> layers, for this call
     for d, coeff in x.items():
@@ -177,8 +174,7 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
 
 def combine_cell_terms(m: int, coefficients: dict) -> AlgebraElement:
     """Re-sum a cell-basis coefficient map into an algebra element."""
-    if type(coefficients) is not dict:
-        raise ValueError(f"combine_cell_terms needs a dict of cell coefficients, got {coefficients!r}")
+    _arg(coefficients, (dict,), "combine_cell_terms needs a dict of cell coefficients")
     total = AlgebraElement.zero(m)
     for key, c in coefficients.items():
         if type(key) is not tuple or len(key) != 3 or LaurentPoly._coerce(c) is None:
@@ -318,8 +314,7 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
     """
     if type(a) is not AlgebraElement or type(label) is not CellLabel:
         raise ValueError(f"cell_action_matrix needs an AlgebraElement and a CellLabel, got {a!r} and {label!r}")
-    if type(check_all_T) is not bool:
-        raise ValueError(f"check_all_T must be a bool, got {check_all_T!r}")
+    _arg(check_all_T, (bool,), "check_all_T must be a bool")
     tabs = tableaux(label, a.m - 1)
     index = {h: i for i, h in enumerate(tabs)}
 
@@ -355,9 +350,7 @@ def gram_matrix(label: CellLabel, n: int, *, forms: dict | None = None) -> RingM
     them, to their later calls, which take them out from there.
     """
     tableaux(label, n)  # the label must lie in the rank-n poset
-    forms = {} if forms is None else forms
-    if type(forms) is not dict:
-        raise ValueError(f"gram_matrix needs a dict of forms, got {forms!r}")
+    forms = {} if forms is None else _arg(forms, (dict,), "gram_matrix needs a dict of forms")
     if (label, n) not in forms:
         forms.update(((layer, n), f) for layer, f in _stratum_forms(_stratum(n + 1, label.k), n).items())
     form = forms.pop((label, n))
@@ -405,8 +398,7 @@ def gram_det(form: RingMatrix) -> LaurentPoly:
 
     Raises ValueError if an entry is not fixed by v -> 1/v.
     """
-    if type(form) is not RingMatrix:
-        raise ValueError(f"gram_det needs a RingMatrix, got {form!r}")
+    _arg(form, (RingMatrix,), "gram_det needs a RingMatrix")
     return from_delta(RingMatrix([[to_delta(g) for g in row] for row in form.rows]).det())
 
 
@@ -631,9 +623,7 @@ def branching_report(label: CellLabel, n: int) -> dict:
 
 def _branching_report(label: CellLabel, n: int, actions: dict) -> dict:
     """branching_report with a memo of generator actions shared across layers."""
-    if type(n) is not int:  # no bools
-        raise ValueError(f"rank must be an integer, got {n!r}")
-    if n < 3:
+    if _arg(n, (int,), "rank must be an integer") < 3:
         raise ValueError(f"branching needs rank at least 3, got {n}")
     problems: list = []
     blocks = _restricted_blocks(label, n, problems)

@@ -20,7 +20,7 @@ import dataclasses
 import functools
 from math import comb
 
-from tlh.tangle import DecoratedTangle, _iterable
+from tlh.tangle import DecoratedTangle, _arg, _iterable
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,8 +162,7 @@ class Diagram:
         decorated arc is cut off exactly when another arc is open where it starts.
         A tangle with neither has its faces built with no second check; any other
         goes through the face constructors, which name the fault."""
-        if type(t) is not DecoratedTangle:
-            raise ValueError(f"Diagram.from_tangle needs a DecoratedTangle, got {t!r}")
+        _arg(t, (DecoratedTangle,), "Diagram.from_tangle needs a DecoratedTangle")
         try:
             if not t.is_square:
                 raise ValueError(f"not square: {t.n_top} north, {t.n_bottom} south nodes")
@@ -197,7 +196,7 @@ class Diagram:
                     raise ValueError("propagating edges do not join the free nodes in order")
                 if any(r for _, _, r in props[1:]):
                     raise ValueError("a propagating edge east of the westmost one is decorated")
-            else:  # planar and west-exposed: no second check; free points from lists, as in concat
+            else:  # planar and west-exposed: no second check; free points are the propagating edges' ends
                 north = HalfDiagram._from_checked(m, tuple(north), tuple([x for x, _, _ in props]))
                 south = HalfDiagram._from_checked(m, tuple(sorted(south)), tuple([y for _, y, _ in props]))
             d = cls(north, south, bool(props) and props[0][2] == 1)
@@ -290,10 +289,8 @@ def _faces(points: tuple, k: int, exposed: bool):
 
 def enumerate_generalized_half(m: int, k: int) -> tuple:
     """All k-cap faces with any west-exposed decoration pattern; count C(m, k)."""
-    for name, x in (("strand", m), ("cap", k)):
-        if type(x) is not int:  # no bools
-            raise ValueError(f"{name} count must be an integer, got {x!r}")
-    if k < 0 or 2 * k > m:
+    _arg(m, (int,), "strand count must be an integer")
+    if _arg(k, (int,), "cap count must be an integer") < 0 or 2 * k > m:
         return ()
     out = [HalfDiagram(m, pairs) for pairs in _faces(tuple(range(1, m + 1)), k, True)]
     if len(out) != comb(m, k):
@@ -312,9 +309,7 @@ def enumerate_half(m: int, k: int) -> tuple:
 
 def enumerate_diagrams(m: int) -> list:
     """All basis diagrams on m strands, in a fixed canonical order."""
-    if type(m) is not int:  # no bools
-        raise ValueError(f"strand count must be an integer, got {m!r}")
-    if m < 1:
+    if _arg(m, (int,), "strand count must be an integer") < 1:
         raise ValueError(f"strand count must be positive, got {m}")
     out = []
     for k in range(0, m // 2 + 1):

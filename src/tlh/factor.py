@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from tlh.algebra import AlgebraElement, evaluate_word
 from tlh.diagram import Diagram, HalfDiagram, generator_U
+from tlh.tangle import _arg
 
 
 class FactorizationError(Exception):
@@ -142,8 +143,7 @@ def _seed_word(k: int, r: int, north_free: bool, south_free: bool, bullet: bool)
 
 def factorize(d: Diagram) -> list:
     """A generator word evaluating exactly to the given basis diagram."""
-    if type(d) is not Diagram:
-        raise ValueError(f"factorize needs a Diagram, got {d!r}")
+    _arg(d, (Diagram,), "factorize needs a Diagram")
     word: list = []
     if d.k == 1 and d == generator_U(d.north.pairs[0][0], d.m):  # the only candidate generator
         word = [f"U{d.north.pairs[0][0]}"]

@@ -29,6 +29,8 @@ import dataclasses
 from fractions import Fraction
 from math import comb
 
+from tlh.tangle import _arg
+
 
 def _norm_coord(c):
     """Collapse denominator-1 fractions back to int; anything but an int or a Fraction raises."""
@@ -203,9 +205,7 @@ def fib_pair(r: int) -> tuple[int, int]:
     >>> [fib_pair(r) for r in range(4)]
     [(1, 0), (0, 1), (1, 1), (1, 2)]
     """
-    if type(r) is not int:  # no bools
-        raise ValueError(f"decoration count must be an integer, got {r!r}")
-    if r < 0:
+    if _arg(r, (int,), "decoration count must be an integer") < 0:
         raise ValueError(f"decoration count must be nonnegative, got {r}")
     a, b = 1, 0
     for _ in range(r):
@@ -366,8 +366,12 @@ class LaurentPoly(_Ring):
         exponents, so self == q * other + r with r supported in
         [self.min_exp, self.min_exp + span(other)).  Each quotient term is
         one golden division by the leading coefficient, so an exact quotient
-        with coefficients in Z[phi] never leaves it.
+        with coefficients in Z[phi] never leaves it.  A scalar divisor is
+        the constant polynomial.
         """
+        other, given = self._coerce(other), other
+        if other is None:
+            raise ValueError(f"cannot divide a Laurent polynomial by {given!r}")
         if other.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
         lead_exp = other.max_exp
@@ -426,16 +430,11 @@ class LaurentPoly(_Ring):
 
     @classmethod
     def from_json(cls, obj) -> "LaurentPoly":
-        if not isinstance(obj, list):
-            raise ValueError(f"laurent polynomial must be a list of triples, got {obj!r}")
-        terms = {}
-        last = None
-        for t in obj:
+        terms, last = {}, None
+        for t in _arg(obj, (list,), "laurent polynomial must be a list of triples"):
             if not isinstance(t, list) or len(t) != 3:
                 raise ValueError(f"bad laurent term {t!r}")
-            e = t[0]
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise ValueError(f"laurent exponent must be an integer, got {e!r}")
+            e = _arg(t[0], (int,), "laurent exponent must be an integer")
             if last is not None and e <= last:
                 raise ValueError("laurent exponents must be strictly increasing")
             last = e

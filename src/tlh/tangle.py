@@ -30,7 +30,7 @@ class NodeRef(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "NodeRef":
-        if len(text) >= 2 and text[0] in "NS" and text[1:].isascii() and text[1:].isdigit():
+        if isinstance(text, str) and len(text) >= 2 and text[0] in "NS" and text[1:].isascii() and text[1:].isdigit():
             return cls(text[0], int(text[1:]))
         raise ValueError(f"bad node reference {text!r} (expected e.g. 'N3' or 'S1')")
 
@@ -43,6 +43,13 @@ def _iterable(name: str, value):
     if not hasattr(value, "__iter__"):
         raise ValueError(f"{name} must be iterable, got {value!r}")
     return value
+
+
+def _arg(x, kinds: tuple, what: str):
+    """x itself if its exact type is one of kinds, so an int is never a bool; else ValueError "{what}, got {x!r}"."""
+    if type(x) not in kinds:
+        raise ValueError(f"{what}, got {x!r}")
+    return x
 
 
 @dataclasses.dataclass(frozen=True, slots=True, init=False)
@@ -286,6 +293,9 @@ def random_tangle(rng, n_top: int, n_bottom: int, max_dec: int = 2, n_loops: int
     """A random valid decorated tangle, for property tests."""
     if any(type(x) is not int for x in (n_top, n_bottom, max_dec, n_loops)):  # no bools
         raise ValueError(f"tangle sizes must be integers, got {n_top!r}, {n_bottom!r}, {max_dec!r}, {n_loops!r}")
+    for name, x in (("max_dec", max_dec), ("n_loops", n_loops)):
+        if x < 0:
+            raise ValueError(f"{name} must be nonnegative, got {x}")
     if (n_top + n_bottom) % 2:
         raise ValueError(f"odd boundary ({n_top} + {n_bottom}) admits no tangle")
     size = n_top + n_bottom

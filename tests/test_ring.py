@@ -526,6 +526,20 @@ def test_kernel_stores_pairs_and_builds_no_scalar_property(f, g, h, w):
     assert built == [] and all(stored_normally(p) for p in results)
 
 
+def test_divmod_by_takes_a_scalar_divisor_and_rejects_anything_else():
+    # the divisor is coerced as the operand of * and - is: a scalar is a constant polynomial
+    f = LaurentPoly({1: 4, -1: GoldenScalar(2, 6)})
+    assert f.divmod_by(2) == (LaurentPoly({1: 2, -1: GoldenScalar(1, 3)}), 0)
+    assert LaurentPoly.one().divmod_by(2) == (LaurentPoly.const(Fraction(1, 2)), 0)
+    assert f.exact_div(GAMMA2) * GAMMA2 == f and f.exact_div(Fraction(1, 3)) == 3 * f
+    for bad in ("x", None, 1.5, True, [1]):
+        for divide in (f.divmod_by, f.exact_div):
+            with pytest.raises(ValueError, match=f"^cannot divide a Laurent polynomial by {re.escape(repr(bad))}$"):
+                divide(bad)
+    with pytest.raises(ZeroDivisionError):
+        f.divmod_by(0)
+
+
 def test_divmod_by_raises_when_a_leading_term_does_not_cancel(monkeypatch):
     # one quotient term off by one leaves the top term in place, and the check must see it
     times_over, calls = tlh.ring._times_over, []

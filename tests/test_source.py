@@ -195,6 +195,66 @@ def test_every_exported_function_rejects_a_wrong_later_argument_with_value_error
     assert escaped == []
 
 
+def inline_type_checks(tree) -> list:
+    """The functions with an `if type(x) is not T:` (or `not in`) that raises ValueError(f"..., got {x!r}").
+
+    A test joined to a range test under one message (`type(m) is not int or m < 1`) is not one of these.
+    """
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name == "_arg":
+            continue
+        for node in ast.walk(fn):
+            test = getattr(node, "test", None) if isinstance(node, ast.If) else None
+            if not (
+                isinstance(test, ast.Compare) and len(test.ops) == 1 and isinstance(test.ops[0], (ast.IsNot, ast.NotIn))
+                and isinstance(test.left, ast.Call) and getattr(test.left.func, "id", None) == "type"
+                and len(test.left.args) == 1
+            ):
+                continue
+            value = ast.dump(test.left.args[0])
+            for raised in ast.walk(node):
+                call = raised.exc if isinstance(raised, ast.Raise) else None
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "ValueError" and call.args:
+                    parts = call.args[0].values if isinstance(call.args[0], ast.JoinedStr) else []
+                    if (
+                        len(parts) >= 2 and isinstance(parts[-1], ast.FormattedValue)
+                        and parts[-1].conversion == ord("r") and ast.dump(parts[-1].value) == value
+                        and isinstance(parts[-2], ast.Constant) and parts[-2].value.endswith(", got ")
+                    ):
+                        found.append(f"{fn.name}:{node.lineno}")
+    return found
+
+
+def test_every_single_value_type_check_goes_through_the_one_helper():
+    # the argument contract (exact type, so an int is never a bool; ValueError "..., got x!r") is stated
+    # once, in tangle._arg; a check naming several values keeps its own message and stays inline
+    definitions = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_arg"
+    ]
+    assert definitions == ["tangle.py:_arg"]
+    found = {
+        path.name: inline_type_checks(ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: sites for name, sites in found.items() if sites} == {}
+    put_back = (
+        "def lambda_poset(n):\n"
+        "    if type(n) is not int:  # no bools\n"
+        "        raise ValueError(f\"rank must be an integer, got {n!r}\")\n"
+        "def evaluate_word(tokens, m):\n"
+        "    if type(tokens) not in (list, tuple):\n"
+        "        raise ValueError(f\"evaluate_word needs a list of tokens, got {tokens!r}\")\n"
+        "def several(a, b):\n"
+        "    if type(a) is not int or type(b) is not int:\n"
+        "        raise ValueError(f\"sizes must be integers, got {a!r}, {b!r}\")\n"
+    )
+    assert inline_type_checks(ast.parse(put_back)) == ["lambda_poset:2", "evaluate_word:5"]
+
+
 def load_benchmark_tracer():
     """perfbench/spans.py as a module, compiled from its text so that nothing is written there."""
     path = ROOT / "perfbench" / "spans.py"

@@ -89,7 +89,8 @@ def test_noderef_parse_and_str():
     assert NodeRef.parse("N3") == N(3)
     assert NodeRef.parse("S12") == S(12)
     assert str(S(1)) == "S1"
-    for bad in ["X3", "N", "3", "Nx", "", "N\u0661", "S\u00b2"]:  # Arabic-Indic one, superscript two
+    not_strings = [5, None, b"N3", ["N", "3"]]
+    for bad in ["X3", "N", "3", "Nx", "", "N\u0661", "S\u00b2", *not_strings]:  # Arabic-Indic one, superscript two
         with pytest.raises(ValueError, match="bad node reference"):
             NodeRef.parse(bad)
 
@@ -544,6 +545,14 @@ def test_random_tangle_always_valid():
         assert validate(t) == []
     with pytest.raises(ValueError):
         random_tangle(rng, 2, 3)
+
+
+def test_random_tangle_rejects_a_negative_decoration_bound_or_loop_count():
+    # a negative loop count returned a loop-free tangle, and a negative max_dec failed inside random
+    for name, args in (("max_dec", (-1, 0)), ("n_loops", (2, -1)), ("max_dec", (-2, -1))):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -[12]$"):
+            random_tangle(random.Random(0), 2, 2, *args)
+    assert random_tangle(random.Random(0), 2, 2, 0, 2).loops == (0, 0)
 
 
 def test_seeded_random_tangles_do_not_depend_on_string_hashing():
