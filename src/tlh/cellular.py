@@ -62,7 +62,7 @@ class IndependenceViolation(Exception):
 
 @dataclasses.dataclass(frozen=True)
 class CellLabel:
-    """A cell layer: kind 'zero', 'plain', 'bullet' or 'middle', with cap count k; its hash is computed once."""
+    """A cell layer: kind 'zero', 'plain', 'bullet' or 'middle', with cap count k."""
 
     kind: str
     k: int = 0
@@ -73,10 +73,6 @@ class CellLabel:
         _arg(self.k, (int,), "cap count must be an integer")
         if (self.kind == "zero") != (self.k == 0) or self.k < 0:
             raise ValueError(f"label kind {self.kind!r} cannot have cap count {self.k}")
-        object.__setattr__(self, "_hash", hash((self.kind, self.k)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def is_below(self, other: "CellLabel") -> bool:
         """Strictly lower in the cell order, which means strictly more caps."""
@@ -154,12 +150,8 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
     """
     _arg(x, (AlgebraElement,), "expand_in_cell_basis needs an AlgebraElement")
     scaled: dict = {}
-    strata: dict = {}  # cap count -> layers, for this call
     for d, coeff in x.items():
-        layers = strata.get(d.k)
-        if layers is None:
-            layers = strata[d.k] = _stratum(d.m, d.k)
-        for label in layers:
+        for label in _stratum(d.m, d.k):
             # a bullet needs 0 < 2k < m, so a bulleted diagram lies on a sibling stratum
             c = coeff * _BULLET_WEIGHTS[label.kind] if d.bullet else coeff
             key = (label, d.north, d.south)

@@ -26,6 +26,7 @@ enters or leaves.  Everything here is immutable and exact: no floats.
 from __future__ import annotations
 
 import dataclasses
+import re
 from fractions import Fraction
 from math import comb
 
@@ -77,12 +78,9 @@ class _Ring:
     def __pow__(self, e: int):
         if type(e) is not int or e < 0:  # no bools
             raise ValueError(f"nonnegative integer power expected, got {e!r}")
-        out, base = self._coerce(1), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
+        out = self._coerce(1)
+        for _ in range(e):
+            out = out * self
         return out
 
 
@@ -101,9 +99,8 @@ class GoldenScalar(_Ring):
     b: object = 0
 
     def __post_init__(self):
-        if type(self.a) is not int or type(self.b) is not int:  # ints, the common case, are kept as they are
-            object.__setattr__(self, "a", _norm_coord(self.a))
-            object.__setattr__(self, "b", _norm_coord(self.b))
+        object.__setattr__(self, "a", _norm_coord(self.a))
+        object.__setattr__(self, "b", _norm_coord(self.b))
 
     @staticmethod
     def _coerce(x) -> "GoldenScalar | None":
@@ -183,7 +180,7 @@ class GoldenScalar(_Ring):
     def from_json(cls, obj) -> "GoldenScalar":
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
             raise ValueError(f"golden scalar must be a pair, got {obj!r}")
-        if any(isinstance(c, bool) or not isinstance(c, (int, str)) for c in obj):
+        if any(type(c) is not int and not (type(c) is str and re.fullmatch("-?[0-9]+(/[0-9]+)?", c)) for c in obj):
             raise ValueError(f"golden coordinates must be integers or 'p/q' strings, got {obj!r}")
         try:
             return cls(*(Fraction(c) if isinstance(c, str) else c for c in obj))
@@ -330,8 +327,6 @@ class LaurentPoly(_Ring):
         if other is None:
             return NotImplemented
         xs, ys = self._terms, other._terms
-        if len(xs) > len(ys):
-            xs, ys = ys, xs
         acc: dict[int, tuple] = {}
         for e1, (a, b) in xs.items():
             for e2, (c, d) in ys.items():

@@ -241,10 +241,10 @@ class DecoratedTangle:
             raise ValueError(f"tangle must be a JSON object, got {type(obj).__name__}")
         try:
             n_top, n_bottom = obj["n_top"], obj["n_bottom"]
-            arcs = frozenset(
+            arcs = [
                 (NodeRef.parse(a["from"]), NodeRef.parse(a["to"]), a.get("dec", 0))
                 for a in obj.get("arcs", [])
-            )
+            ]
             loops = tuple(obj.get("loops", []))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed tangle object: {exc}") from exc
@@ -293,6 +293,8 @@ def random_tangle(rng, n_top: int, n_bottom: int, max_dec: int = 2, n_loops: int
     """A random valid decorated tangle, for property tests."""
     if any(type(x) is not int for x in (n_top, n_bottom, max_dec, n_loops)):  # no bools
         raise ValueError(f"tangle sizes must be integers, got {n_top!r}, {n_bottom!r}, {max_dec!r}, {n_loops!r}")
+    if n_top < 0 or n_bottom < 0:  # before the widths reach the cached _refs
+        raise ValueError(f"negative boundary width: {n_top}, {n_bottom}")
     for name, x in (("max_dec", max_dec), ("n_loops", n_loops)):
         if x < 0:
             raise ValueError(f"{name} must be nonnegative, got {x}")
@@ -308,5 +310,5 @@ def random_tangle(rng, n_top: int, n_bottom: int, max_dec: int = 2, n_loops: int
         if i not in hidden:
             dec[i] = dec[j] = rng.choice([0, 0, 1, 1, rng.randint(0, max_dec)])
     loops = tuple(rng.randint(0, max_dec) for _ in range(n_loops))
-    refs = _refs(n_top, n_bottom)  # the public constructor checks the widths
+    refs = _refs(n_top, n_bottom)
     return DecoratedTangle(n_top, n_bottom, frozenset((refs[i], refs[j], dec[i]) for i, j in pairs), loops)

@@ -513,6 +513,19 @@ def test_associativity_reports_a_corrupted_product(monkeypatch):
     assert all(p.startswith("associativity fails on (") for p in problems)
 
 
+def test_associativity_reports_a_reduction_order_that_changes_the_normal_form(monkeypatch):
+    real, seen = tlh.algebra.normal_form_random, []
+
+    def normal_form_random(t, rng):  # the first random reduction order picks up a stray term
+        stray = {} if seen else {generator_U(1, 2): LaurentPoly.one()}
+        seen.append(t)
+        return {**real(t, rng), **stray}
+
+    monkeypatch.setattr(tlh.algebra, "normal_form_random", normal_form_random)
+    assert verify_associativity(2, 20260825) == [f"reduction order changes the normal form of {seen[0]}"]
+    assert len(seen) == 1200
+
+
 # Property test: elements with rational golden coordinates survive JSON.
 
 coordinate = st.fractions(min_value=-9, max_value=9, max_denominator=5)

@@ -103,7 +103,7 @@ def test_label_parsing_and_order():
         CellLabel.parse("3", 4)
     with pytest.raises(ValueError):
         CellLabel.parse("0b", 4)
-    # the hash is computed once, as the dataclass's hash of the fields, and equal labels share it
+    # the hash is the frozen dataclass's hash of the fields, and equal labels share it
     for label in lambda_poset(7):
         twin = CellLabel(label.kind, label.k)
         assert twin == label and hash(twin) == hash(label) == hash((label.kind, label.k))

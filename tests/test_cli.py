@@ -111,12 +111,16 @@ def test_malformed_operand_json_exits_two(tmp_path, capsys):
         "widths_bool": '{"m": 1, "terms": [{"coeff": [[0, 1, 0]], "diagram": '
         '{"n_top": true, "n_bottom": true, "arcs": [{"from": "N1", "to": "S1", "dec": 0}]}}]}',
     }
+    # an arc listed twice was merged into one
+    malformed["arc_twice"] = element("[[0, 1, 0]]").replace('"arcs": [', '"arcs": [{"from": "N1", "to": "N2", "dec": 1}, ')
     for name, text in malformed.items():
         bad = tmp_path / f"{name}.json"
         bad.write_text(text)
         code, out, err = run(capsys, "multiply", str(bad), str(u1))
         assert code == 2 and out == ""
         assert err.startswith(f"error: {bad}: ")
+    code, out, err = run(capsys, "multiply", str(tmp_path / "arc_twice.json"), str(tmp_path / "arc_twice.json"))
+    assert code == 2 and out == "" and err.endswith(": nodes on more than one arc: N1, N2\n")
 
 
 def test_multiply_usage_errors(capsys):
@@ -320,6 +324,17 @@ def test_asymmetric_form_entry_exits_one(capsys, monkeypatch):
     assert code == 1 and err == ""
     failure = {"kind": "failure", "error": "ValueError", "detail": "v is not symmetric under v -> 1/v"}
     assert records(out) == [failure]
+
+
+def test_a_zero_gram_determinant_is_degenerate_and_exits_one(capsys, monkeypatch):
+    import tlh.cli
+
+    monkeypatch.setattr(tlh.cli, "gram_det", lambda form: LaurentPoly.zero())
+    code, out, err = run(capsys, "gram", "--n", "2", "--format", "structured")
+    assert code == 1 and err == ""
+    assert [(r["label"], r["gram_det"], r["verdict"]) for r in records(out)] == [
+        (label, [], "degenerate") for label in ("0", "1", "1b")
+    ]
 
 
 COMMON_OPTIONS = ("--n", "--cap", "--format", "--out")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,18 @@ def test_planner_invariants_raise():
         _plan_flat(HalfDiagram(4, ((1, 4, 0), (2, 3, 0))))
     with pytest.raises(FactorizationError):
         _seed_word(2, 0, True, False, False)
+
+
+def test_factorize_reports_a_word_that_does_not_evaluate_to_the_diagram(monkeypatch):
+    # the planner's word is checked by evaluation before it is returned: a seed word missing its
+    # last token makes the bulleted U1 shape come out without its bullet
+    import tlh.factor
+
+    real, half = tlh.factor._seed_word, HalfDiagram(3, ((1, 2, 1),))
+    monkeypatch.setattr(tlh.factor, "_seed_word", lambda *args: real(*args)[:-1])
+    d = Diagram(half, half, bullet=True)
+    with pytest.raises(FactorizationError, match=re.escape(f"word U1 evaluates to {evaluate_word(['U1'], 3)}, not to {d}")):
+        factorize(d)
 
 
 basis = functools.cache(enumerate_diagrams)

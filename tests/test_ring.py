@@ -119,7 +119,9 @@ def test_golden_json_round_trip():
     assert GoldenScalar(Fraction(1, 5), 0).to_json() == ["1/5", 0]
     with pytest.raises(ValueError):
         GoldenScalar.from_json([1])
-    for obj in ([1.5, 0], [None, 0], [0, [1]], [True, 0]):
+    # a coordinate string is read only in the form to_json writes
+    for obj in ([1.5, 0], [None, 0], [0, [1]], [True, 0], [" 1", 0], ["1_0", 0], [0, "1.5"], ["1e3", 0], ["x", 0],
+                ["+1", 0], ["1/-2", 0], ["\u0661", 0], ["1\n", 0]):
         with pytest.raises(ValueError, match="integers or 'p/q' strings"):
             GoldenScalar.from_json(obj)
     with pytest.raises(ValueError, match="integers or 'p/q' strings"):

@@ -555,6 +555,15 @@ def test_random_tangle_rejects_a_negative_decoration_bound_or_loop_count():
     assert random_tangle(random.Random(0), 2, 2, 0, 2).loops == (0, 0)
 
 
+def test_random_tangle_rejects_a_negative_width_before_it_reaches_the_node_table():
+    # the widths reached the cached _refs before the constructor rejected them, leaving an entry behind
+    cached = _refs.cache_info().currsize
+    for top, bottom in ((-2, 2), (2, -2), (-1, 3)):
+        with pytest.raises(ValueError, match=f"^negative boundary width: {top}, {bottom}$"):
+            random_tangle(random.Random(0), top, bottom)
+    assert _refs.cache_info().currsize == cached
+
+
 def test_seeded_random_tangles_do_not_depend_on_string_hashing():
     script = (
         "import random\n"
@@ -610,6 +619,9 @@ def test_json_round_trip():
     for field, value in (("n_top", 2.0), ("n_bottom", "2"), ("loops", [0.5]), ("arcs", arcs)):
         with pytest.raises(ValueError, match="must be integers"):
             DecoratedTangle.from_json(blob | {field: value})
+    # an arc listed twice reaches the constructor's duplicate check instead of being merged
+    with pytest.raises(ValueError, match="^nodes on more than one arc: N1, N2$"):
+        DecoratedTangle.from_json(blob | {"arcs": [blob["arcs"][0], *blob["arcs"]]})
 
 
 # Property tests over random tangles: up to three stacked decorations per arc,
