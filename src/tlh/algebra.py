@@ -116,6 +116,8 @@ class AlgebraElement:
 
     def __init__(self, m: int, terms=None):
         _check_strands(m)
+        if not isinstance(terms, (dict, type(None))):
+            raise TypeError(f"terms must be a dict, got {terms!r}")
         clean: dict[Diagram, LaurentPoly] = {}
         for d, c in (terms or {}).items():
             if not isinstance(d, Diagram):
@@ -254,8 +256,9 @@ class AlgebraElement:
         try:
             for entry in obj.get("terms", []):
                 d = Diagram.from_json(entry["diagram"])
-                c = LaurentPoly.from_json(entry["coeff"])
-                terms[d] = terms.get(d, LaurentPoly.zero()) + c
+                if d in terms:
+                    raise ValueError(f"algebra element terms repeat the diagram {d}")
+                terms[d] = LaurentPoly.from_json(entry["coeff"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed algebra element terms: {exc!r}") from exc
         return cls(obj["m"], terms)

@@ -14,20 +14,20 @@ roots of x^2 = x + 1.  Layers are ordered by cap count: more caps means lower.
 The sibling table ``_SIBLINGS`` gives each kind's gamma and ``_D`` its
 D = 1 - 2*gamma.  P has coordinate 1/D and B (1 - gamma)/D on each kind's C,
 so P = C_plain / D_plain + C_bullet / D_bullet; D_plain = gamma2 - gamma1 has
-norm -5, so coefficients move into rational golden scalars.  That is the one
-division in the cell basis: ``expand_in_cell_basis`` sums the integral
-D-scaled coordinates (1 and 1 - gamma) per cell key in Z[phi] and divides each
-sibling key by its D once, in integer arithmetic.  On each layer the
+norm -5.  That is the one division in the cell basis: ``expand_in_cell_basis``
+sums the integral D-scaled coordinates (1 and 1 - gamma) per cell key in
+Z[phi] and divides each sibling key by its D once.  On each layer the
 generators act by matrices that do not depend on the south tableau, and the
 layer carries a bilinear form.  Both are read off products of plain diagrams,
-scaled by D; the sibling layers' cross terms vanish modulo lower layers, so
-one product pass gives a stratum's forms.  The bullet rule -- a * B has
-(1 - gamma) times the layer part of a * P -- checks for leaks between siblings.
-Every form entry is fixed by v -> 1/v, so ``gram_det`` rewrites the form as
-polynomials in delta = [2] = v + v^(-1), half as long, takes the one Bareiss
-determinant there and writes it back in v.  The form's nonvanishing
-determinant for every layer certifies semisimplicity, and its behaviour
-under dropping the eastmost strand gives the branching rules.
+scaled by D (action) or D^2 (form; 5 on both siblings) before the expansion,
+so every division is exact; the sibling layers' cross terms vanish modulo
+lower layers, so one product pass gives a stratum's forms.  The bullet rule
+-- a * B has (1 - gamma) times the layer part of a * P -- checks for leaks
+between siblings.  Every form entry is fixed by v -> 1/v, so ``gram_det``
+rewrites the form as polynomials in delta = [2] = v + v^(-1), half as long,
+takes the one Bareiss determinant there and writes it back in v.  The form's
+nonvanishing determinant for every layer certifies semisimplicity, and its
+behaviour under dropping the eastmost strand gives the branching rules.
 """
 
 from __future__ import annotations
@@ -142,11 +142,11 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
     """Exact coefficients of an element over the cell basis.
 
     Keys are (label, north half, south half); values are Laurent polynomials
-    whose golden coordinates may be rational, since the change of basis
-    divides by D = 1 - 2*gamma.  Each diagram adds to every layer of its
-    stratum its D-scaled coordinate, integral in Z[phi]: 1 for P and
-    1 - gamma for B by the sibling table.  Each nonzero sibling key is then
-    divided by its D once; zero and middle keys have D = 1.
+    whose golden coordinates may be rational, since the change of basis divides
+    by D = 1 - 2*gamma.  Each diagram adds to every layer of its stratum its
+    D-scaled coordinate, integral in Z[phi]: 1 for P and 1 - gamma for B.  Each
+    nonzero sibling key is then divided by its D once; the form and action
+    paths scale their products by D^2 or D first, so there it is exact.
     """
     _arg(x, (AlgebraElement,), "expand_in_cell_basis needs an AlgebraElement")
     scaled: dict = {}
@@ -265,10 +265,10 @@ class RingMatrix:
         return [[e.to_json() for e in row] for row in self.rows]
 
 
-def _upper_expansion(product: AlgebraElement, k: int) -> dict:
-    """The cell expansion of a product's terms with at most k caps; those on lower layers are dropped unchecked."""
+def _upper_expansion(product: AlgebraElement, k: int, scale) -> dict:
+    """The cell expansion of scale times a product's terms with at most k caps; those on lower layers are dropped unchecked."""
     return expand_in_cell_basis(
-        AlgebraElement._from_checked(product.m, {d: c for d, c in product._terms.items() if d.k <= k})
+        AlgebraElement._from_checked(product.m, {d: c * scale for d, c in product._terms.items() if d.k <= k})
     )
 
 
@@ -296,22 +296,23 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
     """The matrix of an element acting on a cell layer.
 
     Entry (i, j) is the coefficient of the i-th tableau in a * C(S_j, T)
-    modulo lower layers: D times that in a * P(S_j, T), as P = C_plain /
-    D_plain + C_bullet / D_bullet.  On plain and bullet layers the bullet
-    rule is checked at the first south tableau: the layer's part of
-    a * B(S, T) must be (1 - gamma) times that of a * P(S, T), which fails
-    exactly when the action leaks between the sibling layers.  Unless
-    disabled, the columns are recomputed for every other T to confirm they
-    do not depend on that choice.
+    modulo lower layers: that in a * P(S_j, T) scaled by D before it is
+    expanded, as P = C_plain / D_plain + C_bullet / D_bullet.  On plain and
+    bullet layers the bullet rule is checked at the first south tableau: the
+    layer's part of a * B(S, T) must be (1 - gamma) times that of
+    a * P(S, T), which fails exactly when the action leaks between the
+    sibling layers.  Unless disabled, the columns are recomputed for every
+    other T to confirm they do not depend on that choice.
     """
     if type(a) is not AlgebraElement or type(label) is not CellLabel:
         raise ValueError(f"cell_action_matrix needs an AlgebraElement and a CellLabel, got {a!r} and {label!r}")
     _arg(check_all_T, (bool,), "check_all_T must be a bool")
     tabs = tableaux(label, a.m - 1)
     index = {h: i for i, h in enumerate(tabs)}
+    scale = _D[label.kind]
 
     def columns(T, bullet=False):
-        return [_project(_upper_expansion(a * _diagram(S, T, bullet), label.k), label, index, T, "action") for S in tabs]
+        return [_project(_upper_expansion(a * _diagram(S, T, bullet), label.k, scale), label, index, T, "action") for S in tabs]
 
     base = columns(tabs[0])
     if label.kind in _BULLET_WEIGHTS:
@@ -322,17 +323,16 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
         for T in tabs[1:]:
             if columns(T) != base:
                 raise IndependenceViolation(f"action coefficients on layer {label} depend on the south tableau")
-    scale = _D[label.kind]
-    return RingMatrix([[c * scale for c in row] for row in zip(*base)])
+    return RingMatrix(list(zip(*base)))
 
 
 def gram_matrix(label: CellLabel, n: int, *, forms: dict | None = None) -> RingMatrix:
     """The bilinear form on a cell layer.
 
     Entry (d1, d2) is the coefficient of C(e1, e2) in C(e1, d1) * C(d2, e2)
-    modulo lower layers, for a fixed frame pair (e1, e2).  The sibling
-    layers' cross terms vanish there, so it is D^2 times that coefficient in
-    the plain product P(e1, d1) * P(d2, e2).  The matrix is recomputed
+    modulo lower layers, for a fixed frame pair (e1, e2).  The sibling layers'
+    cross terms vanish there, so it is read off the plain product P(e1, d1) *
+    P(d2, e2), scaled by D^2 before it is expanded.  The matrix is recomputed
     against other frame pairs -- all of them for n <= 4, else FRAME_CHECKS
     evenly spaced ones -- to confirm the frame does not matter.
 
@@ -364,9 +364,10 @@ def _stratum_forms(layers: tuple, n: int) -> dict:
         others = others[:: len(others) // FRAME_CHECKS][:FRAME_CHECKS]
     done: dict = {}
     running = layers
+    scale = _D[layers[0].kind] ** 2  # the same on both siblings, as D_bullet = -D_plain
     for e1, e2 in pairs[:1] + others:
         left, right = [_diagram(e1, d) for d in tabs], [_diagram(d, e2) for d in tabs]
-        expansions = [_upper_expansion(x * y, layers[0].k) for x in left for y in right]
+        expansions = [_upper_expansion(x * y, layers[0].k, scale) for x in left for y in right]
         for label in running:
             try:
                 entries = [_project(e, label, {e1: 0}, e2, "form")[0] for e in expansions]
@@ -380,8 +381,7 @@ def _stratum_forms(layers: tuple, n: int) -> dict:
     t = len(tabs)
     for label, entries in done.items():
         if isinstance(entries, list):
-            scale = _D[label.kind] ** 2
-            done[label] = RingMatrix([[c * scale for c in entries[i : i + t]] for i in range(0, t * t, t)])
+            done[label] = RingMatrix([entries[i : i + t] for i in range(0, t * t, t)])
     return done
 
 

@@ -221,6 +221,8 @@ class LaurentPoly(_Ring):
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
+        if not isinstance(terms, (dict, type(None))):
+            raise TypeError(f"terms must be a dict, got {terms!r}")
         clean: dict[int, tuple] = {}
         for e, c in (terms or {}).items():
             if type(e) is not int:  # no bools

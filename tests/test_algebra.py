@@ -423,6 +423,23 @@ def test_element_json_round_trip():
             AlgebraElement.from_json({"m": 3, "terms": [dict(term, **bad)]})
 
 
+
+def test_element_json_rejects_a_repeated_diagram():
+    # to_json writes each diagram once, so a term list naming one twice is malformed, not a sum
+    (term,) = evaluate_word(["U1"], 3).to_json()["terms"]
+    for second in ([[0, 1, 0]], [[0, -1, 0]]):
+        with pytest.raises(ValueError, match=r"repeat the diagram \|1-2\*><1-2\*\|$"):
+            AlgebraElement.from_json({"m": 3, "terms": [term, dict(term, coeff=second)]})
+
+
+def test_element_terms_that_are_not_a_dict_raise_type_error():
+    # like a bad key or coefficient, a bad terms argument is a TypeError, not an AttributeError
+    d = generator_U(1, 3)
+    for terms in (5, "x", [(d, 1)], ((d, 1),), ()):
+        with pytest.raises(TypeError, match="terms must be a dict"):
+            AlgebraElement(3, terms)
+    assert AlgebraElement(3, None) == AlgebraElement(3, {}) == AlgebraElement.zero(3)
+
 def test_strand_count_must_be_a_positive_integer():
     # one check in the constructor serves direct callers and from_json alike
     for m in (0, -3, "x", True, 2.0):

@@ -278,8 +278,8 @@ def test_layer_column_keeps_only_the_sibling_share_at_T():
     tabs = tableaux(plain, 2)
     index = {h: i for i, h in enumerate(tabs)}
 
-    def column(product, label, index, T, what):  # a product's column, as cell_action_matrix reads it
-        return tlh.cellular._project(tlh.cellular._upper_expansion(product, label.k), label, index, T, what)
+    def column(product, label, index, T, what):  # a product's column, as cell_action_matrix reads it, unscaled
+        return tlh.cellular._project(tlh.cellular._upper_expansion(product, label.k, 1), label, index, T, what)
 
     sibling = cell_element(bullet, H_STAR, H_PLAIN)
     assert column(sibling, plain, index, H_PLAIN, "test") == [LaurentPoly.zero()] * 2
@@ -573,6 +573,39 @@ def test_gram_det_builds_no_rational_scalar(monkeypatch):
     dets = [gram_det(form) for form in forms]
     assert all(built.values()) and all(all(flags) for flags in built.values())
     assert all(type(a) is int and type(b) is int for det in dets for a, b in det._terms.values())
+
+
+def _gram_n4():
+    assert tlh.cli.main(["gram", "--n", "4"]) == 0
+
+
+def _actions_n3():
+    for label in lambda_poset(3):
+        for i in (1, 2, 3):
+            cell_action_matrix(AlgebraElement.from_diagram(generator_U(i, 4)), label)
+
+
+def _semisimplicity_n4():
+    assert semisimplicity_check(4) == []
+
+
+@pytest.mark.parametrize(
+    "run", [_gram_n4, _actions_n3, _semisimplicity_n4], ids=["gram-n4", "actions-n3", "semisimplicity-n4"]
+)
+def test_the_form_and_action_paths_divide_only_in_the_integers(monkeypatch, capsys, run):
+    # each product is scaled by D^2 (form) or D (action) before its cell expansion divides by D, so every
+    # coordinate quotient is exact
+    quotient, made = tlh.ring._quotient, []
+
+    def counted(c, n):
+        q = quotient(c, n)
+        made.append(type(q))
+        return q
+
+    monkeypatch.setattr(tlh.ring, "_quotient", counted)
+    run()
+    capsys.readouterr()
+    assert made and set(made) == {int}
 
 
 def test_gram_matrix_expands_no_term_below_the_layer(monkeypatch):

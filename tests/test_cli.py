@@ -123,6 +123,16 @@ def test_malformed_operand_json_exits_two(tmp_path, capsys):
     assert code == 2 and out == "" and err.endswith(": nodes on more than one arc: N1, N2\n")
 
 
+
+def test_an_operand_that_repeats_a_diagram_exits_two(tmp_path, capsys):
+    # to_json writes each diagram once, so an operand naming one twice is malformed, not a sum
+    u1 = AlgebraElement.from_diagram(generator_U(1, 3)).to_json()
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps(dict(u1, terms=u1["terms"] * 2)))
+    code, out, err = run(capsys, "multiply", str(twice), "U2", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: {twice}: algebra element terms repeat the diagram |1-2*><1-2*|\n"
+
 def test_multiply_usage_errors(capsys):
     code, _, err = run(capsys, "multiply", "epsilon", "beta")
     assert code == 2 and "--n" in err

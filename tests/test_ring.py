@@ -396,6 +396,14 @@ def test_booleans_are_rejected_by_the_constructors():
                 op()
 
 
+
+def test_terms_that_are_not_a_dict_raise_type_error():
+    # like a bad exponent or coefficient, a bad terms argument is a TypeError, not an AttributeError
+    for terms in (5, 2.5, "x", [(0, 1)], ()):
+        with pytest.raises(TypeError, match="terms must be a dict"):
+            LaurentPoly(terms)
+    assert LaurentPoly(None) == LaurentPoly({}) == LaurentPoly.zero()
+
 @properties
 @given(rational_laurent)
 def test_json_round_trip_property(p):

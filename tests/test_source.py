@@ -195,6 +195,43 @@ def test_every_exported_function_rejects_a_wrong_later_argument_with_value_error
     assert escaped == []
 
 
+
+def test_every_exported_class_rejects_a_wrongly_typed_argument_with_type_or_value_error():
+    # each entry is a valid call; a wrongly typed value in each argument place must build or raise
+    # TypeError or ValueError, never AttributeError or worse from deeper down; NodeRef is a plain record
+    # and may build, and a class exported without an entry fails here
+    half, d = tlh.HalfDiagram(3, ((1, 2, 1),)), generator_U(1, 3)
+    calls = {
+        "AlgebraElement": (3, {d: 1}),
+        "CellLabel": ("plain", 1),
+        "DecoratedTangle": (1, 1, frozenset({(tlh.NodeRef("N", 1), tlh.NodeRef("S", 1), 0)}), ()),
+        "Diagram": (half, half, True),
+        "GoldenScalar": (1, 2),
+        "HalfDiagram": (3, ((1, 2, 1),)),
+        "LaurentPoly": ({0: 1},),
+        "NodeRef": ("N", 1),
+        "RingMatrix": ([[1]],),
+    }
+    classes = {
+        name for name in tlh.__all__
+        if inspect.isclass(getattr(tlh, name)) and not issubclass(getattr(tlh, name), Exception)
+    }
+    assert classes == calls.keys()
+    escaped = []
+    for name, args in calls.items():
+        cls = getattr(tlh, name)
+        cls(*args)
+        assert len(args) == len(inspect.signature(cls).parameters)
+        for i in range(len(args)):
+            for bad in ("x", 5, 2.5, object(), [(d, 1)], b"x"):
+                try:
+                    cls(*args[:i], bad, *args[i + 1 :])
+                except (TypeError, ValueError):
+                    pass
+                except Exception as exc:
+                    escaped.append(f"{name} argument {i} = {bad!r}: {type(exc).__name__}: {exc}")
+    assert escaped == []
+
 def inline_type_checks(tree) -> list:
     """The functions with an `if type(x) is not T:` (or `not in`) that raises ValueError(f"..., got {x!r}").
 
