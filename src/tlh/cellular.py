@@ -18,8 +18,8 @@ norm -5.  That is the one division in the cell basis: ``expand_in_cell_basis``
 sums the integral D-scaled coordinates (1 and 1 - gamma) per cell key in
 Z[phi] and divides each sibling key by its D once.  On each layer the
 generators act by matrices that do not depend on the south tableau, and the
-layer carries a bilinear form.  Both are read off products of plain diagrams,
-scaled by D (action) or D^2 (form; 5 on both siblings) before the expansion,
+layer carries a bilinear form.  Both are read off products of plain diagrams
+whose glued factor carries D (action) or D^2 (form: 5 on siblings, else 1),
 so every division is exact; the sibling layers' cross terms vanish modulo
 lower layers, so one product pass gives a stratum's forms.  The bullet rule
 -- a * B has (1 - gamma) times the layer part of a * P -- checks for leaks
@@ -45,9 +45,9 @@ FRAME_CHECKS = 12
 #: The sibling table: for each sibling kind, gamma in its cell elements C = B - gamma*P.
 _SIBLINGS = {"plain": GAMMA1, "bullet": GAMMA2}
 
-#: D = 1 - 2*gamma by layer kind, with gamma = 0 off the siblings; D scales
-#: plain-diagram products to cell coordinates and is the constant term of a
-#: rescaled diagonal form entry.
+#: D = 1 - 2*gamma by layer kind, with gamma = 0 off the siblings; the glued
+#: factor of an action (D) or form (D^2) product carries it, and it is the
+#: constant term of a rescaled diagonal form entry.
 _D = {kind: 1 - 2 * g for kind, g in {"zero": G_ZERO, "middle": G_ZERO, **_SIBLINGS}.items()}
 
 #: The D-scaled coordinate 1 - gamma of B on each sibling kind's C; also the bullet rule's ratio.
@@ -117,8 +117,8 @@ def tableaux(label: CellLabel, n: int) -> tuple:
     return enumerate_half(n + 1, label.k)
 
 
-def _diagram(S: HalfDiagram, T: HalfDiagram, bullet: bool = False) -> AlgebraElement:
-    return AlgebraElement.from_diagram(Diagram(S, T, bullet))
+def _diagram(S: HalfDiagram, T: HalfDiagram, bullet: bool = False, coeff=G_ONE) -> AlgebraElement:
+    return AlgebraElement(S.m, {Diagram(S, T, bullet): coeff})
 
 
 def cell_element(label: CellLabel, d1: HalfDiagram, d2: HalfDiagram) -> AlgebraElement:
@@ -145,8 +145,8 @@ def expand_in_cell_basis(x: AlgebraElement) -> dict:
     whose golden coordinates may be rational, since the change of basis divides
     by D = 1 - 2*gamma.  Each diagram adds to every layer of its stratum its
     D-scaled coordinate, integral in Z[phi]: 1 for P and 1 - gamma for B.  Each
-    nonzero sibling key is then divided by its D once; the form and action
-    paths scale their products by D^2 or D first, so there it is exact.
+    nonzero sibling key is then divided by its D once; on the form and action
+    paths the glued factor carries D^2 or D, so there it is exact.
     """
     _arg(x, (AlgebraElement,), "expand_in_cell_basis needs an AlgebraElement")
     scaled: dict = {}
@@ -265,11 +265,10 @@ class RingMatrix:
         return [[e.to_json() for e in row] for row in self.rows]
 
 
-def _upper_expansion(product: AlgebraElement, k: int, scale) -> dict:
-    """The cell expansion of scale times a product's terms with at most k caps; those on lower layers are dropped unchecked."""
-    return expand_in_cell_basis(
-        AlgebraElement._from_checked(product.m, {d: c * scale for d, c in product._terms.items() if d.k <= k})
-    )
+def _upper_expansion(product: AlgebraElement, k: int) -> dict:
+    """The cell expansion of a product's terms with at most k caps; lower terms, whose division by D the
+    glued factor need not make exact, are dropped unchecked."""
+    return expand_in_cell_basis(AlgebraElement._from_checked(product.m, {d: c for d, c in product._terms.items() if d.k <= k}))
 
 
 def _project(expansion: dict, label: CellLabel, index: dict, T, what: str) -> list:
@@ -296,8 +295,8 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
     """The matrix of an element acting on a cell layer.
 
     Entry (i, j) is the coefficient of the i-th tableau in a * C(S_j, T)
-    modulo lower layers: that in a * P(S_j, T) scaled by D before it is
-    expanded, as P = C_plain / D_plain + C_bullet / D_bullet.  On plain and
+    modulo lower layers: that in a * D P(S_j, T), whose glued factor carries
+    D, as P = C_plain / D_plain + C_bullet / D_bullet.  On plain and
     bullet layers the bullet rule is checked at the first south tableau: the
     layer's part of a * B(S, T) must be (1 - gamma) times that of
     a * P(S, T), which fails exactly when the action leaks between the
@@ -312,7 +311,7 @@ def cell_action_matrix(a: AlgebraElement, label: CellLabel, *, check_all_T: bool
     scale = _D[label.kind]
 
     def columns(T, bullet=False):
-        return [_project(_upper_expansion(a * _diagram(S, T, bullet), label.k, scale), label, index, T, "action") for S in tabs]
+        return [_project(_upper_expansion(a * _diagram(S, T, bullet, scale), label.k), label, index, T, "action") for S in tabs]
 
     base = columns(tabs[0])
     if label.kind in _BULLET_WEIGHTS:
@@ -332,7 +331,7 @@ def gram_matrix(label: CellLabel, n: int, *, forms: dict | None = None) -> RingM
     Entry (d1, d2) is the coefficient of C(e1, e2) in C(e1, d1) * C(d2, e2)
     modulo lower layers, for a fixed frame pair (e1, e2).  The sibling layers'
     cross terms vanish there, so it is read off the plain product P(e1, d1) *
-    P(d2, e2), scaled by D^2 before it is expanded.  The matrix is recomputed
+    D^2 P(d2, e2), whose glued factor carries the D^2.  The matrix is recomputed
     against other frame pairs -- all of them for n <= 4, else FRAME_CHECKS
     evenly spaced ones -- to confirm the frame does not matter.
 
@@ -348,7 +347,7 @@ def gram_matrix(label: CellLabel, n: int, *, forms: dict | None = None) -> RingM
     form = forms.pop((label, n))
     if isinstance(form, IndependenceViolation):
         raise form
-    return form
+    return _arg(form, (RingMatrix,), f"gram_matrix's forms must hold a RingMatrix or an IndependenceViolation at {label}")
 
 
 def _stratum_forms(layers: tuple, n: int) -> dict:
@@ -366,8 +365,8 @@ def _stratum_forms(layers: tuple, n: int) -> dict:
     running = layers
     scale = _D[layers[0].kind] ** 2  # the same on both siblings, as D_bullet = -D_plain
     for e1, e2 in pairs[:1] + others:
-        left, right = [_diagram(e1, d) for d in tabs], [_diagram(d, e2) for d in tabs]
-        expansions = [_upper_expansion(x * y, layers[0].k, scale) for x in left for y in right]
+        left, right = [_diagram(e1, d) for d in tabs], [_diagram(d, e2, coeff=scale) for d in tabs]
+        expansions = [_upper_expansion(x * y, layers[0].k) for x in left for y in right]
         for label in running:
             try:
                 entries = [_project(e, label, {e1: 0}, e2, "form")[0] for e in expansions]

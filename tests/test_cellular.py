@@ -279,7 +279,7 @@ def test_layer_column_keeps_only_the_sibling_share_at_T():
     index = {h: i for i, h in enumerate(tabs)}
 
     def column(product, label, index, T, what):  # a product's column, as cell_action_matrix reads it, unscaled
-        return tlh.cellular._project(tlh.cellular._upper_expansion(product, label.k, 1), label, index, T, what)
+        return tlh.cellular._project(tlh.cellular._upper_expansion(product, label.k), label, index, T, what)
 
     sibling = cell_element(bullet, H_STAR, H_PLAIN)
     assert column(sibling, plain, index, H_PLAIN, "test") == [LaurentPoly.zero()] * 2
@@ -460,6 +460,13 @@ def test_the_sibling_called_first_gets_the_same_form(monkeypatch):
     assert forms == {} and len(gluings) == 81
 
 
+def test_gram_matrix_rejects_a_forms_entry_that_is_neither_a_form_nor_a_violation():
+    zero = CellLabel("zero")
+    for value in ("x", None, [[1]], IndependenceViolation):
+        with pytest.raises(ValueError, match="gram_matrix's forms must hold a RingMatrix"):
+            gram_matrix(zero, 2, forms={(zero, 2): value})
+
+
 def test_gram_n4_glues_each_stratum_once(capsys, monkeypatch):
     gluings = _count_gluings(monkeypatch)
     assert tlh.cli.main(["gram", "--n", "4", "--format", "structured"]) == 0
@@ -606,6 +613,30 @@ def test_the_form_and_action_paths_divide_only_in_the_integers(monkeypatch, caps
     run()
     capsys.readouterr()
     assert made and set(made) == {int}
+
+
+def test_gram_n4_multiplies_no_coefficient_by_one(monkeypatch, capsys):
+    # the glued factor carries the scale D^2, so no kept product term is multiplied by it again, and the
+    # zero and middle strata, where D^2 = 1, make no scaling product at all
+    one, product, running, operands = LaurentPoly.one(), LaurentPoly.__mul__, [], []
+
+    def counted(a, b):
+        if running:
+            operands.append((a, LaurentPoly._coerce(b)))
+        return product(a, b)
+
+    def inside(*args, **kwargs):
+        running.append(1)
+        try:
+            return gram_matrix(*args, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    monkeypatch.setattr(tlh.cli, "gram_matrix", inside)
+    assert tlh.cli.main(["gram", "--n", "4"]) == 0
+    capsys.readouterr()
+    assert operands and [pair for pair in operands if one in pair] == []
 
 
 def test_gram_matrix_expands_no_term_below_the_layer(monkeypatch):
