@@ -135,7 +135,7 @@ def cell_element(label: CellLabel, d1: HalfDiagram, d2: HalfDiagram) -> AlgebraE
         raise ValueError(f"label {label} is not a layer of {label.k}-cap diagrams on {d1.m} strands")
     if label.kind not in _SIBLINGS:
         return _diagram(d1, d2)
-    return _diagram(d1, d2, bullet=True) - _diagram(d1, d2).scale(_SIBLINGS[label.kind])
+    return AlgebraElement(d1.m, {Diagram(d1, d2, True): G_ONE, Diagram(d1, d2): -_SIBLINGS[label.kind]})
 
 
 def expand_in_cell_basis(x: AlgebraElement) -> dict:

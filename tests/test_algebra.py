@@ -388,6 +388,11 @@ def test_element_api():
         AlgebraElement(3, {"x": LaurentPoly.one()})
     with pytest.raises(ValueError, match="strands"):
         AlgebraElement(4, {generator_U(1, 3): LaurentPoly.one()})
+    with pytest.raises(TypeError, match="^bad coefficient 'x'$"):
+        AlgebraElement(2, {generator_U(1, 2): "x"})
+    with pytest.raises(TypeError, match="^bad scalar 'x'$"):
+        u1.scale("x")
+    assert not AlgebraElement.zero(2) and bool(u1)
 
 
 def test_one_is_the_identity_diagram_built_in_dyadic_form(monkeypatch):

@@ -145,6 +145,37 @@ def test_cell_element_frozen_values():
         cell_element(CellLabel("middle", 1), H_STAR, H_PLAIN)
 
 
+def test_a_sibling_cell_element_is_built_as_its_two_terms(monkeypatch):
+    # C = B - gamma*P is one element built from its two terms: no scaled, negated or summed partial
+    # elements, and no ring product of gamma by one
+    init, product, element = AlgebraElement.__init__, LaurentPoly.__mul__, tlh.cellular.cell_element
+    one, running, calls, built, by_one = LaurentPoly.one(), [], [], [], []
+
+    def counted_init(self, *args, **kwargs):
+        if running:
+            built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_product(a, b):
+        if running and one in (a, LaurentPoly._coerce(b)):
+            by_one.append((a, b))
+        return product(a, b)
+
+    def counted_element(*args):
+        calls.append(args)
+        running.append(1)
+        try:
+            return element(*args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(AlgebraElement, "__init__", counted_init)
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted_product)
+    monkeypatch.setattr(tlh.cellular, "cell_element", counted_element)
+    assert verify_cellular_axioms(4) == []
+    assert (len(calls), len(built), len(by_one)) == (779, 779, 0)
+
+
 @pytest.mark.parametrize("args", [("x", H_STAR, H_STAR), (CellLabel("plain", 1), H_STAR, None), (CellLabel("zero"), (), ())])
 def test_cell_element_rejects_arguments_of_other_types(args):
     with pytest.raises(ValueError, match="^a cell element needs a CellLabel and two HalfDiagrams"):
@@ -722,6 +753,7 @@ def test_ring_matrix_basics():
         RingMatrix(((1, 2), (3,)))
     with pytest.raises(TypeError):
         RingMatrix((("x",),))
+    assert not RingMatrix(((1, 2),)).is_symmetric()  # not square
     with pytest.raises(ValueError):
         RingMatrix(((1, 2),)).det()
 
@@ -850,6 +882,53 @@ def test_gram_det_matches_point_evaluations(n):
         det = gram_det(form)
         for v in (2, 3):
             assert _at(det, v) == _field_det([[_at(g, v) for g in row] for row in form.rows])
+
+
+def _conjugate(p: LaurentPoly) -> LaurentPoly:
+    """p with the Galois conjugation phi -> 1 - phi applied to every coefficient."""
+    return LaurentPoly({e: c.conjugate() for e, c in p.items()})
+
+
+def _conjugate_matrix(m: RingMatrix) -> RingMatrix:
+    return RingMatrix([[_conjugate(g) for g in row] for row in m.rows])
+
+
+def _sibling_conjugacy_failures(n: int, form) -> list:
+    """(bullet layer, what) for each form, determinant or action of a bullet layer at rank n that is not
+    the Galois conjugate of its plain sibling's, with the forms taken from form(label, n)."""
+    m = n + 1
+    acting = [AlgebraElement.from_diagram(generator_U(i, m)) for i in range(1, m)]
+    acting += special_elements(m).values()
+    failures = []
+    for label in lambda_poset(n):
+        if label.kind != "bullet":
+            continue
+        plain = CellLabel("plain", label.k)
+        g, gb = form(plain, n), form(label, n)
+        if gb != _conjugate_matrix(g):
+            failures.append((str(label), "form"))
+        if gram_det(gb) != _conjugate(gram_det(g)):
+            failures.append((str(label), "det"))
+        for x in acting:
+            got = cell_action_matrix(x, label, check_all_T=False)
+            if got != _conjugate_matrix(cell_action_matrix(x, plain, check_all_T=False)):
+                failures.append((str(label), f"action of {x}"))
+    return failures
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sibling_layers_are_galois_conjugates(n):
+    # products of diagrams have coefficients in Z[v, 1/v] and gamma2 is the conjugate of gamma1, so the
+    # bullet layer's form, determinant and actions are the plain layer's with phi -> 1 - phi
+    assert _sibling_conjugacy_failures(n, cached_form) == []
+
+
+def test_sibling_conjugacy_sees_a_bullet_weight_equal_to_the_plain_one(monkeypatch):
+    monkeypatch.setitem(tlh.cellular._BULLET_WEIGHTS, "bullet", tlh.cellular._BULLET_WEIGHTS["plain"])
+    for n in (3, 4):
+        failures = _sibling_conjugacy_failures(n, gram_matrix)
+        assert {what for _, what in failures} >= {"form", "det"}
+        assert any(what.startswith("action") for _, what in failures)
 
 
 def _patched_forms(monkeypatch, text, change):
