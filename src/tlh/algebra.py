@@ -23,8 +23,8 @@ import random
 from math import comb
 
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, generator_U
-from tlh.ring import LaurentPoly, fib_pair, to_delta
-from tlh.tangle import DecoratedTangle, _arg, _refs, random_tangle
+from tlh.ring import LaurentPoly, _arg, fib_pair, to_delta
+from tlh.tangle import DecoratedTangle, _refs, random_tangle
 
 
 _ONE = LaurentPoly.one()  # shared: a LaurentPoly is never changed in place
@@ -85,8 +85,6 @@ def normal_form_random(t: DecoratedTangle, rng) -> dict:
         redexes += [("edge", i) for i, j in enumerate(partner) if i < j and dec[i] >= 2]  # arcs in order
         if not redexes:
             done[tang] = done.get(tang, LaurentPoly.zero()) + coeff
-            if done[tang].is_zero():
-                del done[tang]
             continue
         kind, x = rng.choice(redexes)
         if kind == "loop":

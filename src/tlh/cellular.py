@@ -36,8 +36,7 @@ import dataclasses
 
 from tlh.algebra import AlgebraElement
 from tlh.diagram import Diagram, HalfDiagram, enumerate_diagrams, enumerate_half, generator_U
-from tlh.ring import G_ONE, G_ZERO, GAMMA1, GAMMA2, LaurentPoly, from_delta, to_delta
-from tlh.tangle import _arg
+from tlh.ring import G_ONE, G_ZERO, GAMMA1, GAMMA2, LaurentPoly, _arg, from_delta, to_delta
 
 #: Frame pairs gram_matrix re-checks above rank 4, where checking all is slow.
 FRAME_CHECKS = 12
@@ -336,52 +335,46 @@ def gram_matrix(label: CellLabel, n: int, *, forms: dict | None = None) -> RingM
     evenly spaced ones -- to confirm the frame does not matter.
 
     Sibling layers read their forms off the same plain products, so every
-    call computes its label's whole stratum.  A caller's ``forms`` dict
-    carries the siblings' forms, or the IndependenceViolation that stopped
-    them, to their later calls, which take them out from there.
+    call computes its label's whole stratum; a caller's ``forms`` dict carries
+    the siblings' finished forms to their later calls, which take them out.
     """
     tableaux(label, n)  # the label must lie in the rank-n poset
     forms = {} if forms is None else _arg(forms, (dict,), "gram_matrix needs a dict of forms")
     if (label, n) not in forms:
-        forms.update(((layer, n), f) for layer, f in _stratum_forms(_stratum(n + 1, label.k), n).items())
-    form = forms.pop((label, n))
-    if isinstance(form, IndependenceViolation):
-        raise form
-    return _arg(form, (RingMatrix,), f"gram_matrix's forms must hold a RingMatrix or an IndependenceViolation at {label}")
+        forms.update(((layer, n), f) for layer, f in _stratum_forms(label, n).items())
+    return _arg(forms.pop((label, n)), (RingMatrix,), f"gram_matrix's forms must hold a RingMatrix at {label}")
 
 
-def _stratum_forms(layers: tuple, n: int) -> dict:
-    """Each layer's form, or the IndependenceViolation that stopped it; the layers make up one stratum.
+def _stratum_forms(label: CellLabel, n: int) -> dict:
+    """The form of each layer in label's stratum; raises label's IndependenceViolation where it is found.
 
     Each frame pair's plain products are glued and expanded once, and each
-    running layer projects them all; the first frame's entries are the base.
+    layer still passing projects them all; the first frame's entries are the
+    base.  A sibling that fails is left out, so its own call recomputes the
+    stratum and raises its fault.
     """
-    tabs = tableaux(layers[0], n)
+    tabs = tableaux(label, n)
     pairs = [(e1, e2) for e1 in tabs for e2 in tabs]
     others = pairs[1:]
     if n > 4 and len(others) > FRAME_CHECKS:
         others = others[:: len(others) // FRAME_CHECKS][:FRAME_CHECKS]
-    done: dict = {}
-    running = layers
-    scale = _D[layers[0].kind] ** 2  # the same on both siblings, as D_bullet = -D_plain
+    done, layers = {}, _stratum(n + 1, label.k)
+    scale = _D[label.kind] ** 2  # the same on both siblings, as D_bullet = -D_plain
     for e1, e2 in pairs[:1] + others:
         left, right = [_diagram(e1, d) for d in tabs], [_diagram(d, e2, coeff=scale) for d in tabs]
-        expansions = [_upper_expansion(x * y, layers[0].k) for x in left for y in right]
-        for label in running:
+        expansions = [_upper_expansion(x * y, label.k) for x in left for y in right]
+        for layer in layers:
             try:
-                entries = [_project(e, label, {e1: 0}, e2, "form")[0] for e in expansions]
-                if done.setdefault(label, entries) != entries:
-                    raise IndependenceViolation(f"form entries on layer {label} depend on the frame pair")
-            except IndependenceViolation as exc:
-                done[label] = exc
-        running = [label for label in running if isinstance(done[label], list)]
-        if not running:
-            break
+                entries = [_project(e, layer, {e1: 0}, e2, "form")[0] for e in expansions]
+                if done.setdefault(layer, entries) != entries:
+                    raise IndependenceViolation(f"form entries on layer {layer} depend on the frame pair")
+            except IndependenceViolation:
+                if layer == label:
+                    raise
+                done.pop(layer, None)
+        layers = list(done)
     t = len(tabs)
-    for label, entries in done.items():
-        if isinstance(entries, list):
-            done[label] = RingMatrix([entries[i : i + t] for i in range(0, t * t, t)])
-    return done
+    return {layer: RingMatrix([entries[i : i + t] for i in range(0, t * t, t)]) for layer, entries in done.items()}
 
 
 def gram_det(form: RingMatrix) -> LaurentPoly:

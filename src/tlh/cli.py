@@ -351,11 +351,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    report = Report(args.format)
+    report, made = Report(args.format), False
     try:
         if args.out:
             # fail on an unwritable path before computing; appending keeps an existing file
-            open(args.out, "a").close()
+            try:
+                open(args.out, "x").close()
+                made = True
+            except FileExistsError:
+                open(args.out, "a").close()
         try:
             code = args.func(args, report)
         except (UsageError, OSError):
@@ -366,6 +370,8 @@ def main(argv=None) -> int:
             code = 1
         report.write(args.out)
     except (UsageError, OSError) as exc:
+        if made:  # a usage error leaves no file behind that this run created
+            pathlib.Path(args.out).unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -20,7 +20,8 @@ import dataclasses
 import functools
 from math import comb
 
-from tlh.tangle import DecoratedTangle, _arg, _iterable
+from tlh.ring import _arg
+from tlh.tangle import DecoratedTangle, _iterable
 
 
 @dataclasses.dataclass(frozen=True)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from tlh.algebra import AlgebraElement, evaluate_word
 from tlh.diagram import Diagram, HalfDiagram, generator_U
-from tlh.tangle import _arg
+from tlh.ring import _arg
 
 
 class FactorizationError(Exception):

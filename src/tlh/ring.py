@@ -30,7 +30,12 @@ import re
 from fractions import Fraction
 from math import comb
 
-from tlh.tangle import _arg
+
+def _arg(x, kinds: tuple, what: str):
+    """x itself if its exact type is one of kinds, so an int is never a bool; else ValueError "{what}, got {x!r}"."""
+    if type(x) not in kinds:
+        raise ValueError(f"{what}, got {x!r}")
+    return x
 
 
 def _norm_coord(c):
@@ -112,6 +117,15 @@ class GoldenScalar(_Ring):
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))  # a rational hashes as its int or Fraction
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -45,13 +45,6 @@ def _iterable(name: str, value):
     return value
 
 
-def _arg(x, kinds: tuple, what: str):
-    """x itself if its exact type is one of kinds, so an int is never a bool; else ValueError "{what}, got {x!r}"."""
-    if type(x) not in kinds:
-        raise ValueError(f"{what}, got {x!r}")
-    return x
-
-
 @dataclasses.dataclass(frozen=True, slots=True, init=False)
 class DecoratedTangle:
     """An immutable decorated tangle, stored in boundary form.

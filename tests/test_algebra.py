@@ -87,6 +87,24 @@ def test_normal_form_matches_random_rule_order():
         assert as_dict(normal_form(t)) == normal_form_random(t, rng)
 
 
+def test_the_random_rule_order_only_adds_positive_integer_multiples_of_powers_of_v(monkeypatch):
+    # every rule keeps a coefficient a product of 1s and delta = v + 1/v, so no sum of terms can cancel
+    # and the oracle needs no branch that drops a zero coefficient
+    real, returned = tlh.algebra.normal_form_random, []
+
+    def recorded(t, rng):
+        returned.append(real(t, rng))
+        return returned[-1]
+
+    monkeypatch.setattr(tlh.algebra, "normal_form_random", recorded)
+    for m in (2, 3, 4):
+        assert verify_associativity(m, 20260825) == []
+    assert len(returned) == 3 * 1200 and max(map(len, returned)) > 1
+    assert all(not c.is_zero() for terms in returned for c in terms.values())
+    coords = [c._terms[e] for terms in returned for c in terms.values() for e in c._terms]
+    assert all(type(a) is int and a > 0 and b == 0 for a, b in coords) and max(a for a, _ in coords) > 1
+
+
 def test_the_random_rule_order_rebuilds_each_rewrite_through_the_public_constructor(monkeypatch):
     # the oracle must not share the unchecked store with the closed form it checks
     t = DecoratedTangle(3, 3, frozenset({(N(1), S(1), 3), (N(2), N(3), 2), (S(2), S(3), 0)}), loops=(0, 2, 3))

@@ -589,6 +589,20 @@ def test_a_single_layer_call_does_not_inherit_its_sibling_fault(capsys, monkeypa
     assert clean[0] == 0 and (tlh.cli.main(argv), capsys.readouterr().out) == clean
 
 
+@pytest.mark.parametrize("kind, frame", list(STRAY_FAILURES))
+def test_the_carry_holds_no_failed_sibling(monkeypatch, kind, frame):
+    # a failing sibling is left out of forms, so its own call recomputes the stratum and raises the fault
+    faulty = CellLabel(kind, 1)
+    other = next(mu for mu in _stratum(4, 1) if mu != faulty)
+    expected, forms = cached_form(other, 3), {}
+    _inject_sibling_stray(monkeypatch, kind, frame)
+    assert gram_matrix(other, 3, forms=forms) == expected
+    assert forms == {}
+    with pytest.raises(IndependenceViolation) as caught:
+        gram_matrix(faulty, 3, forms=forms)
+    assert str(caught.value) == STRAY_FAILURES[kind, frame] and forms == {}
+
+
 def test_gram_det_builds_no_rational_scalar(monkeypatch):
     # every Bareiss quotient lies in Z[phi][delta], so the n = 4 determinants never leave the integers;
     # a coordinate becomes a Fraction only in a division (_quotient), and a scalar only in the public

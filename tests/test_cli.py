@@ -497,3 +497,11 @@ def test_usage_error_keeps_an_existing_out_file(tmp_path, capsys):
     code, _, err = run(capsys, "dims", "--n", "1", "--out", str(target))
     assert code == 2 and err.startswith("error: ")
     assert target.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [("gram", "--n", "9"), ("gram", "--n", "3", "--lambda", "zz")])
+def test_usage_error_removes_the_out_file_it_created(tmp_path, capsys, argv):
+    target = tmp_path / "new.jsonl"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []

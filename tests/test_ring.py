@@ -89,6 +89,19 @@ def test_coord_normalization():
     assert x == GoldenScalar(2, 3)
 
 
+def test_golden_equality_reads_rationals_as_the_polynomials_do():
+    # a scalar equals the int or Fraction it coerces to, as a LaurentPoly does, and hashes alike;
+    # a bool is no number here and a float no exact one
+    assert LaurentPoly.one() == 1 and LaurentPoly.one().coefficient(0) == 1
+    for x, q in ((G_ONE, 1), (G_ZERO, 0), (GoldenScalar(-7), -7), (GoldenScalar(Fraction(3, 4)), Fraction(3, 4))):
+        assert x == q and q == x and not x != q
+        assert hash(x) == hash(q) and {q: "q"}[x] == "q"
+    assert GoldenScalar(Fraction(6, 3)) == 2 and hash(GoldenScalar(Fraction(6, 3))) == hash(2)
+    assert PHI != 0 and PHI != 1 and GAMMA2 != 1 and hash(PHI) == hash(GoldenScalar(0, 1))
+    for bad in (True, False, 1.0, "1", None):
+        assert G_ONE != bad and G_ZERO != bad and not G_ONE == bad
+
+
 def test_golden_random_ring_axioms():
     rng = random.Random(20260825)
     sample = lambda: GoldenScalar(rng.randint(-9, 9), rng.randint(-9, 9))

@@ -265,14 +265,14 @@ def inline_type_checks(tree) -> list:
 
 def test_every_single_value_type_check_goes_through_the_one_helper():
     # the argument contract (exact type, so an int is never a bool; ValueError "..., got x!r") is stated
-    # once, in tangle._arg; a check naming several values keeps its own message and stays inline
+    # once, in ring._arg; a check naming several values keeps its own message and stays inline
     definitions = [
         f"{path.name}:{node.name}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_arg"
     ]
-    assert definitions == ["tangle.py:_arg"]
+    assert definitions == ["ring.py:_arg"]
     found = {
         path.name: inline_type_checks(ast.parse(path.read_text(), filename=str(path)))
         for path in sorted(SRC.glob("*.py"))
@@ -290,6 +290,40 @@ def test_every_single_value_type_check_goes_through_the_one_helper():
         "        raise ValueError(f\"sizes must be integers, got {a!r}, {b!r}\")\n"
     )
     assert inline_type_checks(ast.parse(put_back)) == ["lambda_poset:2", "evaluate_word:5"]
+
+
+#: The package's modules from the bottom of the stack up.
+LAYERS = ("ring", "tangle", "diagram", "algebra", "factor", "cellular", "cli")
+
+
+def tlh_imports(tree) -> set:
+    """The tlh modules that a module's source imports, at any depth, absolutely or relatively."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[2] or "tlh" for alias in node.names if alias.name.split(".")[0] == "tlh"}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("tlh", node.module))) if node.level else node.module
+            if module == "tlh":
+                found |= {alias.name for alias in node.names}
+            elif module.startswith("tlh."):
+                found.add(module.partition(".")[2])
+    return found
+
+
+def test_every_module_imports_only_the_modules_below_it():
+    # imports point down the stack, so a layer can be read, tested and changed without the ones above
+    # it; the package's __init__ only gathers the exports
+    assert sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__") == sorted(LAYERS)
+    upward = [
+        f"{name} imports {imported}"
+        for i, name in enumerate(LAYERS)
+        for imported in sorted(tlh_imports(ast.parse((SRC / f"{name}.py").read_text())))
+        if imported not in LAYERS[:i]
+    ]
+    assert upward == []
+    sample = "import tlh.cli\nfrom tlh.ring import _arg\nfrom . import tangle\ndef f():\n    from .algebra import x\n"
+    assert tlh_imports(ast.parse(sample)) == {"cli", "ring", "tangle", "algebra"}
 
 
 def load_benchmark_tracer():
